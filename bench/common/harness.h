@@ -13,8 +13,7 @@ namespace sigsub {
 namespace bench {
 
 /// True when SIGSUB_BENCH_FAST=1 is set: benches shrink their sweeps for a
-/// quick smoke pass. The recorded outputs in EXPERIMENTS.md use the full
-/// paper-scale parameters (the default).
+/// quick smoke pass. The default is the full paper-scale parameters.
 bool FastMode();
 
 /// Prints the standard header for a bench binary: which paper result it

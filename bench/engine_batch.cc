@@ -1,21 +1,21 @@
-// engine::Engine batch execution vs naive per-job library calls.
+// engine::Engine batch execution vs naive per-query library calls.
 //
-// Workload: a corpus of M sequences, J jobs per sequence (one of each
-// problem kernel). Three executions of the same job list:
+// Workload: a corpus of M sequences, J queries per sequence (one of each
+// problem kernel). Three executions of the same query list:
 //
-//   naive        — each job issued as an independent FindMss-style call,
+//   naive        — each query issued as an independent FindMss-style call,
 //                  which rebuilds PrefixCounts for its sequence (what a
 //                  caller without the engine would write today);
-//   engine cold  — one ExecuteBatch on a fresh engine: PrefixCounts and
+//   engine cold  — one ExecuteQueries on a fresh engine: PrefixCounts and
 //                  ChiSquareContext built once per distinct sequence/model
-//                  and shared across the jobs (empty cache, all misses);
-//   engine warm  — the same batch again on the same engine: every job is
+//                  and shared across the queries (empty cache, all misses);
+//   engine warm  — the same batch again on the same engine: every query is
 //                  an LRU cache hit, no kernel runs at all.
 //
 // The bench asserts the engine's X² values are bit-identical to the naive
 // calls before reporting timings, and reports single-thread numbers so
 // the cold-row speedup isolates context reuse (a multi-thread row shows
-// the additional across-jobs scaling).
+// the additional across-queries scaling).
 
 #include <algorithm>
 #include <cstdio>
@@ -30,69 +30,71 @@ using namespace sigsub;
 
 namespace {
 
-/// One of each kernel per record.
-std::vector<engine::JobSpec> MakeJobs(const engine::Corpus& corpus) {
-  std::vector<engine::JobSpec> jobs;
+/// One query per record of `request`, under the uniform model.
+std::vector<api::QuerySpec> PerRecord(const engine::Corpus& corpus,
+                                      const api::QueryRequest& request) {
+  std::vector<api::QuerySpec> queries(static_cast<size_t>(corpus.size()));
   for (int64_t i = 0; i < corpus.size(); ++i) {
-    for (engine::JobKind kind :
-         {engine::JobKind::kMss, engine::JobKind::kTopT,
-          engine::JobKind::kTopDisjoint, engine::JobKind::kThreshold,
-          engine::JobKind::kMinLength}) {
-      engine::JobSpec spec;
-      spec.kind = kind;
-      spec.sequence_index = i;
-      spec.params.t = 5;
-      spec.params.min_length = 50;
-      spec.params.alpha0 = 20.0;
-      spec.params.max_matches = 0;  // Count-only, like the batch CLI.
-      jobs.push_back(spec);
-    }
+    queries[static_cast<size_t>(i)].sequence_index = i;
+    queries[static_cast<size_t>(i)].request = request;
   }
-  return jobs;
+  return queries;
 }
 
-/// The no-engine baseline: every job pays the validating entry point,
-/// which rebuilds the sequence's PrefixCounts. Returns each job's best X²
-/// for the equivalence check.
+/// One of each kernel per record.
+std::vector<api::QuerySpec> MakeQueries(const engine::Corpus& corpus) {
+  std::vector<api::QuerySpec> queries;
+  for (int64_t i = 0; i < corpus.size(); ++i) {
+    for (const api::QueryRequest& request :
+         {api::QueryRequest{api::MssQuery{}},
+          api::QueryRequest{api::TopTQuery{5}},
+          api::QueryRequest{api::TopDisjointQuery{5, 50, 0.0}},
+          // Count-only, like the batch CLI.
+          api::QueryRequest{api::ThresholdQuery{20.0, -1.0, 0}},
+          api::QueryRequest{api::MinLengthQuery{50}}}) {
+      api::QuerySpec spec;
+      spec.sequence_index = i;
+      spec.request = request;
+      queries.push_back(std::move(spec));
+    }
+  }
+  return queries;
+}
+
+/// The no-engine baseline: every query pays the validating entry point,
+/// which rebuilds the sequence's PrefixCounts. Returns each query's best
+/// X² for the equivalence check.
 std::vector<double> RunNaive(const engine::Corpus& corpus,
                              const seq::MultinomialModel& model,
-                             const std::vector<engine::JobSpec>& jobs) {
+                             const std::vector<api::QuerySpec>& queries) {
   std::vector<double> best;
-  best.reserve(jobs.size());
-  for (const engine::JobSpec& spec : jobs) {
+  best.reserve(queries.size());
+  for (const api::QuerySpec& spec : queries) {
     const seq::Sequence& s = corpus.sequence(spec.sequence_index);
-    switch (spec.kind) {
-      case engine::JobKind::kMss:
-        best.push_back(core::FindMss(s, model)->best.chi_square);
-        break;
-      case engine::JobKind::kTopT:
-        best.push_back(
-            core::FindTopT(s, model, spec.params.t)->top.front().chi_square);
-        break;
-      case engine::JobKind::kTopDisjoint: {
-        core::TopDisjointOptions options;
-        options.t = spec.params.t;
-        options.min_length = spec.params.min_length;
-        best.push_back(
-            core::FindTopDisjoint(s, model, options)->front().chi_square);
-        break;
-      }
-      case engine::JobKind::kThreshold: {
-        core::ThresholdOptions options;
-        options.max_matches = spec.params.max_matches;
-        auto result =
-            core::FindAboveThreshold(s, model, spec.params.alpha0, options);
-        // `best` is only valid when something matched (scan_types.h);
-        // represent the no-match case as 0.0 explicitly, which is also
-        // what the engine's cached payload carries.
-        best.push_back(result->match_count > 0 ? result->best.chi_square
-                                               : 0.0);
-        break;
-      }
-      case engine::JobKind::kMinLength:
-        best.push_back(core::FindMssMinLength(s, model, spec.params.min_length)
-                           ->best.chi_square);
-        break;
+    if (const auto* q = std::get_if<api::TopTQuery>(&spec.request)) {
+      best.push_back(core::FindTopT(s, model, q->t)->top.front().chi_square);
+    } else if (const auto* q =
+                   std::get_if<api::TopDisjointQuery>(&spec.request)) {
+      core::TopDisjointOptions options;
+      options.t = q->t;
+      options.min_length = q->min_length;
+      best.push_back(
+          core::FindTopDisjoint(s, model, options)->front().chi_square);
+    } else if (const auto* q =
+                   std::get_if<api::ThresholdQuery>(&spec.request)) {
+      core::ThresholdOptions options;
+      options.max_matches = q->max_matches;
+      auto result = core::FindAboveThreshold(s, model, q->alpha0, options);
+      // `best` is only valid when something matched (scan_types.h);
+      // represent the no-match case as 0.0 explicitly, which is also
+      // what the engine's cached payload carries.
+      best.push_back(result->match_count > 0 ? result->best.chi_square : 0.0);
+    } else if (const auto* q =
+                   std::get_if<api::MinLengthQuery>(&spec.request)) {
+      best.push_back(
+          core::FindMssMinLength(s, model, q->min_length)->best.chi_square);
+    } else {
+      best.push_back(core::FindMss(s, model)->best.chi_square);
     }
   }
   return best;
@@ -103,7 +105,7 @@ std::vector<double> RunNaive(const engine::Corpus& corpus,
 int main() {
   bench::PrintHeader(
       "engine batch — context reuse + result cache vs naive calls",
-      "corpus of planted-anomaly strings, k = 4; one job of each kind "
+      "corpus of planted-anomaly strings, k = 4; one query of each kind "
       "per record; timings land in BENCH_engine.json");
   bench::JsonBench json("engine");
 
@@ -128,31 +130,32 @@ int main() {
     std::printf("corpus error: %s\n", corpus.status().ToString().c_str());
     return 1;
   }
-  std::vector<engine::JobSpec> jobs = MakeJobs(*corpus);
+  std::vector<api::QuerySpec> queries = MakeQueries(*corpus);
   auto model = seq::MultinomialModel::Uniform(k);
-  std::printf("corpus: %lld records of n = %lld, %zu jobs\n\n",
+  std::printf("corpus: %lld records of n = %lld, %zu queries\n\n",
               static_cast<long long>(records), static_cast<long long>(n),
-              jobs.size());
+              queries.size());
 
   std::vector<double> naive_best;
   double naive_ms =
-      bench::TimeMs([&] { naive_best = RunNaive(*corpus, model, jobs); });
+      bench::TimeMs([&] { naive_best = RunNaive(*corpus, model, queries); });
 
+  auto execute = [&](engine::Engine& engine,
+                     const std::vector<api::QuerySpec>& batch) {
+    return std::move(engine.ExecuteQueries(*corpus, batch)).value();
+  };
   engine::Engine serial({.num_threads = 1, .cache_capacity = 4096});
-  std::vector<engine::JobResult> cold_results;
-  double cold_ms = bench::TimeMs([&] {
-    cold_results = std::move(serial.ExecuteBatch(*corpus, jobs)).value();
-  });
-  std::vector<engine::JobResult> warm_results;
-  double warm_ms = bench::TimeMs([&] {
-    warm_results = std::move(serial.ExecuteBatch(*corpus, jobs)).value();
-  });
+  std::vector<api::QueryResult> cold_results;
+  double cold_ms =
+      bench::TimeMs([&] { cold_results = execute(serial, queries); });
+  std::vector<api::QueryResult> warm_results;
+  double warm_ms =
+      bench::TimeMs([&] { warm_results = execute(serial, queries); });
 
   engine::Engine parallel({.num_threads = 0, .cache_capacity = 4096});
-  std::vector<engine::JobResult> parallel_results;
-  double parallel_ms = bench::TimeMs([&] {
-    parallel_results = std::move(parallel.ExecuteBatch(*corpus, jobs)).value();
-  });
+  std::vector<api::QueryResult> parallel_results;
+  double parallel_ms =
+      bench::TimeMs([&] { parallel_results = execute(parallel, queries); });
   // On a single-core host ThreadPool(0) resolves to one worker, so the
   // "parallel" row is a second sequential run — that is exactly what a
   // committed BENCH_engine.json once reported as a mysterious 1.02x.
@@ -169,10 +172,10 @@ int main() {
   // Equivalence gate: engine output must be bit-identical to the naive
   // calls (same kernels, same summation order), cold and warm alike.
   int64_t mismatches = 0;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (cold_results[i].best.chi_square != naive_best[i]) ++mismatches;
-    if (warm_results[i].best.chi_square != naive_best[i]) ++mismatches;
-    if (parallel_results[i].best.chi_square != naive_best[i]) ++mismatches;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (cold_results[i].best().chi_square != naive_best[i]) ++mismatches;
+    if (warm_results[i].best().chi_square != naive_best[i]) ++mismatches;
+    if (parallel_results[i].best().chi_square != naive_best[i]) ++mismatches;
   }
   std::printf("X² bit-identical to naive calls: %s\n\n",
               mismatches == 0 ? "yes" : "NO — BUG");
@@ -187,20 +190,18 @@ int main() {
               static_cast<long long>(stats.hits),
               static_cast<long long>(stats.lookups()));
 
-  io::TableWriter table({"mode", "time", "jobs/s", "speedup"});
-  auto add = [&](const std::string& mode, double ms, size_t job_count,
-                 double baseline_ms) {
+  io::TableWriter table({"mode", "time", "queries/s", "speedup"});
+  auto add = [&](const std::string& mode, double ms) {
     table.AddRow({mode, bench::FormatMs(ms),
-                  StrFormat("%.0f", 1000.0 * job_count / ms),
-                  StrFormat("%.2fx", baseline_ms / ms)});
+                  StrFormat("%.0f", 1000.0 * queries.size() / ms),
+                  StrFormat("%.2fx", naive_ms / ms)});
   };
-  add("naive per-job calls", naive_ms, jobs.size(), naive_ms);
-  add("engine cold (context reuse, 1 thread)", cold_ms, jobs.size(),
-      naive_ms);
+  add("naive per-query calls", naive_ms);
+  add("engine cold (context reuse, 1 thread)", cold_ms);
   add(StrCat("engine cold (", parallel.num_threads(), " thread",
              parallel.num_threads() == 1 ? ", single-core host" : "s", ")"),
-      parallel_ms, jobs.size(), naive_ms);
-  add("engine warm (cache hits)", warm_ms, jobs.size(), naive_ms);
+      parallel_ms);
+  add("engine warm (cache hits)", warm_ms);
   std::printf("\n%s", table.Render().c_str());
   json.AddResult("naive_per_job", naive_ms);
   json.AddResult("engine_cold_1_thread", cold_ms, naive_ms / cold_ms);
@@ -210,7 +211,7 @@ int main() {
   json.AddResult("engine_warm_cache", warm_ms, naive_ms / warm_ms);
   if (multi_core) {
     // A real multi-thread batch must beat the 1-thread cold run by a
-    // comfortable margin (the 40-job batch offers plenty of across-job
+    // comfortable margin (the 40-query batch offers plenty of across-query
     // parallelism; 1.3x is conservative for >= 2 workers on shared CI
     // runners).
     double scaling = cold_ms / parallel_ms;
@@ -224,11 +225,8 @@ int main() {
   // ------------------------------------------------------------------
   // api-layer dispatch overhead. Two measurements:
   //
-  //   1. The same 40-job batch submitted as legacy JobSpecs (lowered
-  //      internally) and as pre-lowered api::QuerySpecs — identical
-  //      kernels, reported as an informational ratio (a direct ratio
-  //      gate at 2% would need cross-run timing stability better than
-  //      2%, which shared runners do not offer).
+  //   1. The real batch on a cache-less engine (best of five): its
+  //      per-query time is the denominator of the gate below.
   //   2. The gate: a dispatch-dominated probe — many one-record MSS
   //      queries over tiny distinct records, so per-query time is
   //      essentially the query layer itself (validation, canonical-bytes
@@ -238,43 +236,24 @@ int main() {
   //      magnitude, so the gate trips on a structural regression (an
   //      accidentally O(n) or allocation-heavy dispatch path), not on
   //      scheduler noise.
-  std::vector<api::QuerySpec> query_specs;
-  query_specs.reserve(jobs.size());
-  for (const engine::JobSpec& spec : jobs) {
-    query_specs.push_back(engine::ToQuerySpec(spec));
-  }
-  engine::Engine jobspec_engine({.num_threads = 1, .cache_capacity = 0});
   engine::Engine query_engine({.num_threads = 1, .cache_capacity = 0});
-  double jobspec_ms = 1e300, query_ms = 1e300;
-  std::vector<engine::JobResult> jobspec_results;
+  double query_ms = 1e300;
   std::vector<api::QueryResult> query_results;
   for (int rep = 0; rep < 5; ++rep) {
-    jobspec_ms = std::min(jobspec_ms, bench::TimeMs([&] {
-      jobspec_results =
-          std::move(jobspec_engine.ExecuteBatch(*corpus, jobs)).value();
-    }));
     query_ms = std::min(query_ms, bench::TimeMs([&] {
-      query_results =
-          std::move(query_engine.ExecuteQueries(*corpus, query_specs))
-              .value();
+      query_results = execute(query_engine, queries);
     }));
   }
   int64_t api_mismatches = 0;
-  for (size_t i = 0; i < jobs.size(); ++i) {
+  for (size_t i = 0; i < queries.size(); ++i) {
     if (query_results[i].best().chi_square != naive_best[i]) {
       ++api_mismatches;
     }
-    if (jobspec_results[i].best.chi_square != naive_best[i]) {
-      ++api_mismatches;
-    }
   }
-  std::printf(
-      "\napi dispatch: JobSpec path %s, QuerySpec path %s (%.3fx, "
-      "informational; bit-identical: %s)\n",
-      bench::FormatMs(jobspec_ms).c_str(), bench::FormatMs(query_ms).c_str(),
-      query_ms / jobspec_ms, api_mismatches == 0 ? "yes" : "NO — BUG");
-  json.AddResult("api_jobspec_path", jobspec_ms);
-  json.AddResult("api_query_path", query_ms, jobspec_ms / query_ms);
+  std::printf("\napi dispatch: QuerySpec path %s (bit-identical: %s)\n",
+              bench::FormatMs(query_ms).c_str(),
+              api_mismatches == 0 ? "yes" : "NO — BUG");
+  json.AddResult("api_query_path", query_ms);
   json.AddGate("api_dispatch_bit_identical", api_mismatches == 0);
 
   const int64_t probe_records = 512;
@@ -306,7 +285,7 @@ int main() {
   const double dispatch_per_query_ms =
       probe_ms / static_cast<double>(probe_records);
   const double batch_per_query_ms =
-      jobspec_ms / static_cast<double>(jobs.size());
+      query_ms / static_cast<double>(queries.size());
   const bool overhead_ok =
       dispatch_per_query_ms <= 0.02 * batch_per_query_ms;
   std::printf(
@@ -326,48 +305,43 @@ int main() {
   // dominant cost, which is exactly what context reuse removes: the
   // engine pays the build once per record however many queries land on
   // it.
-  std::vector<engine::JobSpec> point_jobs;
-  for (int64_t i = 0; i < corpus->size(); ++i) {
-    for (int64_t back : {2, 4, 6, 8, 12, 16, 24, 32}) {
-      engine::JobSpec spec;
-      spec.kind = engine::JobKind::kMinLength;
-      spec.sequence_index = i;
-      spec.params.min_length = n - back;
-      point_jobs.push_back(spec);
+  std::vector<api::QuerySpec> point_queries;
+  for (int64_t back : {2, 4, 6, 8, 12, 16, 24, 32}) {
+    for (api::QuerySpec& spec :
+         PerRecord(*corpus, api::MinLengthQuery{n - back})) {
+      point_queries.push_back(std::move(spec));
     }
   }
   std::vector<double> point_naive_best;
   double point_naive_ms = bench::TimeMs(
-      [&] { point_naive_best = RunNaive(*corpus, model, point_jobs); });
+      [&] { point_naive_best = RunNaive(*corpus, model, point_queries); });
   engine::Engine point_engine({.num_threads = 1, .cache_capacity = 4096});
-  std::vector<engine::JobResult> point_results;
-  double point_cold_ms = bench::TimeMs([&] {
-    point_results =
-        std::move(point_engine.ExecuteBatch(*corpus, point_jobs)).value();
-  });
+  std::vector<api::QueryResult> point_results;
+  double point_cold_ms = bench::TimeMs(
+      [&] { point_results = execute(point_engine, point_queries); });
   int64_t point_mismatches = 0;
-  for (size_t i = 0; i < point_jobs.size(); ++i) {
-    if (point_results[i].best.chi_square != point_naive_best[i]) {
+  for (size_t i = 0; i < point_queries.size(); ++i) {
+    if (point_results[i].best().chi_square != point_naive_best[i]) {
       ++point_mismatches;
     }
   }
   std::printf(
-      "\npoint queries (%zu minlen jobs, floors near n): bit-identical: "
+      "\npoint queries (%zu minlen queries, floors near n): bit-identical: "
       "%s\n\n",
-      point_jobs.size(), point_mismatches == 0 ? "yes" : "NO — BUG");
+      point_queries.size(), point_mismatches == 0 ? "yes" : "NO — BUG");
   json.AddGate("point_query_bit_identical", point_mismatches == 0);
   if (point_mismatches != 0) {
     json.Write();
     return 1;
   }
 
-  io::TableWriter point_table({"mode", "time", "jobs/s", "speedup"});
+  io::TableWriter point_table({"mode", "time", "queries/s", "speedup"});
   auto point_add = [&](const std::string& mode, double ms) {
     point_table.AddRow({mode, bench::FormatMs(ms),
-                        StrFormat("%.0f", 1000.0 * point_jobs.size() / ms),
+                        StrFormat("%.0f", 1000.0 * point_queries.size() / ms),
                         StrFormat("%.2fx", point_naive_ms / ms)});
   };
-  point_add("naive per-job calls", point_naive_ms);
+  point_add("naive per-query calls", point_naive_ms);
   point_add("engine cold (context reuse, 1 thread)", point_cold_ms);
   std::printf("%s", point_table.Render().c_str());
   json.AddResult("point_naive_per_job", point_naive_ms);
@@ -375,8 +349,8 @@ int main() {
                  point_naive_ms / point_cold_ms);
 
   // ------------------------------------------------------------------
-  // In-record sharding regime: ONE multi-megabyte record, one MSS job —
-  // the case where a per-job engine pins a single worker however many
+  // In-record sharding regime: ONE multi-megabyte record, one MSS query —
+  // the case where a per-query engine pins a single worker however many
   // threads it has. Above the --shard-min threshold the engine splits
   // the record into strided core::MssShardScan shards across its pool.
   // Gate: the sharded X² is bit-identical to the sequential kernel's.
@@ -400,23 +374,19 @@ int main() {
   engine::Engine shard_engine({.num_threads = 0,
                                .cache_capacity = 0,
                                .shard_min_sequence = 1});
-  std::vector<engine::JobResult> pinned_results, shard_results;
+  const std::vector<api::QuerySpec> one_mss(1);
+  std::vector<api::QueryResult> pinned_results, shard_results;
   double pinned_ms = bench::TimeMs([&] {
-    pinned_results =
-        std::move(pinned.ExecuteUniform(*big_corpus, engine::JobKind::kMss))
-            .value();
+    pinned_results = pinned.ExecuteQueries(*big_corpus, one_mss).value();
   });
   double shard_ms = bench::TimeMs([&] {
-    shard_results =
-        std::move(
-            shard_engine.ExecuteUniform(*big_corpus, engine::JobKind::kMss))
-            .value();
+    shard_results = shard_engine.ExecuteQueries(*big_corpus, one_mss).value();
   });
   bool shard_identical =
-      pinned_results[0].best.chi_square == direct->best.chi_square &&
-      shard_results[0].best.chi_square == direct->best.chi_square;
+      pinned_results[0].best().chi_square == direct->best.chi_square &&
+      shard_results[0].best().chi_square == direct->best.chi_square;
   std::printf(
-      "\none %lld-symbol record, 1 MSS job (%d workers): sharded X² "
+      "\none %lld-symbol record, 1 MSS query (%d workers): sharded X² "
       "bit-identical: %s\n",
       static_cast<long long>(big_n), shard_engine.num_threads(),
       shard_identical ? "yes" : "NO — BUG");

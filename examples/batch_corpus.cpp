@@ -1,7 +1,6 @@
 // Batch mining a corpus through the query facade: build a small corpus of
 // binary series, fan a heterogeneous set of api::QuerySpecs across the
-// engine (including a kernel the legacy JobSpec surface never reached),
-// and show the result cache absorbing a repeated batch.
+// engine, and show the result cache absorbing a repeated batch.
 //
 // Build: cmake --build build --target example_batch_corpus
 

@@ -30,8 +30,7 @@ enum class ModelKind {
   kMarkov = 2,       // Order-m Markov chain (m = 1 supported today).
 };
 
-/// Null model for a query, replacing the raw `std::vector<double> probs` of
-/// the legacy engine::JobSpec. kUniform carries no numbers (it resolves
+/// Null model for a query. kUniform carries no numbers (it resolves
 /// against the corpus alphabet at execution time); kMultinomial carries the
 /// probability vector; kMarkov carries a row-major k×k transition matrix
 /// plus an optional initial distribution (empty = uniform start).
@@ -57,9 +56,7 @@ struct ModelSpec {
 
 // --------------------------------------------------------------- queries
 
-/// One enumerator per executable sequence kernel. The first five match the
-/// legacy engine::JobKind; the last four were core-only before the query
-/// layer existed.
+/// One enumerator per executable sequence kernel.
 enum class QueryKind {
   kMss = 0,           // core::FindMss (Problem 1); Markov model -> FindMssMarkov.
   kTopT = 1,          // core::FindTopT (Problem 2).
@@ -182,8 +179,7 @@ using QueryRequest =
                  BlockedQuery, SubstringsQuery>;
 
 /// One unit of work: run `request` against corpus record `sequence_index`
-/// under `model`. This is the engine's native job representation; the
-/// legacy engine::JobSpec lowers into it (engine/job.h).
+/// under `model`. This is the engine's unit of work.
 struct QuerySpec {
   int64_t sequence_index = 0;
   ModelSpec model;

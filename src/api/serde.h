@@ -65,8 +65,8 @@ Result<QuerySpec> ParseQuery(std::string_view text);
 /// invalidates cached results.
 std::string CanonicalQueryKey(const QuerySpec& spec);
 
-/// FNV-1a digest of CanonicalQueryKey(spec). Replaces the legacy
-/// per-field JobParams/model hashing as the cache's job fingerprint.
+/// FNV-1a digest of CanonicalQueryKey(spec): the query half of the
+/// engine's result-cache key.
 uint64_t FingerprintQuery(const QuerySpec& spec);
 
 }  // namespace api

@@ -8,8 +8,14 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <variant>
 
 #include <iostream>
 
@@ -18,100 +24,26 @@
 #include "common/fault_injection.h"
 #include "common/posix_io.h"
 #include "common/str_util.h"
-#include "core/min_length.h"
-#include "core/mss.h"
-#include "core/parallel.h"
 #include "core/significance.h"
 #include "core/streaming.h"
 #include "core/suffix_scan.h"
-#include "core/threshold.h"
-#include "core/top_disjoint.h"
-#include "core/top_t.h"
 #include "core/x2_dispatch.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"
 #include "engine/engine_stats.h"
-#include "engine/job.h"
 #include "engine/stream_manager.h"
 #include "persist/journal.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "io/table_writer.h"
 #include "seq/alphabet.h"
+#include "seq/model.h"
 #include "seq/sequence.h"
 #include "stats/chi_squared.h"
-#include "stats/count_statistics.h"
 
 namespace sigsub {
 namespace cli {
 namespace {
-
-const char* const kCommands[] = {"mss",   "topt",       "threshold", "minlen",
-                                 "score", "substrings", "batch",     "query",
-                                 "stream", "serve",     "client"};
-
-/// Flags every command accepts.
-const char* const kCommonFlags[] = {"string", "input", "alphabet", "probs",
-                                    "x2-dispatch"};
-
-/// Command-specific flags; anything else the user passes is rejected with
-/// an InvalidArgument naming the flag and the command.
-struct CommandFlags {
-  const char* command;
-  std::vector<const char*> flags;
-};
-
-const CommandFlags kCommandFlags[] = {
-    {"mss", {"threads"}},
-    {"topt", {"t", "disjoint", "min-length"}},
-    {"threshold", {"alpha0", "pvalue"}},
-    {"minlen", {"min-length"}},
-    {"score", {"start", "end"}},
-    {"substrings",
-     {"top", "min-length", "max-length", "min-count", "all", "positions",
-      "mmap", "alpha0", "alpha-p", "cache"}},
-    {"batch",
-     {"job", "format", "column", "csv-header", "threads", "cache",
-      "shard-min", "t", "min-length", "alpha0", "pvalue", "alpha-p",
-      "verbose"}},
-    {"query",
-     {"query", "queries-file", "format", "column", "csv-header", "threads",
-      "cache", "shard-min"}},
-    {"stream", {"alpha", "max-window", "chunk"}},
-    {"serve",
-     {"port", "host", "threads", "cache", "shard-min", "max-clients",
-      "max-queue", "max-inflight", "idle-timeout-ms", "max-runtime-ms",
-      "format", "column", "csv-header", "state-dir", "fsync",
-      "snapshot-interval-ms"}},
-    {"client",
-     {"port", "host", "send", "timeout-ms", "linger-ms", "retries",
-      "backoff-ms"}},
-};
-
-Status ValidateFlagsForCommand(const std::string& command,
-                               const std::vector<std::string>& seen_flags) {
-  const CommandFlags* entry = nullptr;
-  for (const CommandFlags& candidate : kCommandFlags) {
-    if (command == candidate.command) entry = &candidate;
-  }
-  for (const std::string& flag : seen_flags) {
-    bool allowed = false;
-    for (const char* common : kCommonFlags) {
-      if (flag == common) allowed = true;
-    }
-    if (entry != nullptr) {
-      for (const char* name : entry->flags) {
-        if (flag == name) allowed = true;
-      }
-    }
-    if (!allowed) {
-      return Status::InvalidArgument(StrCat(
-          "flag --", flag, " is not valid for command ", command, "\n",
-          UsageText()));
-    }
-  }
-  return Status::OK();
-}
 
 Result<double> ParseDouble(const std::string& text, const std::string& flag) {
   char* end = nullptr;
@@ -170,7 +102,7 @@ void TrimTrailingWhitespace(std::string* text) {
 }
 
 Result<std::string> LoadInput(const CliOptions& options) {
-  if (options.has_input_text) return options.input_text;
+  if (options.input_text) return *options.input_text;
   std::ifstream in(options.input_path);
   if (!in) {
     return Status::IOError(
@@ -183,29 +115,11 @@ Result<std::string> LoadInput(const CliOptions& options) {
   return text;
 }
 
-/// Resolves the threshold commands' X² cutoff from --alpha0 / --pvalue
-/// (the p-value takes precedence and prints its derivation banner).
-/// `what` names the failing command in the error.
-Result<double> ResolveAlpha0(const CliOptions& options, int k,
-                             std::ostream& out, const char* what) {
-  double alpha0 = options.alpha0;
-  if (options.pvalue > 0.0) {
-    alpha0 = stats::ChiSquareThresholdForPValue(options.pvalue, k);
-    out << "alpha0 = " << StrFormat("%.4f", alpha0) << " (p-value "
-        << StrFormat("%.3g", options.pvalue) << ")\n";
-  }
-  if (alpha0 < 0.0) {
-    return Status::InvalidArgument(
-        StrCat(what, " needs --alpha0 or --pvalue"));
-  }
-  return alpha0;
-}
-
 /// Loads the corpus for the corpus-shaped commands (`batch`, `query`):
 /// a lines/CSV file, or (query only) a single --string record.
 Result<engine::Corpus> LoadCorpus(const CliOptions& options) {
-  if (options.has_input_text) {
-    return engine::Corpus::FromStrings({options.input_text},
+  if (options.input_text) {
+    return engine::Corpus::FromStrings({*options.input_text},
                                        options.alphabet);
   }
   if (options.format == "csv") {
@@ -218,21 +132,99 @@ Result<engine::Corpus> LoadCorpus(const CliOptions& options) {
 
 engine::EngineOptions EngineOptionsFrom(const CliOptions& options) {
   engine::EngineOptions engine_options;
-  engine_options.num_threads = options.threads;
+  engine_options.num_threads = static_cast<int>(options.threads);
   engine_options.cache_capacity = static_cast<size_t>(options.cache);
   engine_options.shard_min_sequence = options.shard_min;
   engine_options.x2_dispatch = options.x2_dispatch;
   return engine_options;
 }
 
-/// Executes the `batch` command: the job flags are spelled into one
-/// serialized query template, routed through api::ParseQuery (the same
-/// parser the `query` command uses — the flags cannot drift from the
-/// query grammar), replicated per record, and fanned across the engine.
+/// The result-cache summary line of the engine-backed corpus commands.
+std::string CacheLine(const engine::Engine& engine) {
+  const engine::CacheStats stats = engine.cache_stats();
+  return StrCat("cache: ", stats.hits, " hits, ", stats.misses, " misses (",
+                engine.cache_size(), " entries)\n");
+}
+
+/// The five kinds `batch --job` and the single-record commands expose:
+/// the paper's four problems plus disjoint top-t.
+Result<api::QueryKind> ParseJob(const std::string& job) {
+  for (api::QueryKind kind :
+       {api::QueryKind::kMss, api::QueryKind::kTopT,
+        api::QueryKind::kTopDisjoint, api::QueryKind::kThreshold,
+        api::QueryKind::kMinLength}) {
+    if (job == api::QueryKindToString(kind)) return kind;
+  }
+  return Status::InvalidArgument(
+      StrCat("unknown job kind \"", job,
+             "\" (expected mss|topt|disjoint|threshold|minlen)"));
+}
+
+/// The query of `kind` that the mining flags spell. Range errors speak
+/// flag vocabulary (the engine's messages name query fields instead);
+/// `what` names the command in the missing-cutoff error. A --pvalue
+/// cutoff prints its derivation banner to `out`.
+Result<api::QuerySpec> QueryFromFlags(const CliOptions& options,
+                                      api::QueryKind kind, int k,
+                                      int64_t max_matches, std::ostream& out,
+                                      std::string_view what) {
+  if ((kind == api::QueryKind::kTopT ||
+       kind == api::QueryKind::kTopDisjoint) &&
+      options.t < 1) {
+    return Status::InvalidArgument(
+        StrCat("--t must be >= 1, got ", options.t));
+  }
+  if ((kind == api::QueryKind::kMinLength ||
+       kind == api::QueryKind::kTopDisjoint) &&
+      options.min_length < 1) {
+    return Status::InvalidArgument(
+        StrCat("--min-length must be >= 1, got ", options.min_length));
+  }
+  api::QuerySpec spec;
+  if (!options.probs.empty()) {
+    spec.model = api::ModelSpec::Multinomial(options.probs);
+  }
+  switch (kind) {
+    case api::QueryKind::kTopT:
+      spec.request = api::TopTQuery{options.t};
+      break;
+    case api::QueryKind::kTopDisjoint:
+      spec.request = api::TopDisjointQuery{options.t, options.min_length};
+      break;
+    case api::QueryKind::kThreshold: {
+      // Cutoff precedence: --alpha-p, then --pvalue, then --alpha0. A
+      // significance level is the principled spelling; a raw X² cutoff
+      // must not silently override it.
+      const double alpha_p =
+          options.alpha_p > 0.0 ? options.alpha_p : options.pvalue;
+      if (alpha_p < 0.0 && options.alpha0 < 0.0) {
+        return Status::InvalidArgument(
+            StrCat(what, " needs --alpha0 or --pvalue"));
+      }
+      if (options.alpha_p < 0.0 && options.pvalue > 0.0) {
+        out << "alpha0 = "
+            << StrFormat("%.4f",
+                         stats::ResolveX2Cutoff(-1.0, options.pvalue, k - 1))
+            << " (p-value " << StrFormat("%.3g", options.pvalue) << ")\n";
+      }
+      spec.request = api::ThresholdQuery{
+          alpha_p > 0.0 ? -1.0 : options.alpha0, alpha_p, max_matches};
+      break;
+    }
+    case api::QueryKind::kMinLength:
+      spec.request = api::MinLengthQuery{options.min_length};
+      break;
+    default:
+      break;  // kMss: the default request.
+  }
+  return spec;
+}
+
+/// Executes the `batch` command: the job flags spell one query, replicated
+/// per record and fanned across the engine.
 Result<std::string> RunBatch(const CliOptions& options) {
   SIGSUB_ASSIGN_OR_RETURN(engine::Corpus corpus, LoadCorpus(options));
-  SIGSUB_ASSIGN_OR_RETURN(engine::JobKind kind,
-                          engine::ParseJobKind(options.job));
+  SIGSUB_ASSIGN_OR_RETURN(api::QueryKind kind, ParseJob(options.job));
   const int k = corpus.alphabet().size();
 
   // Range checks the user expressed as flags are reported in flag
@@ -245,59 +237,12 @@ Result<std::string> RunBatch(const CliOptions& options) {
                " probabilities but the corpus alphabet has ", k,
                " symbols"));
   }
-  if ((kind == engine::JobKind::kTopT ||
-       kind == engine::JobKind::kTopDisjoint) &&
-      options.t < 1) {
-    return Status::InvalidArgument(
-        StrCat("--t must be >= 1, got ", options.t));
-  }
-  if ((kind == engine::JobKind::kMinLength ||
-       kind == engine::JobKind::kTopDisjoint) &&
-      options.min_length < 1) {
-    return Status::InvalidArgument(
-        StrCat("--min-length must be >= 1, got ", options.min_length));
-  }
   std::ostringstream out;
-  std::string template_text;
-  switch (kind) {
-    case engine::JobKind::kMss:
-      template_text = "mss";
-      break;
-    case engine::JobKind::kTopT:
-      template_text = StrCat("topt:t=", options.t);
-      break;
-    case engine::JobKind::kTopDisjoint:
-      template_text = StrCat("disjoint:t=", options.t,
-                             ",min_length=", options.min_length);
-      break;
-    case engine::JobKind::kThreshold: {
-      // Cutoff precedence: --alpha-p (engine-side χ²(k−1) critical
-      // value) wins over --pvalue/--alpha0 (CLI-side resolution). A
-      // significance level is the principled spelling; a raw X² cutoff
-      // must not silently override it.
-      if (options.alpha_p >= 0.0) {
-        template_text = StrCat("threshold:alpha_p=",
-                               StrFormat("%.17g", options.alpha_p),
-                               ",max_matches=0");
-        break;
-      }
-      SIGSUB_ASSIGN_OR_RETURN(
-          double alpha0,
-          ResolveAlpha0(options, k, out, "batch --job=threshold"));
-      // Count + best only; rows stay one-per-record.
-      template_text = StrCat("threshold:alpha0=",
-                             StrFormat("%.17g", alpha0), ",max_matches=0");
-      break;
-    }
-    case engine::JobKind::kMinLength:
-      template_text = StrCat("minlen:min_length=", options.min_length);
-      break;
-  }
-  SIGSUB_ASSIGN_OR_RETURN(api::QuerySpec query_template,
-                          api::ParseQuery(template_text));
-  if (!options.probs.empty()) {
-    query_template.model = api::ModelSpec::Multinomial(options.probs);
-  }
+  // Threshold rows stay one-per-record: count + best, no matches.
+  SIGSUB_ASSIGN_OR_RETURN(
+      api::QuerySpec query_template,
+      QueryFromFlags(options, kind, k, /*max_matches=*/0, out,
+                     "batch --job=threshold"));
 
   engine::Engine engine(EngineOptionsFrom(options));
   std::vector<api::QuerySpec> queries(static_cast<size_t>(corpus.size()),
@@ -309,10 +254,10 @@ Result<std::string> RunBatch(const CliOptions& options) {
                           engine.ExecuteQueries(corpus, queries));
 
   out << "corpus: " << corpus.size() << " records, k = " << k
-      << ", job = " << api::QueryKindToString(query_template.kind())
+      << ", job = " << api::QueryKindToString(kind)
       << ", threads = " << engine.num_threads() << "\n";
 
-  if (kind == engine::JobKind::kThreshold) {
+  if (kind == api::QueryKind::kThreshold) {
     io::TableWriter table(
         {"record", "n", "matches", "best_start", "best_end", "best_X2"});
     for (const api::QueryResult& result : results) {
@@ -329,8 +274,8 @@ Result<std::string> RunBatch(const CliOptions& options) {
                         : std::string("-")});
     }
     out << table.Render();
-  } else if (kind == engine::JobKind::kTopT ||
-             kind == engine::JobKind::kTopDisjoint) {
+  } else if (kind == api::QueryKind::kTopT ||
+             kind == api::QueryKind::kTopDisjoint) {
     io::TableWriter table(
         {"record", "rank", "start", "end", "X2", "p-value"});
     for (const api::QueryResult& result : results) {
@@ -377,9 +322,7 @@ Result<std::string> RunBatch(const CliOptions& options) {
     out << table.Render();
   }
 
-  engine::CacheStats cache_stats = engine.cache_stats();
-  out << "cache: " << cache_stats.hits << " hits, " << cache_stats.misses
-      << " misses (" << engine.cache_size() << " entries)\n";
+  out << CacheLine(engine);
   if (options.verbose) {
     // The same snapshot + rendering the server's STATS endpoint uses
     // (engine/engine_stats.h) — one vocabulary for both surfaces.
@@ -476,9 +419,7 @@ Result<std::string> RunQuery(const CliOptions& options) {
   }
   out << table.Render();
 
-  engine::CacheStats cache_stats = engine.cache_stats();
-  out << "cache: " << cache_stats.hits << " hits, " << cache_stats.misses
-      << " misses (" << engine.cache_size() << " entries)\n";
+  out << CacheLine(engine);
   return out.str();
 }
 
@@ -554,8 +495,9 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
     // not part of the cached result shape.
     std::vector<double> probs = options.probs;
     if (probs.empty()) probs.assign(k, 1.0 / k);
-    SIGSUB_ASSIGN_OR_RETURN(core::ChiSquareContext context,
-                            core::ChiSquareContext::Make(std::move(probs)));
+    SIGSUB_ASSIGN_OR_RETURN(
+        core::ChiSquareContext context,
+        core::ChiSquareContext::Make(std::move(probs), options.x2_dispatch));
     core::SuffixScanOptions scan_options;
     scan_options.top_n = options.top;
     scan_options.min_length = options.min_length;
@@ -563,14 +505,8 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
     scan_options.min_count = options.min_count;
     scan_options.maximal_only = !options.all_substrings;
     scan_options.collect_positions = true;
-    // The same alpha resolution the engine applies: a p-value converts
-    // through the χ²(k−1) critical value and wins over a raw X² cutoff.
-    if (options.alpha_p > 0.0) {
-      scan_options.min_x2 =
-          stats::ChiSquaredDistribution(k - 1).CriticalValue(options.alpha_p);
-    } else if (options.alpha0 >= 0.0) {
-      scan_options.min_x2 = options.alpha0;
-    }
+    scan_options.min_x2 =
+        stats::ResolveX2Cutoff(options.alpha0, options.alpha_p, k - 1);
     SIGSUB_ASSIGN_OR_RETURN(
         core::SuffixScan scan,
         options.mmap
@@ -602,23 +538,21 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
     return out.str();
   }
 
-  // Engine path: the flags spell one serialized substrings query (the
-  // same grammar the query command and the wire protocol accept), so the
-  // CLI cannot drift from the query surface — and repeats hit the result
-  // cache.
-  std::string query_text = StrCat(
-      "substrings:top=", options.top, ",min_length=", options.min_length,
-      ",max_length=", options.max_length, ",min_count=", options.min_count,
-      ",maximal=", options.all_substrings ? 0 : 1);
-  if (options.alpha_p > 0.0) {
-    query_text += StrCat(",alpha_p=", StrFormat("%.17g", options.alpha_p));
-  } else if (options.alpha0 >= 0.0) {
-    query_text += StrCat(",alpha0=", StrFormat("%.17g", options.alpha0));
-  }
-  SIGSUB_ASSIGN_OR_RETURN(api::QuerySpec spec, api::ParseQuery(query_text));
+  // Engine path: the flags spell one substrings query (shared
+  // validation with the query command and the wire protocol). --alpha0
+  // applies only when it is a cutoff (>= 0) and --alpha-p is unset.
+  api::QuerySpec spec;
   if (!options.probs.empty()) {
     spec.model = api::ModelSpec::Multinomial(options.probs);
   }
+  spec.request = api::SubstringsQuery{
+      options.top,
+      options.min_length,
+      options.max_length,
+      options.min_count,
+      !options.all_substrings,
+      options.alpha_p < 0.0 && options.alpha0 >= 0.0 ? options.alpha0 : -1.0,
+      options.alpha_p};
   engine::Engine engine(EngineOptionsFrom(options));
   SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> results,
                           engine.ExecuteQueries(corpus, {spec}));
@@ -633,9 +567,7 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
     add_row(i, payload.ranked[i], payload.counts[i], payload.p_values[i]);
   }
   if (table.row_count() > 0) out << table.Render();
-  engine::CacheStats cache_stats = engine.cache_stats();
-  out << "cache: " << cache_stats.hits << " hits, " << cache_stats.misses
-      << " misses (" << engine.cache_size() << " entries)\n";
+  out << CacheLine(engine);
   return out.str();
 }
 
@@ -714,7 +646,7 @@ Result<std::string> RunStream(const CliOptions& options) {
   detector_options.alpha = options.alpha;
   detector_options.max_window = options.max_window;
   const std::string name =
-      options.has_input_text
+      options.input_text
           ? std::string("string")
           : (options.input_path == "-" ? std::string("stdin")
                                        : options.input_path);
@@ -921,6 +853,440 @@ std::string RenderSubstring(const core::Substring& sub, int k,
   return out;
 }
 
+
+/// Executes the single-record mining commands. `score` is one O(n)
+/// evaluation and calls core::ScoreSubstring directly; mss, topt,
+/// threshold and minlen spell one query and run it through the engine on
+/// a one-record corpus, then render the command's table.
+Result<std::string> RunRecord(const CliOptions& options) {
+  SIGSUB_ASSIGN_OR_RETURN(std::string text, LoadInput(options));
+  if (text.empty()) {
+    return Status::InvalidArgument("input string is empty");
+  }
+  // Alphabet: explicit or inferred with the corpus rule, so single-string
+  // and batch runs score the same input under the same alphabet.
+  SIGSUB_ASSIGN_OR_RETURN(engine::Corpus corpus,
+                          engine::Corpus::FromStrings({text},
+                                                      options.alphabet));
+  const seq::Sequence& sequence = corpus.sequence(0);
+  const int k = corpus.alphabet().size();
+  std::vector<double> probs = options.probs;
+  if (probs.empty()) probs.assign(static_cast<size_t>(k), 1.0 / k);
+  SIGSUB_ASSIGN_OR_RETURN(seq::MultinomialModel model,
+                          seq::MultinomialModel::Make(std::move(probs)));
+  if (model.alphabet_size() != k) {
+    return Status::InvalidArgument(
+        StrCat("sequence alphabet size (", k, ") != model alphabet size (",
+               model.alphabet_size(), ")"));
+  }
+
+  std::ostringstream out;
+  out << "n = " << sequence.size() << ", k = " << k << "\n";
+  if (options.command == "score") {
+    if (options.start < 0 || options.end < 0) {
+      return Status::InvalidArgument("score needs --start and --end");
+    }
+    SIGSUB_ASSIGN_OR_RETURN(
+        core::ScoredSubstring scored,
+        core::ScoreSubstring(sequence, model, options.start, options.end));
+    out << RenderSubstring(scored.substring, k, text);
+    out << "G2 = " << StrFormat("%.4f", scored.g2) << "\n";
+    return out.str();
+  }
+  // A floor above n has no qualifying window; say so rather than render
+  // an empty best.
+  if (options.command == "minlen" &&
+      (options.min_length < 1 || options.min_length > sequence.size())) {
+    return Status::InvalidArgument(StrCat("min_length must be in [1, ",
+                                          sequence.size(), "], got ",
+                                          options.min_length));
+  }
+  SIGSUB_ASSIGN_OR_RETURN(
+      api::QueryKind kind,
+      ParseJob(options.command == "topt" && options.disjoint
+                   ? std::string("disjoint")
+                   : options.command));
+  SIGSUB_ASSIGN_OR_RETURN(
+      api::QuerySpec spec,
+      QueryFromFlags(options, kind, k, /*max_matches=*/1000, out,
+                     options.command));
+  engine::EngineOptions engine_options = EngineOptionsFrom(options);
+  // One query, run once: nothing to cache. `mss --threads=N` always
+  // shards the record across the N workers.
+  engine_options.cache_capacity = 0;
+  engine_options.shard_min_sequence = 1;
+  engine::Engine engine(engine_options);
+  SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> results,
+                          engine.ExecuteQueries(corpus, {spec}));
+  const api::QueryResult& result = results.front();
+
+  if (kind == api::QueryKind::kMss || kind == api::QueryKind::kMinLength) {
+    out << RenderSubstring(result.best(), k, text);
+    if (kind == api::QueryKind::kMss) {
+      out << "examined " << result.stats().positions_examined << " of "
+          << core::TrivialScanPositions(sequence.size())
+          << " candidate positions\n";
+    }
+  } else if (kind == api::QueryKind::kThreshold) {
+    const auto& q = std::get<api::ThresholdQuery>(spec.request);
+    const auto& payload = std::get<api::ThresholdPayload>(result.payload);
+    out << payload.match_count << " substrings above "
+        << stats::ResolveX2Cutoff(q.alpha0, q.alpha_p, k - 1);
+    if (payload.match_count > static_cast<int64_t>(payload.matches.size())) {
+      out << " (showing " << payload.matches.size() << ")";
+    }
+    out << "\n";
+    io::TableWriter table({"start", "end", "X2"});
+    for (const core::Substring& sub : payload.matches) {
+      table.AddRow({std::to_string(sub.start), std::to_string(sub.end),
+                    StrFormat("%.4f", sub.chi_square)});
+    }
+    if (table.row_count() > 0) out << table.Render();
+  } else {
+    io::TableWriter table({"rank", "start", "end", "X2", "p-value"});
+    std::span<const core::Substring> subs = result.substrings();
+    for (size_t i = 0; i < subs.size(); ++i) {
+      table.AddRow({std::to_string(i + 1), std::to_string(subs[i].start),
+                    std::to_string(subs[i].end),
+                    StrFormat("%.4f", subs[i].chi_square),
+                    StrFormat("%.4g",
+                              core::SubstringPValue(subs[i].chi_square, k))});
+    }
+    out << table.Render();
+  }
+  return out.str();
+}
+
+struct Command {
+  const char* name;
+  Result<std::string> (*run)(const CliOptions&);
+};
+
+const Command kCommands[] = {
+    {"mss", RunRecord},
+    {"topt", RunRecord},
+    {"threshold", RunRecord},
+    {"minlen", RunRecord},
+    {"score", RunRecord},
+    {"substrings", RunSubstrings},
+    {"batch", RunBatch},
+    {"query", RunQuery},
+    {"stream", RunStream},
+    {"serve", RunServe},
+    {"client", RunClient},
+};
+
+const Command* FindCommand(std::string_view name) {
+  for (const Command& command : kCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
+/// Where a flag's value lands; the alternative also selects its parser.
+using FlagField =
+    std::variant<std::string CliOptions::*,
+                 std::optional<std::string> CliOptions::*,
+                 std::vector<std::string> CliOptions::*,
+                 std::vector<double> CliOptions::*, int64_t CliOptions::*,
+                 double CliOptions::*, bool CliOptions::*,
+                 core::X2Dispatch CliOptions::*>;
+
+/// Parse-time value ranges, checked once the flag is known to belong to
+/// the command.
+enum class Range { kAny, kNonNegative, kPositive, kUnitInterval };
+
+/// One command-line flag: its name, the commands that consume it (space
+/// separated; "*" for every command), and where its value lands.
+struct Flag {
+  const char* name;
+  const char* commands;
+  FlagField field;
+  Range range = Range::kAny;
+};
+
+const Flag kFlags[] = {
+    {"string", "*", &CliOptions::input_text},
+    {"input", "*", &CliOptions::input_path},
+    {"alphabet", "*", &CliOptions::alphabet},
+    {"probs", "*", &CliOptions::probs},
+    {"x2-dispatch", "*", &CliOptions::x2_dispatch},
+    {"threads", "mss batch query serve", &CliOptions::threads},
+    {"t", "topt batch", &CliOptions::t},
+    {"disjoint", "topt", &CliOptions::disjoint},
+    {"min-length", "topt minlen substrings batch", &CliOptions::min_length},
+    {"alpha0", "threshold substrings batch", &CliOptions::alpha0},
+    {"pvalue", "threshold batch", &CliOptions::pvalue, Range::kUnitInterval},
+    {"alpha-p", "substrings batch", &CliOptions::alpha_p,
+     Range::kUnitInterval},
+    {"start", "score", &CliOptions::start},
+    {"end", "score", &CliOptions::end},
+    {"top", "substrings", &CliOptions::top},
+    {"max-length", "substrings", &CliOptions::max_length},
+    {"min-count", "substrings", &CliOptions::min_count},
+    {"all", "substrings", &CliOptions::all_substrings},
+    {"positions", "substrings", &CliOptions::positions},
+    {"mmap", "substrings", &CliOptions::mmap},
+    {"cache", "substrings batch query serve", &CliOptions::cache,
+     Range::kNonNegative},
+    {"job", "batch", &CliOptions::job},
+    {"verbose", "batch", &CliOptions::verbose},
+    {"format", "batch query serve", &CliOptions::format},
+    {"column", "batch query serve", &CliOptions::column},
+    {"csv-header", "batch query serve", &CliOptions::csv_header},
+    {"shard-min", "batch query serve", &CliOptions::shard_min},
+    {"query", "query", &CliOptions::queries},
+    {"queries-file", "query", &CliOptions::queries_file},
+    {"alpha", "stream", &CliOptions::alpha},
+    {"max-window", "stream", &CliOptions::max_window},
+    {"chunk", "stream", &CliOptions::chunk},
+    {"port", "serve client", &CliOptions::port},
+    {"host", "serve client", &CliOptions::host},
+    {"max-clients", "serve", &CliOptions::max_clients},
+    {"max-queue", "serve", &CliOptions::max_queue},
+    {"max-inflight", "serve", &CliOptions::max_inflight},
+    {"idle-timeout-ms", "serve", &CliOptions::idle_timeout_ms},
+    {"max-runtime-ms", "serve", &CliOptions::max_runtime_ms},
+    {"state-dir", "serve", &CliOptions::state_dir},
+    {"fsync", "serve", &CliOptions::fsync},
+    {"snapshot-interval-ms", "serve", &CliOptions::snapshot_interval_ms,
+     Range::kNonNegative},
+    {"send", "client", &CliOptions::sends},
+    {"timeout-ms", "client", &CliOptions::timeout_ms, Range::kPositive},
+    {"linger-ms", "client", &CliOptions::linger_ms, Range::kNonNegative},
+    {"retries", "client", &CliOptions::retries, Range::kNonNegative},
+    {"backoff-ms", "client", &CliOptions::backoff_ms, Range::kPositive},
+};
+
+bool ConsumedBy(const Flag& flag, std::string_view command) {
+  if (std::string_view(flag.commands) == "*") return true;
+  for (const std::string& name : StrSplit(flag.commands, ' ')) {
+    if (name == command) return true;
+  }
+  return false;
+}
+
+/// Parses `value` into the flag's field.
+Status SetFlag(const Flag& flag, const std::string& value,
+               CliOptions* options) {
+  const std::string name = StrCat("--", flag.name);
+  if (const auto* field = std::get_if<bool CliOptions::*>(&flag.field)) {
+    // `--csv-header=false` must not silently enable header skipping.
+    if (!value.empty()) {
+      return Status::InvalidArgument(
+          StrCat("flag ", name, " does not take a value"));
+    }
+    options->**field = true;
+  } else if (const auto* field =
+                 std::get_if<int64_t CliOptions::*>(&flag.field)) {
+    SIGSUB_ASSIGN_OR_RETURN(options->**field, ParseInt(value, name));
+  } else if (const auto* field =
+                 std::get_if<double CliOptions::*>(&flag.field)) {
+    SIGSUB_ASSIGN_OR_RETURN(options->**field, ParseDouble(value, name));
+  } else if (const auto* field =
+                 std::get_if<std::vector<double> CliOptions::*>(
+                     &flag.field)) {
+    SIGSUB_ASSIGN_OR_RETURN(options->**field, ParseProbs(value));
+  } else if (const auto* field =
+                 std::get_if<std::vector<std::string> CliOptions::*>(
+                     &flag.field)) {
+    (options->**field).push_back(value);
+  } else if (const auto* field =
+                 std::get_if<std::optional<std::string> CliOptions::*>(
+                     &flag.field)) {
+    options->**field = value;
+  } else if (const auto* field =
+                 std::get_if<core::X2Dispatch CliOptions::*>(&flag.field)) {
+    if (!core::ParseX2Dispatch(value, &(options->**field))) {
+      return Status::InvalidArgument(
+          StrCat("flag --x2-dispatch expects auto, scalar, or simd, got \"",
+                 value, "\""));
+    }
+    options->x2_dispatch_explicit = true;
+  } else {
+    options->*std::get<std::string CliOptions::*>(flag.field) = value;
+  }
+  return Status::OK();
+}
+
+Status CheckRange(const Flag& flag, const CliOptions& options) {
+  if (flag.range == Range::kAny) return Status::OK();
+  if (flag.range == Range::kUnitInterval) {
+    // Written so NaN fails too: every comparison against it is false.
+    const double value = options.*std::get<double CliOptions::*>(flag.field);
+    if (value > 0.0 && value < 1.0) return Status::OK();
+    return Status::InvalidArgument(
+        StrCat("--", flag.name, " must be in (0, 1), got ", value));
+  }
+  const int64_t value = options.*std::get<int64_t CliOptions::*>(flag.field);
+  const int64_t min = flag.range == Range::kPositive ? 1 : 0;
+  if (value >= min) return Status::OK();
+  return Status::InvalidArgument(
+      StrCat("--", flag.name, " must be >= ", min, ", got ", value));
+}
+
+/// Corpus-file layout flags (batch, query, serve).
+Status CheckCorpusFormat(const CliOptions& options,
+                         const std::function<bool(const char*)>& given) {
+  if (options.format != "lines" && options.format != "csv") {
+    return Status::InvalidArgument(StrCat(
+        "--format must be lines or csv, got \"", options.format, "\""));
+  }
+  // CSV-shaping flags with a lines corpus would be silently ignored,
+  // which is exactly what per-command flag validation exists to stop.
+  for (const char* flag : {"column", "csv-header"}) {
+    if (options.format != "csv" && given(flag)) {
+      return Status::InvalidArgument(
+          StrCat("flag --", flag, " requires --format=csv"));
+    }
+  }
+  return Status::OK();
+}
+
+/// Cross-flag rules of each command, checked after every flag parsed.
+/// `given(name)` reports whether --name was on the command line.
+Status ValidateCommand(const CliOptions& options,
+                       const std::function<bool(const char*)>& given) {
+  const std::string& command = options.command;
+  if (command == "topt" && !options.disjoint && given("min-length")) {
+    return Status::InvalidArgument(
+        "flag --min-length is only consumed by topt with --disjoint");
+  }
+  if (command == "serve") {
+    if (options.input_text) {
+      return Status::InvalidArgument(
+          "serve mines a corpus file; use --input=PATH, not --string");
+    }
+    if (options.input_path.empty()) {
+      return Status::InvalidArgument(
+          "serve requires --input=PATH (the corpus the daemon serves)");
+    }
+    if (!options.probs.empty()) {
+      return Status::InvalidArgument(
+          "flag --probs is not consumed by serve; stream models arrive "
+          "with STREAM.CREATE and query models inside each QUERY");
+    }
+    SIGSUB_RETURN_IF_ERROR(CheckCorpusFormat(options, given));
+    if (options.port < 0 || options.port > 65535) {
+      return Status::InvalidArgument(
+          StrCat("--port must be in [0, 65535], got ", options.port));
+    }
+    if (options.max_clients < 1 || options.max_queue < 1 ||
+        options.max_inflight < 1) {
+      return Status::InvalidArgument(
+          "--max-clients, --max-queue and --max-inflight must be >= 1");
+    }
+    // ParseFsyncPolicy validates the spelling; the result is recomputed
+    // in RunServe (CliOptions carries plain strings).
+    SIGSUB_RETURN_IF_ERROR(
+        persist::ParseFsyncPolicy(options.fsync).status());
+    for (const char* flag : {"fsync", "snapshot-interval-ms"}) {
+      if (options.state_dir.empty() && given(flag)) {
+        return Status::InvalidArgument(
+            StrCat("flag --", flag, " requires --state-dir"));
+      }
+    }
+    return Status::OK();
+  }
+  if (command == "client") {
+    for (const char* flag : {"string", "alphabet", "probs", "x2-dispatch"}) {
+      if (given(flag)) {
+        return Status::InvalidArgument(
+            StrCat("flag --", flag, " is not consumed by client"));
+      }
+    }
+    if (options.port < 1 || options.port > 65535) {
+      return Status::InvalidArgument(
+          StrCat("client requires --port in [1, 65535], got ",
+                 options.port));
+    }
+    if (options.sends.empty() && options.input_path.empty()) {
+      return Status::InvalidArgument(
+          "client needs --send=CMD (repeatable) and/or --input=SCRIPT "
+          "(one command per line; - reads stdin)");
+    }
+    return Status::OK();
+  }
+  if (command == "batch" || command == "query") {
+    if (command == "batch" && options.input_text) {
+      return Status::InvalidArgument(
+          "batch mines a corpus file; use --input=PATH, not --string");
+    }
+    if (options.input_path.empty() && !options.input_text) {
+      return Status::InvalidArgument(
+          StrCat(command, " requires --input=PATH",
+                 command == "query" ? " (or --string=TEXT)" : ""));
+    }
+    if (options.input_text && !options.input_path.empty()) {
+      return Status::InvalidArgument("--string and --input are exclusive");
+    }
+    // A --string corpus has no file layout; corpus-shaping flags would be
+    // silently ignored, which the flag-strictness contract forbids.
+    for (const char* flag : {"format", "column", "csv-header"}) {
+      if (options.input_text && given(flag)) {
+        return Status::InvalidArgument(
+            StrCat("flag --", flag,
+                   " requires --input=PATH (a corpus file), not --string"));
+      }
+    }
+    SIGSUB_RETURN_IF_ERROR(CheckCorpusFormat(options, given));
+    if (command == "query") {
+      if (options.queries.empty() && options.queries_file.empty()) {
+        return Status::InvalidArgument(
+            "query requires --query=SPEC (repeatable) or "
+            "--queries-file=PATH");
+      }
+      if (!options.probs.empty()) {
+        // Each query carries its own model; a corpus-level --probs would
+        // be silently shadowed.
+        return Status::InvalidArgument(
+            "flag --probs is not consumed by query; put "
+            "model=probs(p1;p2;...) inside each query instead");
+      }
+      return Status::OK();
+    }
+    SIGSUB_ASSIGN_OR_RETURN(api::QueryKind kind, ParseJob(options.job));
+    // Job-parameter flags are only consumed by their own kind; reject the
+    // rest so e.g. `--job=mss --pvalue=0.01` cannot silently do nothing.
+    const bool ranked = kind == api::QueryKind::kTopT ||
+                        kind == api::QueryKind::kTopDisjoint;
+    const bool floored = kind == api::QueryKind::kMinLength ||
+                         kind == api::QueryKind::kTopDisjoint;
+    const bool cutoff = kind == api::QueryKind::kThreshold;
+    for (const auto& [flag, relevant] :
+         {std::pair{"t", ranked}, std::pair{"min-length", floored},
+          std::pair{"alpha0", cutoff}, std::pair{"pvalue", cutoff},
+          std::pair{"alpha-p", cutoff}}) {
+      if (!relevant && given(flag)) {
+        return Status::InvalidArgument(StrCat(
+            "flag --", flag, " is not consumed by --job=", options.job));
+      }
+    }
+    return Status::OK();
+  }
+  if (command == "substrings") {
+    if (options.mmap && options.input_text) {
+      return Status::InvalidArgument(
+          "flag --mmap maps a file; use --input=PATH, not --string");
+    }
+    if (options.mmap && options.input_path.empty()) {
+      return Status::InvalidArgument("flag --mmap requires --input=PATH");
+    }
+    if (options.all_substrings && options.max_length < 1) {
+      return Status::InvalidArgument(
+          "flag --all enumerates every distinct substring and requires "
+          "--max-length=N to bound the output");
+    }
+  }
+  if (!options.input_text && options.input_path.empty()) {
+    return Status::InvalidArgument("one of --string or --input is required");
+  }
+  if (options.input_text && !options.input_path.empty()) {
+    return Status::InvalidArgument("--string and --input are exclusive");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string UsageText() {
@@ -929,6 +1295,7 @@ std::string UsageText() {
       "\n"
       "commands:\n"
       "  mss        most significant substring (Problem 1); --threads\n"
+      "             (shards the record across the workers)\n"
       "  topt       top-t substrings (Problem 2); --t, --disjoint\n"
       "  threshold  substrings above a threshold (Problem 3); --alpha0 or "
       "--pvalue\n"
@@ -950,9 +1317,10 @@ std::string UsageText() {
       "             and wins over --alpha0/--pvalue when several are set)\n"
       "  query      run serialized queries against a corpus: repeatable\n"
       "             --query=kind:key=val,... (kinds mss|topt|disjoint|\n"
-      "             threshold|minlen|lenbound|arlm|agmm|blocked; JSON\n"
-      "             accepted too) and/or --queries-file=PATH (one per\n"
-      "             line, # comments); corpus from --input or --string;\n"
+      "             threshold|minlen|lenbound|arlm|agmm|blocked|\n"
+      "             substrings; JSON accepted too) and/or\n"
+      "             --queries-file=PATH (one per line, # comments);\n"
+      "             corpus from --input or --string;\n"
       "             models live inside each query (model=uniform|\n"
       "             probs(p1;p2;...)|markov1(t11;...|i1;...))\n"
       "  stream     online monitoring: ingest the input as one symbol\n"
@@ -992,7 +1360,9 @@ std::string UsageText() {
       "                                 when the record has >= N symbols\n"
       "                                 (default 2^20; 0 disables)\n"
       "\n"
-      "flags that a command does not consume are rejected\n";
+      "every mining command but score and substrings --positions runs\n"
+      "through the query engine; flags that a command does not consume\n"
+      "are rejected\n";
 }
 
 Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
@@ -1001,404 +1371,47 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
   }
   CliOptions options;
   options.command = args[0];
-  bool known = false;
-  for (const char* command : kCommands) {
-    if (options.command == command) known = true;
-  }
-  if (!known) {
+  if (FindCommand(options.command) == nullptr) {
     return Status::InvalidArgument(
         StrCat("unknown command \"", options.command, "\"\n", UsageText()));
   }
-  std::vector<std::string> seen_flags;
+  std::vector<const Flag*> seen;
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg.rfind("--", 0) != 0) {
       return Status::InvalidArgument(
           StrCat("expected --flag=value, got \"", arg, "\""));
     }
-    std::string body = arg.substr(2);
-    size_t eq = body.find('=');
-    std::string name = body.substr(0, eq);
-    std::string value =
-        eq == std::string::npos ? std::string() : body.substr(eq + 1);
-    seen_flags.push_back(name);
-    if (name == "string") {
-      options.input_text = value;
-      options.has_input_text = true;
-    } else if (name == "input") {
-      options.input_path = value;
-    } else if (name == "alphabet") {
-      options.alphabet = value;
-    } else if (name == "probs") {
-      SIGSUB_ASSIGN_OR_RETURN(options.probs, ParseProbs(value));
-    } else if (name == "t") {
-      SIGSUB_ASSIGN_OR_RETURN(options.t, ParseInt(value, "--t"));
-    } else if (name == "disjoint") {
-      if (!value.empty()) {
-        return Status::InvalidArgument(
-            "flag --disjoint does not take a value");
-      }
-      options.disjoint = true;
-    } else if (name == "alpha0") {
-      SIGSUB_ASSIGN_OR_RETURN(options.alpha0, ParseDouble(value, "--alpha0"));
-    } else if (name == "pvalue") {
-      SIGSUB_ASSIGN_OR_RETURN(options.pvalue, ParseDouble(value, "--pvalue"));
-    } else if (name == "alpha-p") {
-      SIGSUB_ASSIGN_OR_RETURN(options.alpha_p,
-                              ParseDouble(value, "--alpha-p"));
-    } else if (name == "query") {
-      options.queries.push_back(value);
-    } else if (name == "queries-file") {
-      options.queries_file = value;
-    } else if (name == "min-length") {
-      SIGSUB_ASSIGN_OR_RETURN(options.min_length,
-                              ParseInt(value, "--min-length"));
-    } else if (name == "top") {
-      SIGSUB_ASSIGN_OR_RETURN(options.top, ParseInt(value, "--top"));
-    } else if (name == "max-length") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_length,
-                              ParseInt(value, "--max-length"));
-    } else if (name == "min-count") {
-      SIGSUB_ASSIGN_OR_RETURN(options.min_count,
-                              ParseInt(value, "--min-count"));
-    } else if (name == "all") {
-      if (!value.empty()) {
-        return Status::InvalidArgument("flag --all does not take a value");
-      }
-      options.all_substrings = true;
-    } else if (name == "positions") {
-      if (!value.empty()) {
-        return Status::InvalidArgument(
-            "flag --positions does not take a value");
-      }
-      options.positions = true;
-    } else if (name == "mmap") {
-      if (!value.empty()) {
-        return Status::InvalidArgument("flag --mmap does not take a value");
-      }
-      options.mmap = true;
-    } else if (name == "start") {
-      SIGSUB_ASSIGN_OR_RETURN(options.start, ParseInt(value, "--start"));
-    } else if (name == "end") {
-      SIGSUB_ASSIGN_OR_RETURN(options.end, ParseInt(value, "--end"));
-    } else if (name == "threads") {
-      SIGSUB_ASSIGN_OR_RETURN(int64_t threads,
-                              ParseInt(value, "--threads"));
-      options.threads = static_cast<int>(threads);
-    } else if (name == "x2-dispatch") {
-      if (!core::ParseX2Dispatch(value, &options.x2_dispatch)) {
-        return Status::InvalidArgument(
-            StrCat("flag --x2-dispatch expects auto, scalar, or simd, got \"",
-                   value, "\""));
-      }
-      options.x2_dispatch_explicit = true;
-    } else if (name == "alpha") {
-      SIGSUB_ASSIGN_OR_RETURN(options.alpha, ParseDouble(value, "--alpha"));
-    } else if (name == "max-window") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_window,
-                              ParseInt(value, "--max-window"));
-    } else if (name == "chunk") {
-      SIGSUB_ASSIGN_OR_RETURN(options.chunk, ParseInt(value, "--chunk"));
-    } else if (name == "job") {
-      options.job = value;
-    } else if (name == "format") {
-      options.format = value;
-    } else if (name == "column") {
-      SIGSUB_ASSIGN_OR_RETURN(options.column, ParseInt(value, "--column"));
-    } else if (name == "csv-header") {
-      if (!value.empty()) {
-        // `--csv-header=false` must not silently enable header skipping.
-        return Status::InvalidArgument(
-            "flag --csv-header does not take a value");
-      }
-      options.csv_header = true;
-    } else if (name == "cache") {
-      SIGSUB_ASSIGN_OR_RETURN(options.cache, ParseInt(value, "--cache"));
-    } else if (name == "shard-min") {
-      SIGSUB_ASSIGN_OR_RETURN(options.shard_min,
-                              ParseInt(value, "--shard-min"));
-    } else if (name == "verbose") {
-      if (!value.empty()) {
-        return Status::InvalidArgument(
-            "flag --verbose does not take a value");
-      }
-      options.verbose = true;
-    } else if (name == "port") {
-      SIGSUB_ASSIGN_OR_RETURN(options.port, ParseInt(value, "--port"));
-    } else if (name == "host") {
-      options.host = value;
-    } else if (name == "max-clients") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_clients,
-                              ParseInt(value, "--max-clients"));
-    } else if (name == "max-queue") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_queue,
-                              ParseInt(value, "--max-queue"));
-    } else if (name == "max-inflight") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_inflight,
-                              ParseInt(value, "--max-inflight"));
-    } else if (name == "idle-timeout-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.idle_timeout_ms,
-                              ParseInt(value, "--idle-timeout-ms"));
-    } else if (name == "max-runtime-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_runtime_ms,
-                              ParseInt(value, "--max-runtime-ms"));
-    } else if (name == "state-dir") {
-      options.state_dir = value;
-    } else if (name == "fsync") {
-      options.fsync = value;
-    } else if (name == "snapshot-interval-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.snapshot_interval_ms,
-                              ParseInt(value, "--snapshot-interval-ms"));
-    } else if (name == "send") {
-      options.sends.push_back(value);
-    } else if (name == "timeout-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.timeout_ms,
-                              ParseInt(value, "--timeout-ms"));
-    } else if (name == "linger-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.linger_ms,
-                              ParseInt(value, "--linger-ms"));
-    } else if (name == "retries") {
-      SIGSUB_ASSIGN_OR_RETURN(options.retries,
-                              ParseInt(value, "--retries"));
-    } else if (name == "backoff-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.backoff_ms,
-                              ParseInt(value, "--backoff-ms"));
-    } else {
+    const size_t eq = arg.find('=');
+    const std::string name =
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const std::string value =
+        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    const Flag* flag =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const Flag& f) { return name == f.name; });
+    if (flag == std::end(kFlags)) {
       return Status::InvalidArgument(
           StrCat("unknown flag --", name, "\n", UsageText()));
     }
+    SIGSUB_RETURN_IF_ERROR(SetFlag(*flag, value, &options));
+    seen.push_back(flag);
   }
-  SIGSUB_RETURN_IF_ERROR(
-      ValidateFlagsForCommand(options.command, seen_flags));
-  if (options.command == "topt" && !options.disjoint) {
-    for (const std::string& flag : seen_flags) {
-      if (flag == "min-length") {
-        return Status::InvalidArgument(
-            "flag --min-length is only consumed by topt with --disjoint");
-      }
-    }
-  }
-  if (options.command == "serve") {
-    if (options.has_input_text) {
+  for (const Flag* flag : seen) {
+    if (!ConsumedBy(*flag, options.command)) {
       return Status::InvalidArgument(
-          "serve mines a corpus file; use --input=PATH, not --string");
-    }
-    if (options.input_path.empty()) {
-      return Status::InvalidArgument(
-          "serve requires --input=PATH (the corpus the daemon serves)");
-    }
-    if (!options.probs.empty()) {
-      return Status::InvalidArgument(
-          "flag --probs is not consumed by serve; stream models arrive "
-          "with STREAM.CREATE and query models inside each QUERY");
-    }
-    if (options.format != "lines" && options.format != "csv") {
-      return Status::InvalidArgument(StrCat(
-          "--format must be lines or csv, got \"", options.format, "\""));
-    }
-    if (options.format != "csv") {
-      for (const std::string& flag : seen_flags) {
-        if (flag == "column" || flag == "csv-header") {
-          return Status::InvalidArgument(
-              StrCat("flag --", flag, " requires --format=csv"));
-        }
-      }
-    }
-    if (options.port < 0 || options.port > 65535) {
-      return Status::InvalidArgument(
-          StrCat("--port must be in [0, 65535], got ", options.port));
-    }
-    if (options.cache < 0) {
-      return Status::InvalidArgument(
-          StrCat("--cache must be >= 0, got ", options.cache));
-    }
-    if (options.max_clients < 1 || options.max_queue < 1 ||
-        options.max_inflight < 1) {
-      return Status::InvalidArgument(
-          "--max-clients, --max-queue and --max-inflight must be >= 1");
-    }
-    // ParseFsyncPolicy validates the spelling; the result is recomputed
-    // in RunServe (CliOptions carries plain strings).
-    SIGSUB_RETURN_IF_ERROR(
-        persist::ParseFsyncPolicy(options.fsync).status());
-    if (options.snapshot_interval_ms < 0) {
-      return Status::InvalidArgument(
-          StrCat("--snapshot-interval-ms must be >= 0, got ",
-                 options.snapshot_interval_ms));
-    }
-    if (options.state_dir.empty()) {
-      for (const std::string& flag : seen_flags) {
-        if (flag == "fsync" || flag == "snapshot-interval-ms") {
-          return Status::InvalidArgument(
-              StrCat("flag --", flag, " requires --state-dir"));
-        }
-      }
-    }
-    return options;
-  }
-  if (options.command == "client") {
-    for (const std::string& flag : seen_flags) {
-      if (flag == "string" || flag == "alphabet" || flag == "probs" ||
-          flag == "x2-dispatch") {
-        return Status::InvalidArgument(
-            StrCat("flag --", flag, " is not consumed by client"));
-      }
-    }
-    if (options.port < 1 || options.port > 65535) {
-      return Status::InvalidArgument(
-          StrCat("client requires --port in [1, 65535], got ",
-                 options.port));
-    }
-    if (options.sends.empty() && options.input_path.empty()) {
-      return Status::InvalidArgument(
-          "client needs --send=CMD (repeatable) and/or --input=SCRIPT "
-          "(one command per line; - reads stdin)");
-    }
-    if (options.timeout_ms < 1) {
-      return Status::InvalidArgument(
-          StrCat("--timeout-ms must be >= 1, got ", options.timeout_ms));
-    }
-    if (options.linger_ms < 0) {
-      return Status::InvalidArgument(
-          StrCat("--linger-ms must be >= 0, got ", options.linger_ms));
-    }
-    if (options.retries < 0) {
-      return Status::InvalidArgument(
-          StrCat("--retries must be >= 0, got ", options.retries));
-    }
-    if (options.backoff_ms < 1) {
-      return Status::InvalidArgument(
-          StrCat("--backoff-ms must be >= 1, got ", options.backoff_ms));
-    }
-    return options;
-  }
-  if (options.command == "batch" || options.command == "query") {
-    if (options.command == "batch" && options.has_input_text) {
-      return Status::InvalidArgument(
-          "batch mines a corpus file; use --input=PATH, not --string");
-    }
-    if (options.input_path.empty() && !options.has_input_text) {
-      return Status::InvalidArgument(
-          StrCat(options.command, " requires --input=PATH",
-                 options.command == "query" ? " (or --string=TEXT)" : ""));
-    }
-    if (options.has_input_text && !options.input_path.empty()) {
-      return Status::InvalidArgument("--string and --input are exclusive");
-    }
-    if (options.has_input_text) {
-      // A --string corpus has no file layout; corpus-shaping flags would
-      // be silently ignored, which the flag-strictness contract forbids.
-      for (const std::string& flag : seen_flags) {
-        if (flag == "format" || flag == "column" || flag == "csv-header") {
-          return Status::InvalidArgument(
-              StrCat("flag --", flag,
-                     " requires --input=PATH (a corpus file), not "
-                     "--string"));
-        }
-      }
-    }
-    if (options.format != "lines" && options.format != "csv") {
-      return Status::InvalidArgument(StrCat(
-          "--format must be lines or csv, got \"", options.format, "\""));
-    }
-    if (options.format != "csv") {
-      // CSV-shaping flags with a lines corpus would be silently ignored,
-      // which is exactly what per-command flag validation exists to stop.
-      for (const std::string& flag : seen_flags) {
-        if (flag == "column" || flag == "csv-header") {
-          return Status::InvalidArgument(
-              StrCat("flag --", flag, " requires --format=csv"));
-        }
-      }
-    }
-    if (options.cache < 0) {
-      return Status::InvalidArgument(
-          StrCat("--cache must be >= 0, got ", options.cache));
-    }
-    // An explicit out-of-range --alpha-p must not be conflated with the
-    // "unset" sentinel (-1.0): --alpha-p=-0.001 silently falling back to
-    // --alpha0 would invert the documented precedence.
-    for (const std::string& flag : seen_flags) {
-      if (flag == "alpha-p" &&
-          (options.alpha_p <= 0.0 || options.alpha_p >= 1.0)) {
-        return Status::InvalidArgument(
-            StrCat("--alpha-p must be in (0, 1), got ", options.alpha_p));
-      }
-    }
-    if (options.command == "query") {
-      if (options.queries.empty() && options.queries_file.empty()) {
-        return Status::InvalidArgument(
-            "query requires --query=SPEC (repeatable) or "
-            "--queries-file=PATH");
-      }
-      if (!options.probs.empty()) {
-        // Each query carries its own model; a corpus-level --probs would
-        // be silently shadowed.
-        return Status::InvalidArgument(
-            "flag --probs is not consumed by query; put "
-            "model=probs(p1;p2;...) inside each query instead");
-      }
-      return options;
-    }
-    SIGSUB_ASSIGN_OR_RETURN(engine::JobKind kind,
-                            engine::ParseJobKind(options.job));
-    // Job-parameter flags are only consumed by their own kind; reject the
-    // rest so e.g. `--job=mss --pvalue=0.01` cannot silently do nothing.
-    for (const std::string& flag : seen_flags) {
-      bool relevant = true;
-      if (flag == "t") {
-        relevant = kind == engine::JobKind::kTopT ||
-                   kind == engine::JobKind::kTopDisjoint;
-      } else if (flag == "min-length") {
-        relevant = kind == engine::JobKind::kMinLength ||
-                   kind == engine::JobKind::kTopDisjoint;
-      } else if (flag == "alpha0" || flag == "pvalue" || flag == "alpha-p") {
-        relevant = kind == engine::JobKind::kThreshold;
-      }
-      if (!relevant) {
-        return Status::InvalidArgument(
-            StrCat("flag --", flag, " is not consumed by --job=",
-                   options.job));
-      }
-    }
-    return options;
-  }
-  if (options.command == "substrings") {
-    if (options.mmap) {
-      if (options.has_input_text) {
-        return Status::InvalidArgument(
-            "flag --mmap maps a file; use --input=PATH, not --string");
-      }
-      if (options.input_path.empty()) {
-        return Status::InvalidArgument("flag --mmap requires --input=PATH");
-      }
-    }
-    // Flag-level range checks stay in flag vocabulary; the engine's
-    // query-layer messages (field top, field min_count, ...) cover the
-    // rest identically for the CLI and wire surfaces.
-    if (options.all_substrings && options.max_length < 1) {
-      return Status::InvalidArgument(
-          "flag --all enumerates every distinct substring and requires "
-          "--max-length=N to bound the output");
-    }
-    for (const std::string& flag : seen_flags) {
-      if (flag == "alpha-p" &&
-          (options.alpha_p <= 0.0 || options.alpha_p >= 1.0)) {
-        return Status::InvalidArgument(
-            StrCat("--alpha-p must be in (0, 1), got ", options.alpha_p));
-      }
-      if (flag == "cache" && options.cache < 0) {
-        return Status::InvalidArgument(
-            StrCat("--cache must be >= 0, got ", options.cache));
-      }
+          StrCat("flag --", flag->name, " is not valid for command ",
+                 options.command, "\n", UsageText()));
     }
   }
-  if (!options.has_input_text && options.input_path.empty()) {
-    return Status::InvalidArgument("one of --string or --input is required");
+  for (const Flag* flag : seen) {
+    SIGSUB_RETURN_IF_ERROR(CheckRange(*flag, options));
   }
-  if (options.has_input_text && !options.input_path.empty()) {
-    return Status::InvalidArgument("--string and --input are exclusive");
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateCommand(options, [&](const char* name) {
+    return std::any_of(seen.begin(), seen.end(), [&](const Flag* flag) {
+      return std::string_view(flag->name) == name;
+    });
+  }));
   return options;
 }
 
@@ -1412,142 +1425,19 @@ Result<std::string> Run(const CliOptions& options) {
   // a malformed spec is a hard error rather than silently testing
   // nothing).
   SIGSUB_RETURN_IF_ERROR(fault::ArmFromEnv());
-  // Single-string commands build their ChiSquareContexts inside the core
-  // convenience overloads, so the dispatch knob is applied process-wide
-  // for this invocation (the batch engine additionally pins it in its
-  // EngineOptions). Every Run() sets it, so a later invocation without
-  // the flag restores the auto default.
-  core::SetDefaultX2Dispatch(options.x2_dispatch);
+  const Command* command = FindCommand(options.command);
+  if (command == nullptr) {
+    return Status::InvalidArgument(
+        StrCat("unknown command \"", options.command, "\""));
+  }
+  SIGSUB_ASSIGN_OR_RETURN(std::string report, command->run(options));
   // An explicit --x2-dispatch earns a report of what actually resolved:
   // `simd` on a host without AVX2 silently degrades to scalar inside the
   // kernel dispatch, and an audit must be able to see that happened.
-  const std::string banner =
-      options.x2_dispatch_explicit ? DispatchReport(options.x2_dispatch)
-                                   : std::string();
-  auto with_banner = [&banner](Result<std::string> report) {
-    if (!report.ok() || banner.empty()) return report;
-    return Result<std::string>(banner + *report);
-  };
-  if (options.command == "batch") return with_banner(RunBatch(options));
-  if (options.command == "query") return with_banner(RunQuery(options));
-  if (options.command == "substrings") {
-    return with_banner(RunSubstrings(options));
+  if (options.x2_dispatch_explicit) {
+    return DispatchReport(options.x2_dispatch) + report;
   }
-  if (options.command == "stream") return with_banner(RunStream(options));
-  if (options.command == "serve") return with_banner(RunServe(options));
-  if (options.command == "client") return RunClient(options);
-  SIGSUB_ASSIGN_OR_RETURN(std::string text, LoadInput(options));
-  if (text.empty()) {
-    return Status::InvalidArgument("input string is empty");
-  }
-
-  // Alphabet: explicit or inferred with the corpus rule, so single-string
-  // and batch runs score the same input under the same alphabet.
-  std::string alphabet_chars = options.alphabet;
-  if (alphabet_chars.empty()) {
-    alphabet_chars = engine::Corpus::InferAlphabetChars({text});
-  }
-  SIGSUB_ASSIGN_OR_RETURN(seq::Alphabet alphabet,
-                          seq::Alphabet::FromCharacters(alphabet_chars));
-  SIGSUB_ASSIGN_OR_RETURN(seq::Sequence sequence,
-                          seq::Sequence::FromString(alphabet, text));
-
-  std::vector<double> probs = options.probs;
-  if (probs.empty()) {
-    probs.assign(alphabet.size(), 1.0 / alphabet.size());
-  }
-  SIGSUB_ASSIGN_OR_RETURN(seq::MultinomialModel model,
-                          seq::MultinomialModel::Make(std::move(probs)));
-
-  const int k = model.alphabet_size();
-  std::ostringstream out;
-  out << "n = " << sequence.size() << ", k = " << k << "\n";
-
-  if (options.command == "mss") {
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::MssResult result,
-        core::FindMssParallel(sequence, model, options.threads));
-    out << RenderSubstring(result.best, k, text);
-    out << "examined " << result.stats.positions_examined << " of "
-        << core::TrivialScanPositions(sequence.size())
-        << " candidate positions\n";
-  } else if (options.command == "topt") {
-    if (options.t < 1) {
-      return Status::InvalidArgument(StrCat("--t must be >= 1, got ",
-                                            options.t));
-    }
-    io::TableWriter table({"rank", "start", "end", "X2", "p-value"});
-    if (options.disjoint) {
-      core::TopDisjointOptions disjoint;
-      disjoint.t = options.t;
-      disjoint.min_length = options.min_length;
-      SIGSUB_ASSIGN_OR_RETURN(std::vector<core::Substring> subs,
-                              core::FindTopDisjoint(sequence, model,
-                                                    disjoint));
-      for (size_t i = 0; i < subs.size(); ++i) {
-        table.AddRow({std::to_string(i + 1), std::to_string(subs[i].start),
-                      std::to_string(subs[i].end),
-                      StrFormat("%.4f", subs[i].chi_square),
-                      StrFormat("%.4g", core::SubstringPValue(
-                                            subs[i].chi_square, k))});
-      }
-    } else {
-      SIGSUB_ASSIGN_OR_RETURN(core::TopTResult result,
-                              core::FindTopT(sequence, model, options.t));
-      for (size_t i = 0; i < result.top.size(); ++i) {
-        const core::Substring& sub = result.top[i];
-        table.AddRow({std::to_string(i + 1), std::to_string(sub.start),
-                      std::to_string(sub.end),
-                      StrFormat("%.4f", sub.chi_square),
-                      StrFormat("%.4g",
-                                core::SubstringPValue(sub.chi_square, k))});
-      }
-    }
-    out << table.Render();
-  } else if (options.command == "threshold") {
-    SIGSUB_ASSIGN_OR_RETURN(double alpha0,
-                            ResolveAlpha0(options, k, out, "threshold"));
-    core::ThresholdOptions threshold;
-    threshold.max_matches = 1000;
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::ThresholdResult result,
-        core::FindAboveThreshold(sequence, model, alpha0, threshold));
-    out << result.match_count << " substrings above " << alpha0;
-    if (result.match_count >
-        static_cast<int64_t>(result.matches.size())) {
-      out << " (showing " << result.matches.size() << ")";
-    }
-    out << "\n";
-    io::TableWriter table({"start", "end", "X2"});
-    for (const core::Substring& sub : result.matches) {
-      table.AddRow({std::to_string(sub.start), std::to_string(sub.end),
-                    StrFormat("%.4f", sub.chi_square)});
-    }
-    if (table.row_count() > 0) out << table.Render();
-  } else if (options.command == "minlen") {
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::MssResult result,
-        core::FindMssMinLength(sequence, model, options.min_length));
-    // `best` is only meaningful when a window satisfied the floor; a
-    // floor above n would otherwise render a bogus zero-length row with
-    // X² = 0 and p-value 1.
-    if (result.best.length() == 0) {
-      out << "no substring of length >= " << options.min_length
-          << " exists (n = " << sequence.size() << ")\n";
-    } else {
-      out << RenderSubstring(result.best, k, text);
-    }
-  } else if (options.command == "score") {
-    if (options.start < 0 || options.end < 0) {
-      return Status::InvalidArgument("score needs --start and --end");
-    }
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::ScoredSubstring scored,
-        core::ScoreSubstring(sequence, model, options.start, options.end));
-    out << RenderSubstring(scored.substring, k, text);
-    out << "G2 = " << StrFormat("%.4f", scored.g2) << "\n";
-  }
-  return banner + out.str();
+  return report;
 }
 
 }  // namespace cli

@@ -2,6 +2,7 @@
 #define SIGSUB_CLI_CLI_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,10 @@ namespace cli {
 /// Commands: mss | topt | threshold | minlen | score | substrings | batch |
 /// query | stream | serve | client. Flags are validated against the
 /// selected command: supplying a flag that the command does not consume is
-/// an InvalidArgument error, not a silent acceptance.
+/// an InvalidArgument error, not a silent acceptance. Every mining command
+/// but `score` and `substrings --positions` runs as api::QuerySpecs
+/// through engine::Engine — the single-record commands on a one-record
+/// corpus.
 ///
 /// Common flags:
 ///   --string=TEXT        input string literal (exclusive with --input)
@@ -32,18 +36,21 @@ namespace cli {
 ///                        `scalar` pins the bit-reproducible path for
 ///                        audits; `simd` requests the vector path (falls
 ///                        back to scalar when unavailable — the report
-///                        then carries an explicit warning). Run()
-///                        applies the mode process-wide for the
-///                        invocation and, when the flag was passed
-///                        explicitly, reports the effective dispatch.
+///                        then carries an explicit warning). Every
+///                        engine, stream manager and context the command
+///                        builds uses the mode; when the flag was passed
+///                        explicitly, Run() reports the effective
+///                        dispatch.
 /// Per-command flags:
 ///   --t=N                top-t size (topt, batch; default 10)
 ///   --disjoint           non-overlapping top-t (topt)
 ///   --alpha0=X           threshold (threshold, batch)
-///   --pvalue=P           derive alpha0 from a per-substring p-value
+///   --pvalue=P           per-substring p-value in (0, 1), converted via
+///                        the χ²(k−1) critical value (threshold, batch)
 ///   --min-length=N       length floor (minlen, topt --disjoint, batch)
 ///   --start=I --end=J    substring to score (score)
-///   --threads=N          worker threads (mss, batch; default 1)
+///   --threads=N          worker threads (mss, batch, query, serve;
+///                        default 1; mss shards its record across them)
 /// Substrings-only flags (all-substrings mining over one record):
 ///   --top=N              keep the N highest-X² substrings (default 10;
 ///                        0 reports every match)
@@ -114,8 +121,7 @@ namespace cli {
 struct CliOptions {
   std::string command;
   std::string input_path;
-  std::string input_text;
-  bool has_input_text = false;
+  std::optional<std::string> input_text;  // --string; unset for files.
   std::string alphabet;
   std::vector<double> probs;
   int64_t t = 10;
@@ -125,7 +131,7 @@ struct CliOptions {
   int64_t min_length = 1;
   int64_t start = -1;
   int64_t end = -1;
-  int threads = 1;
+  int64_t threads = 1;
   core::X2Dispatch x2_dispatch = core::X2Dispatch::kAuto;
   // True when --x2-dispatch was passed explicitly: Run() then reports the
   // effective dispatch (and warns when a SIMD request fell back).

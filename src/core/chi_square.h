@@ -22,7 +22,7 @@ namespace core {
 class ChiSquareContext {
  public:
   /// Builds from a validated model. `dispatch` selects the fused-kernel
-  /// implementation (default: follow the process-wide setting).
+  /// implementation (default: the fastest available kernel).
   explicit ChiSquareContext(const seq::MultinomialModel& model,
                             X2Dispatch dispatch = X2Dispatch::kAuto);
 

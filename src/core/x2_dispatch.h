@@ -10,9 +10,8 @@ namespace core {
 /// Which implementation of the fused X² range kernel a ChiSquareContext
 /// resolves at build time (see x2_kernel.h for the kernel itself):
 ///
-///   kAuto   — follow the process default (SetDefaultX2Dispatch), which
-///             itself defaults to the fastest available path: AVX2 when the
-///             binary and CPU support it and k >= 4, else the scalar path.
+///   kAuto   — the fastest available path: AVX2 when the binary and CPU
+///             support it and k >= 4, else the scalar path.
 ///   kScalar — the scalar fused path, bit-identical to the legacy
 ///             FillCounts + Evaluate pair. Pin this for reproducibility
 ///             audits that must match archived X² values bit for bit.
@@ -31,12 +30,6 @@ const char* X2DispatchName(X2Dispatch dispatch);
 
 /// Inverse of X2DispatchName; returns false on unknown names.
 bool ParseX2Dispatch(std::string_view name, X2Dispatch* out);
-
-/// Process-wide default consulted when a context is built with kAuto.
-/// Intended for entry points (the CLI) that want one knob to govern every
-/// context they create; libraries should pass an explicit dispatch instead.
-void SetDefaultX2Dispatch(X2Dispatch dispatch);
-X2Dispatch DefaultX2Dispatch();
 
 /// True when the SIMD kernel is compiled into this binary AND the CPU
 /// supports it (AVX2 on x86-64).

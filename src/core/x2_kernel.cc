@@ -1,7 +1,5 @@
 #include "core/x2_kernel.h"
 
-#include <atomic>
-
 namespace sigsub {
 namespace core {
 namespace {
@@ -35,8 +33,6 @@ double X2RangeScalarFixed(const int64_t* lo, const int64_t* hi,
   }
   return sum / l - l;
 }
-
-std::atomic<X2Dispatch> g_default_dispatch{X2Dispatch::kAuto};
 
 X2RangeFn ScalarFnForK(int k) {
   switch (k) {
@@ -96,14 +92,6 @@ bool ParseX2Dispatch(std::string_view name, X2Dispatch* out) {
   return true;
 }
 
-void SetDefaultX2Dispatch(X2Dispatch dispatch) {
-  g_default_dispatch.store(dispatch, std::memory_order_relaxed);
-}
-
-X2Dispatch DefaultX2Dispatch() {
-  return g_default_dispatch.load(std::memory_order_relaxed);
-}
-
 bool SimdAvailable() {
 #if defined(SIGSUB_X2_AVX2) && (defined(__x86_64__) || defined(__i386__))
   return __builtin_cpu_supports("avx2") != 0;
@@ -115,13 +103,10 @@ bool SimdAvailable() {
 namespace internal {
 
 X2RangeFn ResolveX2RangeFn(int k, X2Dispatch dispatch, bool* simd_active) {
-  if (dispatch == X2Dispatch::kAuto) {
-    dispatch = DefaultX2Dispatch();
-  }
-  // The process default may itself be kAuto: pick the fastest available
-  // path. Below k = 4 a vector holds the whole count block and the lane
-  // setup outweighs the reduction, so auto keeps the (bit-stable) scalar
-  // specialization for binary/ternary alphabets.
+  // kAuto picks the fastest available path. Below k = 4 a vector holds
+  // the whole count block and the lane setup outweighs the reduction, so
+  // auto keeps the (bit-stable) scalar specialization for binary/ternary
+  // alphabets.
   bool want_simd = dispatch == X2Dispatch::kSimd ||
                    (dispatch == X2Dispatch::kAuto && k >= 4);
 #if defined(SIGSUB_X2_AVX2)

@@ -96,17 +96,51 @@ struct QueryPlan {
   api::QueryKind kind = api::QueryKind::kMss;
   const core::ChiSquareContext* context = nullptr;  // null for Markov.
   const seq::MarkovModel* markov = nullptr;
-  double alpha0 = -1.0;  // kThreshold: resolved X² cutoff.
-  // kSubstrings: resolved X² floor (alpha_p converted at the kind's
-  // degrees of freedom — k−1 multinomial, k(k−1) Markov).
+  // kThreshold and kSubstrings: the resolved X² cutoff (alpha_p converted
+  // at the kind's degrees of freedom — k−1 multinomial, k(k−1) Markov).
   double min_x2 = -std::numeric_limits<double>::infinity();
 };
 
-Status QueryError(std::string_view label, size_t index, api::QueryKind kind,
+Status QueryError(size_t index, api::QueryKind kind,
                   const std::string& detail) {
-  return Status::InvalidArgument(StrCat(label, " ", index, " (",
+  return Status::InvalidArgument(StrCat("query ", index, " (",
                                         api::QueryKindToString(kind),
                                         "): ", detail));
+}
+
+/// The length window shared by the floored kinds; max_length = 0 means
+/// unbounded.
+Status ValidateLengths(int64_t min_length, int64_t max_length) {
+  if (min_length < 1) {
+    return Status::InvalidArgument(
+        StrCat("field min_length must be >= 1, got ", min_length));
+  }
+  if (max_length != 0 && max_length < min_length) {
+    return Status::InvalidArgument(
+        StrCat("field max_length (", max_length,
+               ") must be 0 (unbounded) or >= min_length (", min_length,
+               ")"));
+  }
+  return Status::OK();
+}
+
+/// The significance cutoff shared by threshold and substrings queries.
+/// NaN slips through every range comparison (all false), which would read
+/// as "unset" here and as "matches everything/nothing" in the scan; an
+/// infinite alpha0 is equally meaningless as a cutoff.
+Status ValidateCutoff(double alpha0, double alpha_p) {
+  if (std::isnan(alpha0) || std::isnan(alpha_p)) {
+    return Status::InvalidArgument(
+        "fields alpha0 and alpha_p must not be NaN");
+  }
+  if (alpha0 >= 0.0 && !std::isfinite(alpha0)) {
+    return Status::InvalidArgument("field alpha0 must be finite");
+  }
+  if (alpha_p >= 0.0 && (alpha_p <= 0.0 || alpha_p >= 1.0)) {
+    return Status::InvalidArgument(
+        StrCat("field alpha_p must be in (0, 1), got ", alpha_p));
+  }
+  return Status::OK();
 }
 
 /// Kind-specific parameter validation; failures name the query field.
@@ -142,54 +176,28 @@ Status ValidateRequest(const api::QuerySpec& spec, const Corpus& corpus) {
   } else if (const auto* q =
                  std::get_if<api::TopDisjointQuery>(&spec.request)) {
     if (q->t < 1) return fail(StrCat("field t must be >= 1, got ", q->t));
-    if (q->min_length < 1) {
-      return fail(
-          StrCat("field min_length must be >= 1, got ", q->min_length));
-    }
+    SIGSUB_RETURN_IF_ERROR(ValidateLengths(q->min_length, 0));
     if (std::isnan(q->min_chi_square)) {
       // Every comparison against NaN is false, which would silently
       // disable the score floor.
       return fail("field min_x2 must not be NaN");
     }
   } else if (const auto* q = std::get_if<api::ThresholdQuery>(&spec.request)) {
-    // NaN slips through every range comparison (all false), which would
-    // read as "unset" here and as "matches everything/nothing" in the
-    // scan; an infinite alpha0 is equally meaningless as a cutoff.
-    if (std::isnan(q->alpha0) || std::isnan(q->alpha_p)) {
-      return fail("fields alpha0 and alpha_p must not be NaN");
-    }
-    if (q->alpha0 >= 0.0 && !std::isfinite(q->alpha0)) {
-      return fail("field alpha0 must be finite");
-    }
+    SIGSUB_RETURN_IF_ERROR(ValidateCutoff(q->alpha0, q->alpha_p));
     if (q->alpha_p < 0.0 && q->alpha0 < 0.0) {
       return fail(
           "one of field alpha0 (X² cutoff) or field alpha_p (p-value) "
           "must be set");
-    }
-    if (q->alpha_p >= 0.0 && (q->alpha_p <= 0.0 || q->alpha_p >= 1.0)) {
-      return fail(
-          StrCat("field alpha_p must be in (0, 1), got ", q->alpha_p));
     }
     if (q->max_matches < 0) {
       return fail(
           StrCat("field max_matches must be >= 0, got ", q->max_matches));
     }
   } else if (const auto* q = std::get_if<api::MinLengthQuery>(&spec.request)) {
-    if (q->min_length < 1) {
-      return fail(
-          StrCat("field min_length must be >= 1, got ", q->min_length));
-    }
+    return ValidateLengths(q->min_length, 0);
   } else if (const auto* q =
                  std::get_if<api::LengthBoundedQuery>(&spec.request)) {
-    if (q->min_length < 1) {
-      return fail(
-          StrCat("field min_length must be >= 1, got ", q->min_length));
-    }
-    if (q->max_length != 0 && q->max_length < q->min_length) {
-      return fail(StrCat("field max_length (", q->max_length,
-                         ") must be 0 (unbounded) or >= min_length (",
-                         q->min_length, ")"));
-    }
+    return ValidateLengths(q->min_length, q->max_length);
   } else if (const auto* q = std::get_if<api::BlockedQuery>(&spec.request)) {
     if (q->block_size < 1) {
       return fail(
@@ -200,15 +208,7 @@ Status ValidateRequest(const api::QuerySpec& spec, const Corpus& corpus) {
       return fail(StrCat("field top must be >= 0 (0 = all matches), got ",
                          q->top));
     }
-    if (q->min_length < 1) {
-      return fail(
-          StrCat("field min_length must be >= 1, got ", q->min_length));
-    }
-    if (q->max_length != 0 && q->max_length < q->min_length) {
-      return fail(StrCat("field max_length (", q->max_length,
-                         ") must be 0 (unbounded) or >= min_length (",
-                         q->min_length, ")"));
-    }
+    SIGSUB_RETURN_IF_ERROR(ValidateLengths(q->min_length, q->max_length));
     if (q->min_count < 1) {
       return fail(StrCat("field min_count must be >= 1, got ", q->min_count));
     }
@@ -219,16 +219,7 @@ Status ValidateRequest(const api::QuerySpec& spec, const Corpus& corpus) {
           "field maximal: maximal=0 enumerates every distinct substring "
           "and requires max_length > 0 to bound the output");
     }
-    if (std::isnan(q->alpha0) || std::isnan(q->alpha_p)) {
-      return fail("fields alpha0 and alpha_p must not be NaN");
-    }
-    if (q->alpha0 >= 0.0 && !std::isfinite(q->alpha0)) {
-      return fail("field alpha0 must be finite");
-    }
-    if (q->alpha_p >= 0.0 && (q->alpha_p <= 0.0 || q->alpha_p >= 1.0)) {
-      return fail(
-          StrCat("field alpha_p must be in (0, 1), got ", q->alpha_p));
-    }
+    return ValidateCutoff(q->alpha0, q->alpha_p);
   }
   return Status::OK();
 }
@@ -404,7 +395,7 @@ CachedResult RunQueryKernel(const QueryPlan& plan, const RecordView& view,
       core::ThresholdOptions options;
       options.max_matches = q.max_matches;
       core::ThresholdResult result =
-          core::FindAboveThreshold(counts, context, plan.alpha0, options);
+          core::FindAboveThreshold(counts, context, plan.min_x2, options);
       out.substrings = std::move(result.matches);
       out.best = result.best;
       out.match_count = result.match_count;
@@ -514,12 +505,6 @@ Engine::Engine(EngineOptions options)
 
 Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
     const Corpus& corpus, const std::vector<api::QuerySpec>& queries) {
-  return ExecuteQueriesInternal(corpus, queries, "query");
-}
-
-Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
-    const Corpus& corpus, const std::vector<api::QuerySpec>& queries,
-    std::string_view label) {
   // One batch at a time per engine (the header's thread-safety contract);
   // a second concurrent batch would share per-batch plan state. Debug
   // builds catch the misuse at the entry point instead of as a race.
@@ -556,7 +541,7 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
     plan.kind = spec.kind();
     auto wrap = [&](const Status& status) {
       return status.ok() ? status
-                         : QueryError(label, i, plan.kind, status.message());
+                         : QueryError(i, plan.kind, status.message());
     };
     SIGSUB_RETURN_IF_ERROR(wrap(ValidateRequest(spec, corpus)));
     SIGSUB_RETURN_IF_ERROR(wrap(ValidateModel(spec.model, plan.kind, k)));
@@ -569,7 +554,7 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
       auto markov = seq::MarkovModel::Make(k, spec.model.transitions,
                                            std::move(initial));
       if (!markov.ok()) {
-        return QueryError(label, i, plan.kind,
+        return QueryError(i, plan.kind,
                           StrCat("field model: ", markov.status().message()));
       }
       markov_models.push_back(
@@ -589,7 +574,7 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
       if (!context.ok()) {
         models.erase(it);
         return QueryError(
-            label, i, plan.kind,
+            i, plan.kind,
             StrCat("field model: ", context.status().message()));
       }
       it->second = std::make_unique<ModelState>(
@@ -597,26 +582,14 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
     }
     plan.context = &it->second->context;
 
+    // alpha_p converts once per batch, not once per candidate, at the
+    // statistic's own degrees of freedom.
+    const int dof = plan.markov != nullptr ? k * (k - 1) : k - 1;
     if (const auto* q = std::get_if<api::ThresholdQuery>(&spec.request)) {
-      // alpha_p converts once per batch, not once per candidate; when
-      // both fields are set the p-value wins (api/query.h documents the
-      // precedence).
-      plan.alpha0 = q->alpha_p >= 0.0
-                        ? stats::ChiSquaredDistribution(k - 1)
-                              .CriticalValue(q->alpha_p)
-                        : q->alpha0;
+      plan.min_x2 = stats::ResolveX2Cutoff(q->alpha0, q->alpha_p, dof);
     } else if (const auto* q =
                    std::get_if<api::SubstringsQuery>(&spec.request)) {
-      // Same precedence as threshold, at the statistic's own degrees of
-      // freedom. Neither set -> -inf (everything qualifies).
-      const int dof =
-          plan.markov != nullptr ? k * (k - 1) : k - 1;
-      if (q->alpha_p >= 0.0) {
-        plan.min_x2 =
-            stats::ChiSquaredDistribution(dof).CriticalValue(q->alpha_p);
-      } else if (q->alpha0 >= 0.0) {
-        plan.min_x2 = q->alpha0;
-      }
+      plan.min_x2 = stats::ResolveX2Cutoff(q->alpha0, q->alpha_p, dof);
     }
   }
 
@@ -768,59 +741,6 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
                               std::memory_order_relaxed);
   batches_executed_.fetch_add(1, std::memory_order_relaxed);
   return results;
-}
-
-Result<std::vector<JobResult>> Engine::ExecuteBatch(
-    const Corpus& corpus, const std::vector<JobSpec>& jobs) {
-  std::vector<api::QuerySpec> queries;
-  queries.reserve(jobs.size());
-  for (const JobSpec& job : jobs) queries.push_back(ToQuerySpec(job));
-  SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> query_results,
-                          ExecuteQueriesInternal(corpus, queries, "job"));
-
-  std::vector<JobResult> results(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const api::QueryResult& from = query_results[i];
-    JobResult& to = results[i];
-    to.job_index = from.query_index;
-    to.sequence_index = from.sequence_index;
-    to.kind = jobs[i].kind;
-    to.cache_hit = from.cache_hit;
-    to.stats = from.stats();
-    if (const auto* best = std::get_if<api::BestPayload>(&from.payload)) {
-      // Legacy shape: always one entry, zero-length when nothing
-      // qualified.
-      to.best = best->best;
-      to.substrings = {best->best};
-      to.match_count = best->best.length() > 0 ? 1 : 0;
-    } else if (const auto* ranked =
-                   std::get_if<api::RankedPayload>(&from.payload)) {
-      to.substrings = ranked->ranked;
-      if (!to.substrings.empty()) to.best = to.substrings.front();
-      to.match_count = static_cast<int64_t>(to.substrings.size());
-    } else {
-      const auto& threshold = std::get<api::ThresholdPayload>(from.payload);
-      to.substrings = threshold.matches;
-      to.best = threshold.best;
-      to.match_count = threshold.match_count;
-    }
-  }
-  return results;
-}
-
-Result<std::vector<JobResult>> Engine::ExecuteUniform(const Corpus& corpus,
-                                                      JobKind kind,
-                                                      const JobParams& params) {
-  std::vector<JobSpec> jobs;
-  jobs.reserve(static_cast<size_t>(corpus.size()));
-  for (int64_t i = 0; i < corpus.size(); ++i) {
-    JobSpec spec;
-    spec.kind = kind;
-    spec.sequence_index = i;
-    spec.params = params;
-    jobs.push_back(std::move(spec));
-  }
-  return ExecuteBatch(corpus, jobs);
 }
 
 }  // namespace engine

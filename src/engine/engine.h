@@ -4,16 +4,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "api/query.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/x2_dispatch.h"
 #include "engine/corpus.h"
-#include "engine/job.h"
 #include "engine/result_cache.h"
-#include "engine/thread_pool.h"
 
 namespace sigsub {
 namespace engine {
@@ -34,15 +32,14 @@ struct EngineOptions {
   int64_t shard_min_sequence = 1 << 20;
   /// Fused X² kernel implementation for every context this engine builds
   /// (CLI `--x2-dispatch`). kScalar pins the bit-reproducible scalar path
-  /// for audits; kAuto follows the process default (typically SIMD).
+  /// for audits; kAuto picks the fastest available kernel.
   core::X2Dispatch x2_dispatch = core::X2Dispatch::kAuto;
 };
 
 /// Concurrent batch-mining engine: executes heterogeneous mining queries
 /// (every sequence kernel — mss, topt, disjoint, threshold, minlen,
 /// lenbound, arlm, agmm, blocked; multinomial or Markov null models) over
-/// a corpus of sequences. api::QuerySpec is the native job representation;
-/// the legacy JobSpec surface lowers into it (engine/job.h).
+/// a corpus of sequences, each described by an api::QuerySpec.
 ///
 /// Two things make a batch cheaper than issuing the same queries as
 /// independent `FindMss`-style calls:
@@ -86,17 +83,6 @@ class Engine {
   Result<std::vector<api::QueryResult>> ExecuteQueries(
       const Corpus& corpus, const std::vector<api::QuerySpec>& queries);
 
-  /// Compatibility shim: lowers each JobSpec into an api::QuerySpec,
-  /// executes them natively, and reshapes the payloads into JobResults.
-  Result<std::vector<JobResult>> ExecuteBatch(const Corpus& corpus,
-                                              const std::vector<JobSpec>& jobs);
-
-  /// Convenience: one job of kind `kind` with `params` per corpus record,
-  /// scored under the uniform model.
-  Result<std::vector<JobResult>> ExecuteUniform(const Corpus& corpus,
-                                                JobKind kind,
-                                                const JobParams& params = {});
-
   int num_threads() const { return pool_.num_threads(); }
   CacheStats cache_stats() const { return cache_.stats(); }
   size_t cache_size() const { return cache_.size(); }
@@ -119,13 +105,6 @@ class Engine {
   }
 
  private:
-  /// `label` names the unit in validation errors ("query" natively,
-  /// "job" through the JobSpec shim), so legacy callers keep legacy
-  /// wording.
-  Result<std::vector<api::QueryResult>> ExecuteQueriesInternal(
-      const Corpus& corpus, const std::vector<api::QuerySpec>& queries,
-      std::string_view label);
-
   ResultCache cache_;
   ThreadPool pool_;
   int64_t shard_min_sequence_;
@@ -133,7 +112,7 @@ class Engine {
   std::atomic<int64_t> queries_executed_{0};
   std::atomic<int64_t> batches_executed_{0};
   // Debug enforcement of the one-batch-at-a-time contract above: set for
-  // the duration of ExecuteQueriesInternal, SIGSUB_DCHECKed against
+  // the duration of ExecuteQueries, SIGSUB_DCHECKed against
   // reentry. Atomic (not GUARDED_BY a mutex) because the contract is
   // exactly that there is no concurrent batch to exclude.
   std::atomic<bool> batch_active_{false};

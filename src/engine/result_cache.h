@@ -44,8 +44,8 @@ struct CacheKeyHash {
   }
 };
 
-/// The kernel output stored per cache entry: everything a JobResult needs
-/// except the per-job identity fields. `counts`/`p_values` are populated
+/// The kernel output stored per cache entry: everything a QueryResult
+/// payload needs except the per-query identity fields. `counts`/`p_values` are populated
 /// only by substrings queries (parallel to `substrings`; empty for every
 /// other kind).
 struct CachedResult {

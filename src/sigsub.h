@@ -65,10 +65,8 @@
 #include "engine/engine.h"
 #include "engine/engine_stats.h"
 #include "engine/fingerprint.h"
-#include "engine/job.h"
 #include "engine/result_cache.h"
 #include "engine/stream_manager.h"
-#include "engine/thread_pool.h"
 #include "io/csv.h"
 #include "io/date_axis.h"
 #include "io/market_sim.h"

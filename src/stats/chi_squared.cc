@@ -68,5 +68,13 @@ double ChiSquaredDistribution::CriticalValue(double alpha) const {
   return 0.5 * (lo + hi);
 }
 
+double ResolveX2Cutoff(double alpha0, double alpha_p, int dof) {
+  if (alpha_p >= 0.0) {
+    return ChiSquaredDistribution(dof).CriticalValue(alpha_p);
+  }
+  if (alpha0 >= 0.0) return alpha0;
+  return -std::numeric_limits<double>::infinity();
+}
+
 }  // namespace stats
 }  // namespace sigsub

@@ -45,6 +45,13 @@ class ChiSquaredDistribution {
   int dof_;
 };
 
+/// The one alpha → X² cutoff rule of every query surface: a per-substring
+/// p-value `alpha_p` converts through the χ²(dof) critical value and wins
+/// over a raw X² cutoff `alpha0`. Negative values mean unset; with neither
+/// set the cutoff is −∞ (every candidate qualifies). Requires alpha_p < 0
+/// or alpha_p in (0, 1].
+double ResolveX2Cutoff(double alpha0, double alpha_p, int dof);
+
 }  // namespace stats
 }  // namespace sigsub
 

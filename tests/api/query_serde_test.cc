@@ -162,13 +162,12 @@ TEST(QuerySerdeTest, MalformedInputsAreNamedErrors) {
 }
 
 TEST(QuerySerdeTest, DistinctCanonicalFormsGetDistinctFingerprints) {
-  // Pins the JobParams→canonical-bytes migration: every pair of distinct
-  // canonical keys must land on distinct cache fingerprints (64-bit
+  // Every pair of distinct canonical keys must land on distinct cache
+  // fingerprints (64-bit
   // FNV-1a collisions across a small set would indicate a hashing bug,
   // not bad luck).
   std::vector<QuerySpec> specs = RepresentativeSpecs();
-  // Parameter tweaks that historically shared a fingerprint under the
-  // flat JobParams hashing when the kind ignored them.
+  // Parameter tweaks that differ only in which cutoff field is set.
   {
     QuerySpec a;
     a.request = ThresholdQuery{5.0, -1.0, std::numeric_limits<int64_t>::max()};

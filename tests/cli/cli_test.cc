@@ -55,8 +55,8 @@ TEST(ParseArgsTest, ParsesBatchFlags) {
 }
 
 TEST(ParseArgsTest, RejectsFlagInvalidForCommand) {
-  // --threads is consumed by mss and batch only; every other command must
-  // reject it loudly instead of silently ignoring it.
+  // --threads is consumed by mss, batch, query and serve only; every
+  // other command must reject it loudly instead of silently ignoring it.
   auto status = ParseArgs({"topt", "--string=0110", "--threads=2"}).status();
   ASSERT_TRUE(status.IsInvalidArgument());
   EXPECT_NE(status.message().find("--threads"), std::string::npos);
@@ -159,6 +159,24 @@ TEST(ParseArgsTest, RejectsOverflowingAndGarbageDoubles) {
                   .IsInvalidArgument());
   // A denormal underflow is a faithful rounding, not an error.
   EXPECT_TRUE(ParseArgs({"threshold", "--string=01", "--alpha0=1e-320"}).ok());
+}
+
+TEST(ParseArgsTest, PValueOutsideUnitIntervalIsANamedError) {
+  // --pvalue is range-checked like --alpha-p: out-of-range values once
+  // reached the χ² critical-value bisection and aborted the process, and
+  // --pvalue=0 was misreported as a missing cutoff.
+  const std::vector<std::vector<std::string>> cases = {
+      {"threshold", "--string=0110101", "--pvalue=2"},
+      {"threshold", "--string=0110101", "--pvalue=1.5"},
+      {"threshold", "--string=0110101", "--pvalue=0"},
+      {"batch", "--input=x", "--job=threshold", "--pvalue=2"}};
+  for (const std::vector<std::string>& args : cases) {
+    auto status = ParseArgs(args).status();
+    ASSERT_TRUE(status.IsInvalidArgument()) << args.back();
+    EXPECT_NE(status.message().find("--pvalue must be in (0, 1), got "),
+              std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(ParseArgsTest, ParsesShardMin) {
@@ -290,6 +308,21 @@ TEST(RunTest, ThresholdFromPValue) {
   auto report = cli::Run(options.value());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("alpha0"), std::string::npos);
+}
+
+TEST(RunTest, ThresholdRejectsNonFiniteAlpha0) {
+  // The threshold command runs through the engine, whose validation names
+  // the field (a NaN cutoff would otherwise match nothing silently).
+  auto nan = cli::Run(
+      ParseArgs({"threshold", "--string=0110101", "--alpha0=nan"}).value());
+  ASSERT_TRUE(nan.status().IsInvalidArgument());
+  EXPECT_NE(nan.status().message().find("must not be NaN"), std::string::npos)
+      << nan.status().message();
+  auto inf = cli::Run(
+      ParseArgs({"threshold", "--string=0110101", "--alpha0=inf"}).value());
+  ASSERT_TRUE(inf.status().IsInvalidArgument());
+  EXPECT_NE(inf.status().message().find("must be finite"), std::string::npos)
+      << inf.status().message();
 }
 
 TEST(RunTest, ThresholdRequiresAlphaOrPValue) {

@@ -1,4 +1,4 @@
-#include "engine/thread_pool.h"
+#include "common/thread_pool.h"
 
 #include <atomic>
 #include <cstdint>
@@ -8,7 +8,6 @@
 #include "gtest/gtest.h"
 
 namespace sigsub {
-namespace engine {
 namespace {
 
 TEST(ThreadPoolTest, RunsEveryTask) {
@@ -108,5 +107,4 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
 }
 
 }  // namespace
-}  // namespace engine
 }  // namespace sigsub

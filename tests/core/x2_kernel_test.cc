@@ -270,14 +270,8 @@ TEST(X2DispatchTest, ContextResolvesDispatchAtBuildTime) {
   EXPECT_EQ(simd.x2_simd_active(), SimdAvailable());
   ChiSquareContext auto_small(seq::MultinomialModel::Uniform(2));
   EXPECT_FALSE(auto_small.x2_simd_active());  // k < 4 stays scalar.
-
-  // The process default governs kAuto contexts; restore it afterwards.
-  SetDefaultX2Dispatch(X2Dispatch::kScalar);
-  ChiSquareContext pinned(seq::MultinomialModel::Uniform(8));
-  EXPECT_FALSE(pinned.x2_simd_active());
-  SetDefaultX2Dispatch(X2Dispatch::kAuto);
-  ChiSquareContext unpinned(seq::MultinomialModel::Uniform(8));
-  EXPECT_EQ(unpinned.x2_simd_active(), SimdAvailable());
+  ChiSquareContext auto_large(seq::MultinomialModel::Uniform(8));
+  EXPECT_EQ(auto_large.x2_simd_active(), SimdAvailable());
 }
 
 }  // namespace

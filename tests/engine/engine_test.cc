@@ -47,120 +47,55 @@ Corpus MakeCorpus() {
   return std::move(corpus).value();
 }
 
-std::vector<JobSpec> MakeMixedJobs(const Corpus& corpus) {
-  std::vector<JobSpec> jobs;
+/// One query per record of `request`, under the uniform model.
+std::vector<api::QuerySpec> PerRecord(const Corpus& corpus,
+                                      const api::QueryRequest& request) {
+  std::vector<api::QuerySpec> queries(static_cast<size_t>(corpus.size()));
   for (int64_t i = 0; i < corpus.size(); ++i) {
-    for (JobKind kind :
-         {JobKind::kMss, JobKind::kTopT, JobKind::kTopDisjoint,
-          JobKind::kThreshold, JobKind::kMinLength}) {
-      JobSpec spec;
-      spec.kind = kind;
-      spec.sequence_index = i;
-      spec.params.t = 4;
-      spec.params.min_length = 10;
-      spec.params.alpha0 = 8.0;
-      jobs.push_back(spec);
-    }
+    queries[static_cast<size_t>(i)].sequence_index = i;
+    queries[static_cast<size_t>(i)].request = request;
   }
-  return jobs;
+  return queries;
 }
 
-TEST(EngineTest, MatchesDirectKernelCallsForAllKinds) {
-  Corpus corpus = MakeCorpus();
-  Engine engine({.num_threads = 2, .cache_capacity = 0});
-  std::vector<JobSpec> jobs = MakeMixedJobs(corpus);
-  ASSERT_OK_AND_ASSIGN(std::vector<JobResult> results,
-                       engine.ExecuteBatch(corpus, jobs));
-  ASSERT_EQ(results.size(), jobs.size());
-
-  seq::MultinomialModel model = seq::MultinomialModel::Uniform(2);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const JobSpec& spec = jobs[i];
-    const JobResult& result = results[i];
-    EXPECT_EQ(result.job_index, static_cast<int64_t>(i));
-    EXPECT_EQ(result.sequence_index, spec.sequence_index);
-    EXPECT_FALSE(result.cache_hit);
-    const seq::Sequence& sequence = corpus.sequence(spec.sequence_index);
-    switch (spec.kind) {
-      case JobKind::kMss: {
-        ASSERT_OK_AND_ASSIGN(core::MssResult direct,
-                             core::FindMss(sequence, model));
-        // Bit-identical, not merely close: same kernel, same order.
-        EXPECT_EQ(result.best.chi_square, direct.best.chi_square);
-        EXPECT_EQ(result.best.start, direct.best.start);
-        EXPECT_EQ(result.best.end, direct.best.end);
-        EXPECT_EQ(result.stats.positions_examined,
-                  direct.stats.positions_examined);
-        break;
-      }
-      case JobKind::kTopT: {
-        ASSERT_OK_AND_ASSIGN(core::TopTResult direct,
-                             core::FindTopT(sequence, model, spec.params.t));
-        ASSERT_EQ(result.substrings.size(), direct.top.size());
-        for (size_t r = 0; r < direct.top.size(); ++r) {
-          EXPECT_EQ(result.substrings[r].chi_square,
-                    direct.top[r].chi_square);
-          EXPECT_EQ(result.substrings[r].start, direct.top[r].start);
-          EXPECT_EQ(result.substrings[r].end, direct.top[r].end);
-        }
-        break;
-      }
-      case JobKind::kTopDisjoint: {
-        core::TopDisjointOptions options;
-        options.t = spec.params.t;
-        options.min_length = spec.params.min_length;
-        ASSERT_OK_AND_ASSIGN(
-            std::vector<core::Substring> direct,
-            core::FindTopDisjoint(sequence, model, options));
-        ASSERT_EQ(result.substrings.size(), direct.size());
-        for (size_t r = 0; r < direct.size(); ++r) {
-          EXPECT_EQ(result.substrings[r].chi_square, direct[r].chi_square);
-        }
-        break;
-      }
-      case JobKind::kThreshold: {
-        ASSERT_OK_AND_ASSIGN(
-            core::ThresholdResult direct,
-            core::FindAboveThreshold(sequence, model, spec.params.alpha0));
-        EXPECT_EQ(result.match_count, direct.match_count);
-        if (direct.match_count > 0) {
-          EXPECT_EQ(result.best.chi_square, direct.best.chi_square);
-        }
-        break;
-      }
-      case JobKind::kMinLength: {
-        ASSERT_OK_AND_ASSIGN(
-            core::MssResult direct,
-            core::FindMssMinLength(sequence, model, spec.params.min_length));
-        EXPECT_EQ(result.best.chi_square, direct.best.chi_square);
-        EXPECT_GE(result.best.length(), spec.params.min_length);
-        break;
-      }
+/// The paper's problems (plus disjoint top-t) on every record.
+std::vector<api::QuerySpec> MakeMixedQueries(const Corpus& corpus) {
+  std::vector<api::QuerySpec> queries;
+  for (const api::QueryRequest& request :
+       {api::QueryRequest{api::MssQuery{}},
+        api::QueryRequest{api::TopTQuery{4}},
+        api::QueryRequest{api::TopDisjointQuery{4, 10, 0.0}},
+        api::QueryRequest{api::ThresholdQuery{8.0, -1.0, 1000}},
+        api::QueryRequest{api::MinLengthQuery{10}}}) {
+    for (api::QuerySpec& spec : PerRecord(corpus, request)) {
+      queries.push_back(std::move(spec));
     }
   }
+  return queries;
 }
 
 TEST(EngineTest, DeterministicAcrossThreadCounts) {
   Corpus corpus = MakeCorpus();
-  std::vector<JobSpec> jobs = MakeMixedJobs(corpus);
+  std::vector<api::QuerySpec> queries = MakeMixedQueries(corpus);
   Engine one({.num_threads = 1, .cache_capacity = 0});
   Engine four({.num_threads = 4, .cache_capacity = 0});
-  ASSERT_OK_AND_ASSIGN(std::vector<JobResult> serial,
-                       one.ExecuteBatch(corpus, jobs));
-  ASSERT_OK_AND_ASSIGN(std::vector<JobResult> parallel,
-                       four.ExecuteBatch(corpus, jobs));
+  ASSERT_OK_AND_ASSIGN(std::vector<api::QueryResult> serial,
+                       one.ExecuteQueries(corpus, queries));
+  ASSERT_OK_AND_ASSIGN(std::vector<api::QueryResult> parallel,
+                       four.ExecuteQueries(corpus, queries));
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].substrings.size(), parallel[i].substrings.size());
-    for (size_t r = 0; r < serial[i].substrings.size(); ++r) {
-      // Bit-identical X², starts and ends: parallelism is across jobs,
+    std::span<const core::Substring> a = serial[i].substrings();
+    std::span<const core::Substring> b = parallel[i].substrings();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t r = 0; r < a.size(); ++r) {
+      // Bit-identical X², starts and ends: parallelism is across queries,
       // never inside a kernel.
-      EXPECT_EQ(serial[i].substrings[r].chi_square,
-                parallel[i].substrings[r].chi_square);
-      EXPECT_EQ(serial[i].substrings[r].start, parallel[i].substrings[r].start);
-      EXPECT_EQ(serial[i].substrings[r].end, parallel[i].substrings[r].end);
+      EXPECT_EQ(a[r].chi_square, b[r].chi_square);
+      EXPECT_EQ(a[r].start, b[r].start);
+      EXPECT_EQ(a[r].end, b[r].end);
     }
-    EXPECT_EQ(serial[i].match_count, parallel[i].match_count);
+    EXPECT_EQ(serial[i].match_count(), parallel[i].match_count());
   }
 }
 
@@ -185,14 +120,13 @@ TEST(EngineTest, InRecordShardingIsBitIdenticalAcrossThreadCounts) {
                    .cache_capacity = 0,
                    .shard_min_sequence = 512});
     ASSERT_OK_AND_ASSIGN(auto results,
-                         engine.ExecuteUniform(*corpus, JobKind::kMss));
+                         engine.ExecuteQueries(*corpus, {api::QuerySpec{}}));
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].best.chi_square, direct.best.chi_square)
+    EXPECT_EQ(results[0].best().chi_square, direct.best.chi_square)
         << "threads=" << threads;
-    ASSERT_EQ(results[0].substrings.size(), 1u);
-    EXPECT_EQ(results[0].substrings[0].chi_square, direct.best.chi_square);
+    ASSERT_EQ(results[0].substrings().size(), 1u);
     // The sharded scan still covers every start position exactly once.
-    EXPECT_EQ(results[0].stats.start_positions, 6000);
+    EXPECT_EQ(results[0].stats().start_positions, 6000);
   }
 }
 
@@ -204,42 +138,44 @@ TEST(EngineTest, ShardingThresholdZeroDisables) {
   Engine plain({.num_threads = 4,
                 .cache_capacity = 0,
                 .shard_min_sequence = 0});
-  ASSERT_OK_AND_ASSIGN(auto a, sharded.ExecuteUniform(corpus, JobKind::kMss));
-  ASSERT_OK_AND_ASSIGN(auto b, plain.ExecuteUniform(corpus, JobKind::kMss));
+  const std::vector<api::QuerySpec> queries =
+      PerRecord(corpus, api::MssQuery{});
+  ASSERT_OK_AND_ASSIGN(auto a, sharded.ExecuteQueries(corpus, queries));
+  ASSERT_OK_AND_ASSIGN(auto b, plain.ExecuteQueries(corpus, queries));
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].best.chi_square, b[i].best.chi_square) << i;
+    EXPECT_EQ(a[i].best().chi_square, b[i].best().chi_square) << i;
   }
 }
 
 TEST(EngineTest, CacheHitsOnRepeatedBatch) {
   Corpus corpus = MakeCorpus();
   Engine engine({.num_threads = 2, .cache_capacity = 256});
-  std::vector<JobSpec> jobs = MakeMixedJobs(corpus);
+  std::vector<api::QuerySpec> queries = MakeMixedQueries(corpus);
 
-  ASSERT_OK_AND_ASSIGN(std::vector<JobResult> cold,
-                       engine.ExecuteBatch(corpus, jobs));
+  ASSERT_OK_AND_ASSIGN(std::vector<api::QueryResult> cold,
+                       engine.ExecuteQueries(corpus, queries));
   CacheStats after_cold = engine.cache_stats();
   EXPECT_EQ(after_cold.hits, 0);
-  EXPECT_EQ(after_cold.misses, static_cast<int64_t>(jobs.size()));
-  EXPECT_EQ(after_cold.insertions, static_cast<int64_t>(jobs.size()));
+  EXPECT_EQ(after_cold.misses, static_cast<int64_t>(queries.size()));
+  EXPECT_EQ(after_cold.insertions, static_cast<int64_t>(queries.size()));
 
-  ASSERT_OK_AND_ASSIGN(std::vector<JobResult> warm,
-                       engine.ExecuteBatch(corpus, jobs));
+  ASSERT_OK_AND_ASSIGN(std::vector<api::QueryResult> warm,
+                       engine.ExecuteQueries(corpus, queries));
   CacheStats after_warm = engine.cache_stats();
-  EXPECT_EQ(after_warm.hits, static_cast<int64_t>(jobs.size()));
-  EXPECT_EQ(after_warm.misses, static_cast<int64_t>(jobs.size()));
+  EXPECT_EQ(after_warm.hits, static_cast<int64_t>(queries.size()));
+  EXPECT_EQ(after_warm.misses, static_cast<int64_t>(queries.size()));
 
-  for (size_t i = 0; i < jobs.size(); ++i) {
+  for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_FALSE(cold[i].cache_hit);
     EXPECT_TRUE(warm[i].cache_hit);
-    ASSERT_EQ(warm[i].substrings.size(), cold[i].substrings.size());
-    for (size_t r = 0; r < cold[i].substrings.size(); ++r) {
-      EXPECT_EQ(warm[i].substrings[r].chi_square,
-                cold[i].substrings[r].chi_square);
+    ASSERT_EQ(warm[i].substrings().size(), cold[i].substrings().size());
+    for (size_t r = 0; r < cold[i].substrings().size(); ++r) {
+      EXPECT_EQ(warm[i].substrings()[r].chi_square,
+                cold[i].substrings()[r].chi_square);
     }
     // Cache hits never rescan.
-    EXPECT_EQ(warm[i].stats.positions_examined, 0);
+    EXPECT_EQ(warm[i].stats().positions_examined, 0);
   }
 }
 
@@ -247,151 +183,86 @@ TEST(EngineTest, CacheDistinguishesParamsAndModels) {
   Corpus corpus = MakeCorpus();
   Engine engine({.num_threads = 1, .cache_capacity = 64});
 
-  JobSpec topt3{JobKind::kTopT, 0, {}, {.t = 3}};
-  JobSpec topt5{JobKind::kTopT, 0, {}, {.t = 5}};
-  JobSpec skewed = topt3;
-  skewed.probs = {0.8, 0.2};
+  api::QuerySpec topt3;
+  topt3.request = api::TopTQuery{3};
+  api::QuerySpec topt5;
+  topt5.request = api::TopTQuery{5};
+  api::QuerySpec skewed = topt3;
+  skewed.model = api::ModelSpec::Multinomial({0.8, 0.2});
   ASSERT_OK_AND_ASSIGN(auto first,
-                       engine.ExecuteBatch(corpus, {topt3, topt5, skewed}));
+                       engine.ExecuteQueries(corpus, {topt3, topt5, skewed}));
   EXPECT_EQ(engine.cache_stats().misses, 3);  // All distinct cache keys.
   ASSERT_OK_AND_ASSIGN(auto second,
-                       engine.ExecuteBatch(corpus, {topt3, topt5, skewed}));
+                       engine.ExecuteQueries(corpus, {topt3, topt5, skewed}));
   EXPECT_EQ(engine.cache_stats().hits, 3);
-  EXPECT_EQ(first[0].substrings.size(), 3u);
-  EXPECT_EQ(first[1].substrings.size(), 5u);
-}
-
-TEST(EngineTest, IrrelevantParamsShareCacheEntries) {
-  // Two MSS jobs differing only in `t` describe the same computation:
-  // the typed lowering drops irrelevant params structurally, so the
-  // canonical-bytes fingerprints coincide.
-  JobSpec mss3{JobKind::kMss, 0, {}, {.t = 3}};
-  JobSpec mss99{JobKind::kMss, 0, {}, {.t = 99}};
-  EXPECT_EQ(ToQuerySpec(mss3), ToQuerySpec(mss99));
-  EXPECT_EQ(api::FingerprintQuery(ToQuerySpec(mss3)),
-            api::FingerprintQuery(ToQuerySpec(mss99)));
-  JobSpec topt3 = mss3;
-  topt3.kind = JobKind::kTopT;
-  JobSpec topt99 = mss99;
-  topt99.kind = JobKind::kTopT;
-  EXPECT_NE(api::FingerprintQuery(ToQuerySpec(topt3)),
-            api::FingerprintQuery(ToQuerySpec(topt99)));
-  JobSpec minlen3 = mss3;
-  minlen3.kind = JobKind::kMinLength;
-  EXPECT_NE(api::FingerprintQuery(ToQuerySpec(mss3)),
-            api::FingerprintQuery(ToQuerySpec(minlen3)));
-  // The record index is deliberately NOT part of the query fingerprint —
-  // content identity comes from the sequence fingerprint.
-  JobSpec other_record = mss3;
-  other_record.sequence_index = 5;
-  EXPECT_EQ(api::FingerprintQuery(ToQuerySpec(mss3)),
-            api::FingerprintQuery(ToQuerySpec(other_record)));
+  EXPECT_EQ(first[0].substrings().size(), 3u);
+  EXPECT_EQ(first[1].substrings().size(), 5u);
 }
 
 TEST(EngineTest, ValidatesSpecs) {
   Corpus corpus = MakeCorpus();
   Engine engine;
-  {
-    JobSpec spec;
-    spec.sequence_index = corpus.size();  // Out of range.
-    auto result = engine.ExecuteBatch(corpus, {spec});
-    ASSERT_TRUE(result.status().IsInvalidArgument());
-    EXPECT_NE(result.status().message().find("job 0"), std::string::npos);
-  }
-  {
-    JobSpec spec;
-    spec.probs = {0.2, 0.3, 0.5};  // Wrong arity for a binary corpus.
-    EXPECT_TRUE(
-        engine.ExecuteBatch(corpus, {spec}).status().IsInvalidArgument());
-  }
-  {
-    JobSpec spec;
-    spec.probs = {0.9, 0.3};  // Does not sum to 1.
-    EXPECT_TRUE(
-        engine.ExecuteBatch(corpus, {spec}).status().IsInvalidArgument());
-  }
-  {
-    JobSpec spec;
-    spec.kind = JobKind::kTopT;
-    spec.params.t = 0;
-    EXPECT_TRUE(
-        engine.ExecuteBatch(corpus, {spec}).status().IsInvalidArgument());
-  }
-  {
-    JobSpec spec;
-    spec.kind = JobKind::kThreshold;
-    spec.params.alpha0 = -1.0;
-    EXPECT_TRUE(
-        engine.ExecuteBatch(corpus, {spec}).status().IsInvalidArgument());
-  }
-  {
-    JobSpec spec;
-    spec.kind = JobKind::kMinLength;
-    spec.params.min_length = 0;
-    EXPECT_TRUE(
-        engine.ExecuteBatch(corpus, {spec}).status().IsInvalidArgument());
-  }
+  auto rejected = [&](api::ModelSpec model, api::QueryRequest request) {
+    api::QuerySpec spec;
+    spec.model = std::move(model);
+    spec.request = std::move(request);
+    return engine.ExecuteQueries(corpus, {spec}).status().IsInvalidArgument();
+  };
+  // Wrong arity for a binary corpus; a vector that does not sum to 1.
+  EXPECT_TRUE(rejected(api::ModelSpec::Multinomial({0.2, 0.3, 0.5}),
+                       api::MssQuery{}));
+  EXPECT_TRUE(
+      rejected(api::ModelSpec::Multinomial({0.9, 0.3}), api::MssQuery{}));
+  EXPECT_TRUE(rejected(api::ModelSpec::Uniform(), api::TopTQuery{0}));
+  EXPECT_TRUE(rejected(api::ModelSpec::Uniform(), api::MinLengthQuery{0}));
 }
 
-TEST(EngineTest, DuplicateJobsRunTheirKernelOnce) {
+TEST(EngineTest, DuplicateQueriesRunTheirKernelOnce) {
   // Two records with identical content share a fingerprint, so the same
-  // uniform job on both is one distinct computation.
+  // uniform query on both is one distinct computation.
   auto corpus = Corpus::FromStrings({"01100111101", "01100111101"});
   ASSERT_TRUE(corpus.ok());
   Engine engine({.num_threads = 2, .cache_capacity = 16});
-  ASSERT_OK_AND_ASSIGN(auto results,
-                       engine.ExecuteUniform(*corpus, JobKind::kMss));
+  ASSERT_OK_AND_ASSIGN(
+      auto results,
+      engine.ExecuteQueries(*corpus, PerRecord(*corpus, api::MssQuery{})));
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].best.chi_square, results[1].best.chi_square);
+  EXPECT_EQ(results[0].best().chi_square, results[1].best().chi_square);
   // Exactly one ran the kernel; its twin was served by that run.
   EXPECT_EQ((results[0].cache_hit ? 1 : 0) + (results[1].cache_hit ? 1 : 0),
             1);
-  int64_t examined = results[0].stats.positions_examined +
-                     results[1].stats.positions_examined;
+  int64_t examined = results[0].stats().positions_examined +
+                     results[1].stats().positions_examined;
   EXPECT_GT(examined, 0);
-  EXPECT_EQ(results[0].cache_hit ? results[0].stats.positions_examined
-                                 : results[1].stats.positions_examined,
+  EXPECT_EQ(results[0].cache_hit ? results[0].stats().positions_examined
+                                 : results[1].stats().positions_examined,
             0);
 }
 
 TEST(EngineTest, EmptyBatchIsFine) {
   Corpus corpus = MakeCorpus();
   Engine engine;
-  ASSERT_OK_AND_ASSIGN(auto results, engine.ExecuteBatch(corpus, {}));
+  ASSERT_OK_AND_ASSIGN(auto results, engine.ExecuteQueries(corpus, {}));
   EXPECT_TRUE(results.empty());
 }
 
-TEST(EngineTest, ExecuteUniformCoversEveryRecord) {
-  Corpus corpus = MakeCorpus();
-  Engine engine({.num_threads = 3, .cache_capacity = 16});
-  ASSERT_OK_AND_ASSIGN(auto results,
-                       engine.ExecuteUniform(corpus, JobKind::kMss));
-  ASSERT_EQ(results.size(), static_cast<size_t>(corpus.size()));
-  for (int64_t i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ(results[static_cast<size_t>(i)].sequence_index, i);
-    // Every record has a planted run of 25 ones; the MSS must score high.
-    EXPECT_GT(results[static_cast<size_t>(i)].best.chi_square, 15.0);
-  }
-}
-
-TEST(EngineTest, ThresholdJobWithNoMatchesCarriesEmptyBest) {
+TEST(EngineTest, ThresholdQueryWithNoMatchesCarriesEmptyBest) {
   // scan_types.h: ThresholdResult::best is valid iff match_count > 0.
-  // The engine's payload for a matchless threshold job must carry the
+  // The engine's payload for a matchless threshold query must carry the
   // explicit empty shape (count 0, no substrings, zero-length best) that
   // formatting consumers key off — not a stale or garbage substring.
   auto corpus = Corpus::FromStrings({"0101"}, "01");
   ASSERT_TRUE(corpus.ok());
   Engine engine({.num_threads = 1, .cache_capacity = 4});
-  JobParams params;
-  params.alpha0 = 50.0;  // Far above anything a 4-symbol record reaches.
-  ASSERT_OK_AND_ASSIGN(
-      auto results,
-      engine.ExecuteUniform(*corpus, JobKind::kThreshold, params));
+  api::QuerySpec spec;
+  // Far above anything a 4-symbol record reaches.
+  spec.request = api::ThresholdQuery{50.0, -1.0, 1000};
+  ASSERT_OK_AND_ASSIGN(auto results, engine.ExecuteQueries(*corpus, {spec}));
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].match_count, 0);
-  EXPECT_TRUE(results[0].substrings.empty());
-  EXPECT_EQ(results[0].best.length(), 0);
-  EXPECT_EQ(results[0].best.chi_square, 0.0);
+  EXPECT_EQ(results[0].match_count(), 0);
+  EXPECT_TRUE(results[0].substrings().empty());
+  EXPECT_EQ(results[0].best().length(), 0);
+  EXPECT_EQ(results[0].best().chi_square, 0.0);
 }
 
 /// One QuerySpec of every kind with non-default parameters.
@@ -849,8 +720,7 @@ TEST(QueryEngineTest, MappedCorpusMatchesTextLoaderAndRejectsWalkers) {
 
 TEST(QueryEngineTest, CacheKeysOnCanonicalBytes) {
   // Two specs with distinct canonical forms are distinct computations;
-  // the same spec resubmitted (even via a different JobSpec spelling) is
-  // a hit.
+  // the same spec resubmitted is a hit.
   Corpus corpus = MakeCorpus();
   Engine engine({.num_threads = 1, .cache_capacity = 64});
   std::vector<api::QuerySpec> queries = MakeAllKindQueries(0);

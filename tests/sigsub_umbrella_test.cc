@@ -64,10 +64,9 @@ TEST(UmbrellaTest, EverySubsystemIsReachable) {
   EXPECT_EQ(*parsed, spec);
   EXPECT_EQ(api::FingerprintQuery(spec), api::FingerprintQuery(*parsed));
 
-  // engine/ — corpus, engine, jobs, cache, streams.
+  // engine/ — corpus, engine, cache, streams.
   auto corpus = engine::Corpus::FromStrings({"0101011111", "0000011111"});
   ASSERT_TRUE(corpus.ok());
-  EXPECT_EQ(engine::JobKindToString(engine::JobKind::kMss), "mss");
   engine::Engine engine({.num_threads = 1, .cache_capacity = 4});
   auto results = engine.ExecuteQueries(*corpus, {spec});
   ASSERT_TRUE(results.ok());
