@@ -178,8 +178,8 @@ using QueryRequest =
                  MinLengthQuery, LengthBoundedQuery, ArlmQuery, AgmmQuery,
                  BlockedQuery, SubstringsQuery>;
 
-/// One unit of work: run `request` against corpus record `sequence_index`
-/// under `model`. This is the engine's unit of work.
+/// One unit of work for the engine: run `request` against corpus record
+/// `sequence_index` under `model`.
 struct QuerySpec {
   int64_t sequence_index = 0;
   ModelSpec model;

@@ -715,7 +715,7 @@ Result<std::string> RunServe(const CliOptions& options) {
   server::ServerOptions server_options;
   server_options.host = options.host;
   server_options.port = static_cast<int>(options.port);
-  server_options.engine_threads = options.threads;
+  server_options.engine_threads = static_cast<int>(options.threads);
   server_options.cache_capacity = static_cast<size_t>(options.cache);
   server_options.shard_min_sequence = options.shard_min;
   server_options.x2_dispatch = options.x2_dispatch;
@@ -870,6 +870,8 @@ Result<std::string> RunRecord(const CliOptions& options) {
                                                       options.alphabet));
   const seq::Sequence& sequence = corpus.sequence(0);
   const int k = corpus.alphabet().size();
+  // The model is validated here, ahead of the engine, so every
+  // single-record command (score included) reports it in one wording.
   std::vector<double> probs = options.probs;
   if (probs.empty()) probs.assign(static_cast<size_t>(k), 1.0 / k);
   SIGSUB_ASSIGN_OR_RETURN(seq::MultinomialModel model,
@@ -901,6 +903,7 @@ Result<std::string> RunRecord(const CliOptions& options) {
                                           sequence.size(), "], got ",
                                           options.min_length));
   }
+  // The single-record commands are named after their query kinds.
   SIGSUB_ASSIGN_OR_RETURN(
       api::QueryKind kind,
       ParseJob(options.command == "topt" && options.disjoint

@@ -163,9 +163,8 @@ TEST(QuerySerdeTest, MalformedInputsAreNamedErrors) {
 
 TEST(QuerySerdeTest, DistinctCanonicalFormsGetDistinctFingerprints) {
   // Every pair of distinct canonical keys must land on distinct cache
-  // fingerprints (64-bit
-  // FNV-1a collisions across a small set would indicate a hashing bug,
-  // not bad luck).
+  // fingerprints (64-bit FNV-1a collisions across a small set would
+  // indicate a hashing bug, not bad luck).
   std::vector<QuerySpec> specs = RepresentativeSpecs();
   // Parameter tweaks that differ only in which cutoff field is set.
   {
