@@ -184,16 +184,20 @@ void SaIs(const CharT* s, int32_t* sa, int64_t n, int64_t k,
 
 /// Copies the record into a sentinel-terminated working array (symbols
 /// shifted by +1 so 0 is the unique smallest sentinel), runs SA-IS, and
-/// drops the sentinel's rank-0 entry.
+/// drops the sentinel's rank-0 entry. The copy doubles as the alphabet
+/// check: at the first symbol >= k it stops and returns that position
+/// (nothing is built); otherwise it returns -1.
 template <typename CharT, typename SymAt>
-void BuildSuffixArray(SymAt sym_at, int64_t n, int64_t k,
-                      std::vector<int32_t>* sa, MemTracker* mem) {
+int64_t BuildSuffixArray(SymAt sym_at, int64_t n, int64_t k,
+                         std::vector<int32_t>* sa, MemTracker* mem) {
+  // Zero-filled, so work[n] is already the sentinel.
   std::vector<CharT> work(static_cast<size_t>(n) + 1);
-  mem->Add((n + 1) * static_cast<int64_t>(sizeof(CharT)));
   for (int64_t i = 0; i < n; ++i) {
-    work[i] = static_cast<CharT>(sym_at(i) + 1);
+    const int64_t symbol = sym_at(i);
+    if (symbol >= k) return i;
+    work[i] = static_cast<CharT>(symbol + 1);
   }
-  work[n] = 0;
+  mem->Add((n + 1) * static_cast<int64_t>(sizeof(CharT)));
   std::vector<int32_t> full(static_cast<size_t>(n) + 1);
   mem->Add((n + 1) * 4);
   SaIs<CharT>(work.data(), full.data(), n + 1, k + 1, mem);
@@ -201,6 +205,7 @@ void BuildSuffixArray(SymAt sym_at, int64_t n, int64_t k,
   sa->assign(full.begin() + 1, full.end());
   mem->Sub((n + 1) * static_cast<int64_t>(sizeof(CharT)));
   mem->Sub((n + 1) * 4);
+  return -1;
 }
 
 }  // namespace
@@ -248,42 +253,50 @@ Status SuffixScan::BuildIndex() {
         StrCat("record of ", n_, " symbols exceeds the 32-bit suffix index ",
                "limit of ", kMaxRecord));
   }
-  for (int64_t i = 0; i < n_; ++i) {
-    if (Sym(i) >= k_) {
-      return Status::InvalidArgument(
-          StrCat("byte value ", static_cast<int>(data_[i]), " at position ",
-                 i, " is outside the ", k_, "-symbol alphabet"));
-    }
-  }
   if (n_ == 0) return Status::OK();
 
   MemTracker mem;
   auto sym_at = [this](int64_t i) { return static_cast<int64_t>(Sym(i)); };
-  if (k_ + 1 <= 256) {
-    BuildSuffixArray<uint8_t>(sym_at, n_, k_, &sa_, &mem);
-  } else {
-    BuildSuffixArray<uint16_t>(sym_at, n_, k_, &sa_, &mem);
+  const int64_t bad =
+      k_ + 1 <= 256
+          ? BuildSuffixArray<uint8_t>(sym_at, n_, k_, &sa_, &mem)
+          : BuildSuffixArray<uint16_t>(sym_at, n_, k_, &sa_, &mem);
+  if (bad >= 0) {
+    return Status::InvalidArgument(
+        StrCat("byte value ", static_cast<int>(data_[bad]), " at position ",
+               bad, " is outside the ", k_, "-symbol alphabet"));
   }
   mem.Add(n_ * 4);  // sa_ itself.
 
-  // Kasai LCP: lcp_[r] = lcp(suffix sa_[r-1], suffix sa_[r]), lcp_[0] = 0.
-  lcp_.assign(static_cast<size_t>(n_), 0);
-  mem.Add(n_ * 4);
+  // LCP by Φ/PLCP (Kärkkäinen, Manzini & Puglisi, "Permuted Longest-Common-
+  // Prefix Array"): Φ[i] is the start of the suffix ranked just before
+  // suffix i. Walking i in text order, PLCP[i] = lcp(i, Φ[i]) overwrites
+  // Φ[i] in place, and PLCP[i+1] >= PLCP[i] − 1 keeps the walk O(n). A
+  // last pass permutes PLCP into rank order: lcp_[r] = PLCP[sa_[r]].
+  // The comparing pass reads and writes Φ in text order; the random
+  // accesses sit in the Φ and permutation passes, where they are
+  // independent of each other, which makes this faster than a rank-array
+  // (Kasai) pass once the index outgrows the cache.
   {
-    std::vector<int32_t> rank(static_cast<size_t>(n_));
+    std::vector<int32_t> plcp(static_cast<size_t>(n_));
     mem.Add(n_ * 4);
-    for (int64_t r = 0; r < n_; ++r) rank[sa_[r]] = static_cast<int32_t>(r);
+    plcp[sa_[0]] = -1;
+    for (int64_t r = 1; r < n_; ++r) plcp[sa_[r]] = sa_[r - 1];
     int64_t h = 0;
     for (int64_t i = 0; i < n_; ++i) {
-      if (rank[i] == 0) {
+      const int64_t j = plcp[i];
+      if (j < 0) {
+        plcp[i] = 0;
         h = 0;
         continue;
       }
-      int64_t j = sa_[rank[i] - 1];
       while (i + h < n_ && j + h < n_ && Sym(i + h) == Sym(j + h)) ++h;
-      lcp_[rank[i]] = static_cast<int32_t>(h);
+      plcp[i] = static_cast<int32_t>(h);
       if (h > 0) --h;
     }
+    lcp_.resize(static_cast<size_t>(n_));
+    mem.Add(n_ * 4);
+    for (int64_t r = 0; r < n_; ++r) lcp_[r] = plcp[sa_[r]];
     mem.Sub(n_ * 4);
   }
 

@@ -22,7 +22,7 @@ namespace core {
 /// reports *the significant distinct substrings themselves*, each with its
 /// occurrence count, X², and p-value.
 ///
-/// The index is a suffix array (SA-IS, O(n)) plus an LCP array (Kasai,
+/// The index is a suffix array (SA-IS, O(n)) plus an LCP array (Φ/PLCP,
 /// O(n)). A left-to-right sweep over the LCP array with an interval stack
 /// enumerates the suffix-tree nodes; each node is one *right-extension
 /// equivalence class*: the set of distinct substrings sharing the same
@@ -132,7 +132,7 @@ class SuffixScan {
   int64_t index_bytes() const { return index_bytes_; }
 
   /// High-water bytes transiently allocated while building (SA-IS
-  /// recursion workspace + the rank array of the LCP pass).
+  /// recursion workspace + the Φ/PLCP array of the LCP pass).
   int64_t peak_index_bytes() const { return peak_index_bytes_; }
 
   /// The underlying arrays, exposed for validation: suffix_array()[r] is

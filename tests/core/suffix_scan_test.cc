@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/str_util.h"
 #include "core/chi_square.h"
 #include "core/markov_scan.h"
 #include "gtest/gtest.h"
@@ -107,34 +108,105 @@ void ExpectSameResult(const seq::Sequence& s, const SuffixScanResult& got,
   }
 }
 
+/// lcp[r] = the longest common prefix of the rank-(r−1) and rank-r
+/// suffixes, by direct comparison (lcp[0] = 0).
+std::vector<int32_t> BruteLcp(const seq::Sequence& s,
+                              const std::vector<int32_t>& sa) {
+  std::vector<int32_t> lcp(sa.size(), 0);
+  for (size_t r = 1; r < sa.size(); ++r) {
+    int64_t a = sa[r - 1];
+    int64_t b = sa[r];
+    int32_t h = 0;
+    while (a + h < s.size() && b + h < s.size() && s[a + h] == s[b + h]) {
+      ++h;
+    }
+    lcp[r] = h;
+  }
+  return lcp;
+}
+
+/// `s` as a mapped record: symbol c stored as the byte 'a' + c.
+std::string MappedText(const seq::Sequence& s) {
+  std::string text;
+  for (int64_t i = 0; i < s.size(); ++i) {
+    text.push_back(static_cast<char>('a' + s[i]));
+  }
+  return text;
+}
+
+std::array<uint8_t, 256> LetterDecode(int k) {
+  std::array<uint8_t, 256> decode;
+  decode.fill(0xFF);
+  for (int c = 0; c < k; ++c) decode['a' + c] = static_cast<uint8_t>(c);
+  return decode;
+}
+
+std::span<const uint8_t> Bytes(const std::string& text) {
+  return {reinterpret_cast<const uint8_t*>(text.data()), text.size()};
+}
+
 TEST(SuffixScanIndexTest, SuffixArrayMatchesBruteForceSort) {
-  for (int k : {2, 4}) {
+  // Whole SA and LCP arrays against a brute-force sort and direct
+  // comparison, through both the decoded and the mapped build.
+  for (int k : {2, 4, 26}) {
     seq::Rng rng(1234 + static_cast<uint64_t>(k));
     std::vector<seq::Sequence> cases = AdversarialStrings(k);
-    for (int64_t n : {1, 2, 3, 7, 33, 100, 257}) {
+    for (int64_t n : {1, 2, 3, 7, 33, 100, 257, 1000}) {
       cases.push_back(seq::GenerateNull(k, n, rng));
     }
+    const std::array<uint8_t, 256> decode = LetterDecode(k);
     for (const seq::Sequence& s : cases) {
-      ASSERT_OK_AND_ASSIGN(SuffixScan scan,
+      const std::vector<int32_t> sa = BruteSuffixArray(s);
+      const std::vector<int32_t> lcp = BruteLcp(s, sa);
+      const std::string text = MappedText(s);
+      ASSERT_OK_AND_ASSIGN(SuffixScan decoded,
                            SuffixScan::Build(s.symbols(), k));
-      std::vector<int32_t> brute = BruteSuffixArray(s);
-      ASSERT_EQ(scan.suffix_array().size(), brute.size());
-      for (size_t r = 0; r < brute.size(); ++r) {
-        EXPECT_EQ(scan.suffix_array()[r], brute[r])
-            << "n=" << s.size() << " rank " << r;
-      }
-      // LCP spot check against direct comparison.
-      for (size_t r = 1; r < brute.size(); ++r) {
-        int64_t a = brute[r - 1];
-        int64_t b = brute[r];
-        int64_t h = 0;
-        while (a + h < s.size() && b + h < s.size() &&
-               s[a + h] == s[b + h]) {
-          ++h;
-        }
-        EXPECT_EQ(scan.lcp_array()[r], h) << "rank " << r;
+      ASSERT_OK_AND_ASSIGN(SuffixScan mapped,
+                           SuffixScan::BuildMapped(Bytes(text), decode, k));
+      for (const SuffixScan* scan : {&decoded, &mapped}) {
+        const std::string label = StrCat(
+            scan == &decoded ? "Build" : "BuildMapped", " k=", k, " ", text);
+        EXPECT_EQ(std::vector<int32_t>(scan->suffix_array().begin(),
+                                       scan->suffix_array().end()),
+                  sa)
+            << label;
+        EXPECT_EQ(std::vector<int32_t>(scan->lcp_array().begin(),
+                                       scan->lcp_array().end()),
+                  lcp)
+            << label;
       }
     }
+  }
+}
+
+TEST(SuffixScanIndexTest, OutOfAlphabetSymbolIsNamedByValueAndPosition) {
+  // The first bad symbol is reported, wherever it is; a second one later
+  // in the record does not change the message.
+  const std::string clean = "abcdabcdabcd";
+  const int64_t n = static_cast<int64_t>(clean.size());
+  const std::array<uint8_t, 256> decode = LetterDecode(4);
+  std::vector<uint8_t> symbols;
+  for (char c : clean) symbols.push_back(decode[static_cast<uint8_t>(c)]);
+  for (int64_t position : {int64_t{0}, n / 2, n - 1}) {
+    std::string text = clean;
+    text[position] = 'x';
+    if (position + 2 < n) text[position + 2] = 'z';
+    auto mapped = SuffixScan::BuildMapped(Bytes(text), decode, 4);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(mapped.status().message(),
+              StrCat("byte value 120 at position ", position,
+                     " is outside the 4-symbol alphabet"));
+
+    std::vector<uint8_t> bad = symbols;
+    bad[position] = 7;
+    if (position + 2 < n) bad[position + 2] = 9;
+    auto decoded = SuffixScan::Build(bad, 4);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(decoded.status().message(),
+              StrCat("byte value 7 at position ", position,
+                     " is outside the 4-symbol alphabet"));
   }
 }
 
@@ -308,21 +380,6 @@ TEST(SuffixScanMappedTest, DecodeTableMatchesDecodedBuild) {
   ASSERT_OK_AND_ASSIGN(SuffixScanResult a, mapped.Scan(context, options));
   ASSERT_OK_AND_ASSIGN(SuffixScanResult b, decoded.Scan(context, options));
   ExpectSameResult(s, a, b, "mapped vs decoded");
-}
-
-TEST(SuffixScanMappedTest, RejectsBytesOutsideTheAlphabet) {
-  const std::string text = "ACGTXACGT";
-  std::array<uint8_t, 256> decode;
-  decode.fill(0xFF);
-  decode[static_cast<uint8_t>('A')] = 0;
-  decode[static_cast<uint8_t>('C')] = 1;
-  decode[static_cast<uint8_t>('G')] = 2;
-  decode[static_cast<uint8_t>('T')] = 3;
-  std::span<const uint8_t> bytes(
-      reinterpret_cast<const uint8_t*>(text.data()), text.size());
-  auto result = SuffixScan::BuildMapped(bytes, decode, 4);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SuffixScanEdgeTest, EmptyAndTinyRecords) {
