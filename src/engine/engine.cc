@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -43,10 +44,18 @@ namespace {
 /// kernel task that needs the record builds it under `build_once`, so
 /// there is no build-all barrier before any kernel may start — records
 /// with cheap builds begin scanning while large builds are still running.
+/// The suffix index is lazy the same way (`index_once`), and the last
+/// substrings task on the record releases it.
 struct SequenceState {
   std::once_flag build_once;
   std::optional<seq::PrefixCounts> counts;
   uint64_t fingerprint = 0;
+
+  std::once_flag index_once;
+  std::shared_ptr<const core::SuffixScan> index;
+  // Substrings tasks on this record still to finish; final before the
+  // first of them is submitted.
+  std::atomic<int64_t> index_users{0};
 
   const seq::PrefixCounts& CountsFor(const Corpus& corpus, int64_t index) {
     std::call_once(build_once, [&] {
@@ -59,6 +68,22 @@ struct SequenceState {
       }
     });
     return *counts;
+  }
+
+  /// The record's suffix index, obtained through `acquire` by the first
+  /// substrings task to arrive.
+  template <typename Acquire>
+  const core::SuffixScan& IndexFor(Acquire&& acquire) {
+    std::call_once(index_once, [&] { index = acquire(); });
+    return *index;
+  }
+
+  /// Called by each substrings task once its sweep is done; the last one
+  /// drops the batch's reference (the engine may still retain the index).
+  void ReleaseIndex() {
+    if (index_users.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      index.reset();
+    }
   }
 };
 
@@ -304,13 +329,11 @@ CachedResult SubstringsCachedResult(core::SuffixScanResult result,
   return out;
 }
 
-/// Runs a substrings query: builds the suffix index over the record (the
-/// decoded symbols, or the mapped bytes through their decode table) and
-/// sweeps it with the plan's scorer. No PrefixCounts are consumed — this
-/// is the path that keeps peak memory at SA+LCP instead of 8·k bytes per
-/// position.
+/// Runs a substrings query: sweeps the record's suffix index with the
+/// plan's scorer. No PrefixCounts are consumed — this is the path that
+/// keeps peak memory at SA+LCP instead of 8·k bytes per position.
 CachedResult RunSubstringsKernel(const QueryPlan& plan,
-                                 const RecordView& view,
+                                 const core::SuffixScan& scan,
                                  core::ScanStats* stats) {
   const auto& q = std::get<api::SubstringsQuery>(plan.spec->request);
   core::SuffixScanOptions options;
@@ -321,14 +344,7 @@ CachedResult RunSubstringsKernel(const QueryPlan& plan,
   options.maximal_only = q.maximal;
   options.min_x2 = plan.min_x2;
 
-  const int k = plan.context->alphabet_size();
-  // Validation pinned every parameter and the record bytes, so the
-  // builds/scans cannot fail here.
-  core::SuffixScan scan =
-      view.sequence != nullptr
-          ? core::SuffixScan::Build(view.sequence->symbols(), k).value()
-          : core::SuffixScan::BuildMapped(view.mapped_bytes, *view.decode, k)
-                .value();
+  // Validation pinned every parameter, so the scans cannot fail here.
   if (plan.markov != nullptr) {
     core::MarkovChiSquare markov =
         core::MarkovChiSquare::Make(*plan.markov).value();
@@ -341,17 +357,14 @@ CachedResult RunSubstringsKernel(const QueryPlan& plan,
 
 /// Runs the query's kernel against prebuilt state. Pure function of its
 /// inputs — safe to call concurrently for distinct queries. `counts` is
-/// null exactly for Markov-model queries and substrings queries, whose
-/// kernels never read prefix counts (the caller skips the O(k·n) build
-/// entirely).
+/// null exactly for Markov-model queries, whose kernel never reads prefix
+/// counts (the caller skips the O(k·n) build entirely). Substrings
+/// queries run RunSubstringsKernel instead.
 CachedResult RunQueryKernel(const QueryPlan& plan, const RecordView& view,
                             const seq::PrefixCounts* counts_ptr,
                             core::ScanStats* stats) {
   const core::ChiSquareContext& context = *plan.context;
   CachedResult out;
-  if (plan.kind == api::QueryKind::kSubstrings) {
-    return RunSubstringsKernel(plan, view, stats);
-  }
   if (plan.markov != nullptr) {
     if (view.size < 2) {
       // No transition to score; the kernel contract needs >= 2 symbols.
@@ -449,7 +462,7 @@ CachedResult RunQueryKernel(const QueryPlan& plan, const RecordView& view,
       break;
     }
     case api::QueryKind::kSubstrings:
-      break;  // Handled before the switch.
+      break;  // RunSubstringsKernel.
   }
   return out;
 }
@@ -502,6 +515,49 @@ Engine::Engine(EngineOptions options)
       pool_(options.num_threads),
       shard_min_sequence_(options.shard_min_sequence),
       x2_dispatch_(options.x2_dispatch) {}
+
+void Engine::ClearCache() {
+  cache_.Clear();
+  MutexLock lock(index_mu_);
+  retained_index_ = RetainedIndex{};
+}
+
+std::shared_ptr<const core::SuffixScan> Engine::SuffixIndexFor(
+    uint64_t fingerprint, std::span<const uint8_t> bytes,
+    const std::array<uint8_t, 256>* decode, int alphabet_size) {
+  // SuffixScan::Build reads decoded symbols through the identity table.
+  RetainedIndex built;
+  built.fingerprint = fingerprint;
+  built.bytes = bytes.data();
+  if (decode != nullptr) {
+    built.decode = *decode;
+  } else {
+    for (int b = 0; b < 256; ++b) built.decode[b] = static_cast<uint8_t>(b);
+  }
+  {
+    MutexLock lock(index_mu_);
+    const RetainedIndex& kept = retained_index_;
+    if (kept.scan != nullptr && kept.fingerprint == built.fingerprint &&
+        kept.bytes == built.bytes && kept.decode == built.decode) {
+      return kept.scan;
+    }
+  }
+  // Validation pinned the record bytes, so the build cannot fail here.
+  built.scan = std::make_shared<const core::SuffixScan>(
+      decode == nullptr
+          ? core::SuffixScan::Build(bytes, alphabet_size).value()
+          : core::SuffixScan::BuildMapped(bytes, *decode, alphabet_size)
+                .value());
+  suffix_index_builds_.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const core::SuffixScan> scan = built.scan;
+  {
+    MutexLock lock(index_mu_);
+    std::swap(retained_index_, built);
+  }
+  // `built` now holds the previously retained index; it is freed here,
+  // outside the lock, unless a running batch still uses it.
+  return scan;
+}
 
 Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
     const Corpus& corpus, const std::vector<api::QuerySpec>& queries) {
@@ -665,6 +721,16 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
   std::vector<std::pair<const CacheKey*, CachedResult>> group_payloads(
       miss_groups.size());
 
+  // Count each record's substrings groups before any task starts, so the
+  // last one to finish can release the record's suffix index.
+  for (const auto& [key, query_indices] : miss_groups) {
+    const QueryPlan& plan = plans[query_indices.front()];
+    if (plan.kind == api::QueryKind::kSubstrings) {
+      states[static_cast<size_t>(plan.spec->sequence_index)]
+          ->index_users.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
   size_t group_index = 0;
   for (const auto& [key, query_indices] : miss_groups) {
     const size_t g = group_index++;
@@ -710,13 +776,26 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
     core::ScanStats* stats = &group_stats[g];
     CachedResult* payload = &group_payloads[g].second;
     group_payloads[g].first = &key;
+    if (plan.kind == api::QueryKind::kSubstrings) {
+      // No PrefixCounts: skipping the O(k·n) build IS the memory win.
+      pool_.Submit([this, plan_ptr, state, view, k, stats, payload] {
+        const core::SuffixScan& index = state->IndexFor([&] {
+          return SuffixIndexFor(state->fingerprint,
+                                view.sequence != nullptr
+                                    ? view.sequence->symbols()
+                                    : view.mapped_bytes,
+                                view.decode, k);
+        });
+        *payload = RunSubstringsKernel(*plan_ptr, index, stats);
+        state->ReleaseIndex();
+      });
+      continue;
+    }
     pool_.Submit([plan_ptr, state, corpus_ptr, seq_index, view, stats,
                   payload] {
-      // Markov and substrings kernels never read prefix counts; skip the
-      // O(k·n) build (for substrings that skip IS the memory win).
+      // The Markov kernel never reads prefix counts; skip the O(k·n) build.
       const seq::PrefixCounts* counts =
-          plan_ptr->markov == nullptr &&
-                  plan_ptr->kind != api::QueryKind::kSubstrings
+          plan_ptr->markov == nullptr
               ? &state->CountsFor(*corpus_ptr, seq_index)
               : nullptr;
       *payload = RunQueryKernel(*plan_ptr, view, counts, stats);

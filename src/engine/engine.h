@@ -1,12 +1,16 @@
 #ifndef SIGSUB_ENGINE_ENGINE_H_
 #define SIGSUB_ENGINE_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "api/query.h"
+#include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/x2_dispatch.h"
@@ -14,6 +18,10 @@
 #include "engine/result_cache.h"
 
 namespace sigsub {
+namespace core {
+class SuffixScan;
+}  // namespace core
+
 namespace engine {
 
 struct EngineOptions {
@@ -48,7 +56,15 @@ struct EngineOptions {
 ///      dominant fixed cost of a one-shot call) is built once per
 ///      distinct corpus record per batch and shared by every query on that
 ///      record, and one `core::ChiSquareContext` is shared per distinct
-///      null model. The builds themselves run on the pool.
+///      null model. The builds themselves run on the pool. Substrings
+///      queries share a record's suffix index the same way: it is built
+///      lazily by the first substrings task on the record and freed when
+///      the last one finishes. Across batches the engine retains exactly
+///      one index, the most recently built; a later batch reuses it only
+///      for a record with the same fingerprint, the same byte pointer and
+///      the same decode table, so a destroyed, moved or re-mapped corpus
+///      always rebuilds. The retained index is not part of cache
+///      identity or persisted state; ClearCache() drops it.
 ///   2. Result caching — completed queries are stored in an LRU cache
 ///      keyed by (sequence FNV-1a fingerprint, FNV-1a of the query's
 ///      canonical serialization bytes — api::FingerprintQuery), so
@@ -87,7 +103,8 @@ class Engine {
   CacheStats cache_stats() const { return cache_.stats(); }
   size_t cache_size() const { return cache_.size(); }
   size_t cache_capacity() const { return cache_.capacity(); }
-  void ClearCache() { cache_.Clear(); }
+  /// Clears the result cache and drops the retained suffix index.
+  void ClearCache();
   /// The result cache itself (thread-safe) — persist/cache_store.{h,cc}
   /// exports it on drain and imports it on restart so the warm cache
   /// survives a daemon restart.
@@ -103,14 +120,38 @@ class Engine {
   int64_t batches_executed() const {
     return batches_executed_.load(std::memory_order_relaxed);
   }
+  /// Suffix indexes built for substrings queries (retained-index hits
+  /// build none). Not part of the STATS line.
+  int64_t suffix_index_builds() const {
+    return suffix_index_builds_.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// The retained suffix index and what it was built over.
+  struct RetainedIndex {
+    uint64_t fingerprint = 0;
+    const uint8_t* bytes = nullptr;
+    std::array<uint8_t, 256> decode{};
+    std::shared_ptr<const core::SuffixScan> scan;
+  };
+
+  /// The suffix index over `bytes` — decoded symbols when `decode` is
+  /// null, raw bytes read through `*decode` otherwise: the retained index
+  /// when it was built over the same record, else a fresh build, which
+  /// then becomes the retained one. Safe to call from pool tasks.
+  std::shared_ptr<const core::SuffixScan> SuffixIndexFor(
+      uint64_t fingerprint, std::span<const uint8_t> bytes,
+      const std::array<uint8_t, 256>* decode, int alphabet_size);
+
   ResultCache cache_;
   ThreadPool pool_;
-  int64_t shard_min_sequence_;
-  core::X2Dispatch x2_dispatch_;
+  const int64_t shard_min_sequence_;
+  const core::X2Dispatch x2_dispatch_;
   std::atomic<int64_t> queries_executed_{0};
   std::atomic<int64_t> batches_executed_{0};
+  std::atomic<int64_t> suffix_index_builds_{0};
+  Mutex index_mu_;
+  RetainedIndex retained_index_ SIGSUB_GUARDED_BY(index_mu_);
   // Debug enforcement of the one-batch-at-a-time contract above: set for
   // the duration of ExecuteQueries, SIGSUB_DCHECKed against
   // reentry. Atomic (not GUARDED_BY a mutex) because the contract is

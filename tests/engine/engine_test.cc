@@ -718,6 +718,214 @@ TEST(QueryEngineTest, MappedCorpusMatchesTextLoaderAndRejectsWalkers) {
       << status.message();
 }
 
+/// Two distinct substrings queries: different cache keys, one index.
+const api::SubstringsQuery kFirstSubstrings{10, 1, 0, 2, true, -1.0, -1.0};
+const api::SubstringsQuery kSecondSubstrings{5, 3, 0, 3, true, -1.0, -1.0};
+
+api::QuerySpec SubstringsSpec(int64_t sequence_index,
+                              const api::SubstringsQuery& query) {
+  api::QuerySpec spec;
+  spec.sequence_index = sequence_index;
+  spec.request = query;
+  return spec;
+}
+
+/// The direct core scan a substrings query under the uniform model must
+/// reproduce bit for bit.
+core::SuffixScanResult DirectSubstrings(const core::SuffixScan& scan,
+                                        const api::SubstringsQuery& query) {
+  core::SuffixScanOptions options;
+  options.top_n = query.top;
+  options.min_length = query.min_length;
+  options.max_length = query.max_length;
+  options.min_count = query.min_count;
+  options.maximal_only = query.maximal;
+  core::ChiSquareContext context(
+      seq::MultinomialModel::Uniform(scan.alphabet_size()));
+  return scan.Scan(context, options).value();
+}
+
+void ExpectSamePayload(const api::QueryResult& result,
+                       const core::SuffixScanResult& direct) {
+  const auto& payload = std::get<api::SubstringsPayload>(result.payload);
+  EXPECT_EQ(payload.match_count, direct.match_count);
+  ASSERT_EQ(payload.ranked.size(), direct.classes.size());
+  for (size_t r = 0; r < direct.classes.size(); ++r) {
+    const core::SubstringClass& cls = direct.classes[r];
+    EXPECT_EQ(payload.ranked[r].start, cls.substring.start) << "row " << r;
+    EXPECT_EQ(payload.ranked[r].end, cls.substring.end) << "row " << r;
+    EXPECT_EQ(payload.ranked[r].chi_square, cls.substring.chi_square)
+        << "row " << r;
+    EXPECT_EQ(payload.counts[r], cls.count) << "row " << r;
+    EXPECT_EQ(payload.p_values[r], cls.p_value) << "row " << r;
+  }
+  EXPECT_EQ(payload.stats.positions_examined, direct.stats.candidates_scored);
+  EXPECT_EQ(payload.stats.start_positions, direct.stats.classes_enumerated);
+}
+
+TEST(EngineSuffixIndexTest, DistinctQueryInLaterBatchReusesTheIndex) {
+  Corpus corpus = MakeCorpus();
+  Engine engine({.num_threads = 1, .cache_capacity = 64});
+  ASSERT_OK_AND_ASSIGN(
+      core::SuffixScan scan,
+      core::SuffixScan::Build(corpus.sequence(2).symbols(), 2));
+
+  ASSERT_OK_AND_ASSIGN(
+      auto first,
+      engine.ExecuteQueries(corpus, {SubstringsSpec(2, kFirstSubstrings)}));
+  EXPECT_EQ(engine.suffix_index_builds(), 1);
+  ExpectSamePayload(first[0], DirectSubstrings(scan, kFirstSubstrings));
+
+  ASSERT_OK_AND_ASSIGN(
+      auto second,
+      engine.ExecuteQueries(corpus, {SubstringsSpec(2, kSecondSubstrings)}));
+  EXPECT_FALSE(second[0].cache_hit);
+  EXPECT_EQ(engine.suffix_index_builds(), 1);
+  ExpectSamePayload(second[0], DirectSubstrings(scan, kSecondSubstrings));
+
+  // Another record is another index, and it becomes the retained one.
+  ASSERT_OK(engine.ExecuteQueries(corpus, {SubstringsSpec(3, kFirstSubstrings)})
+                .status());
+  EXPECT_EQ(engine.suffix_index_builds(), 2);
+  ASSERT_OK(engine.ExecuteQueries(corpus, {SubstringsSpec(3, kSecondSubstrings)})
+                .status());
+  EXPECT_EQ(engine.suffix_index_builds(), 2);
+}
+
+TEST(EngineSuffixIndexTest, OneBuildPerRecordWithinABatch) {
+  Corpus corpus = MakeCorpus();
+  for (int threads : {1, 4}) {
+    Engine engine({.num_threads = threads, .cache_capacity = 64});
+    ASSERT_OK_AND_ASSIGN(
+        auto results,
+        engine.ExecuteQueries(corpus, {SubstringsSpec(1, kFirstSubstrings),
+                                       SubstringsSpec(1, kSecondSubstrings)}));
+    EXPECT_EQ(engine.suffix_index_builds(), 1) << threads << " threads";
+    ASSERT_OK_AND_ASSIGN(
+        core::SuffixScan scan,
+        core::SuffixScan::Build(corpus.sequence(1).symbols(), 2));
+    ExpectSamePayload(results[0], DirectSubstrings(scan, kFirstSubstrings));
+    ExpectSamePayload(results[1], DirectSubstrings(scan, kSecondSubstrings));
+
+    // Several records in one batch: one build each, mixed with kinds
+    // that read prefix counts instead.
+    std::vector<api::QuerySpec> batch;
+    for (int64_t record : {3, 4, 5}) {
+      batch.push_back(SubstringsSpec(record, kFirstSubstrings));
+      batch.push_back(SubstringsSpec(record, kSecondSubstrings));
+      api::QuerySpec mss;
+      mss.sequence_index = record;
+      batch.push_back(mss);
+    }
+    ASSERT_OK_AND_ASSIGN(auto mixed, engine.ExecuteQueries(corpus, batch));
+    EXPECT_EQ(engine.suffix_index_builds(), 4) << threads << " threads";
+    for (size_t i = 0; i < batch.size(); i += 3) {
+      const int64_t record = batch[i].sequence_index;
+      ASSERT_OK_AND_ASSIGN(
+          core::SuffixScan record_scan,
+          core::SuffixScan::Build(corpus.sequence(record).symbols(), 2));
+      ExpectSamePayload(mixed[i], DirectSubstrings(record_scan,
+                                                   kFirstSubstrings));
+      ExpectSamePayload(mixed[i + 1], DirectSubstrings(record_scan,
+                                                       kSecondSubstrings));
+    }
+  }
+}
+
+TEST(EngineSuffixIndexTest, ReplacedCorpusRebuildsTheIndex) {
+  seq::Rng rng(99);
+  const std::string text_a =
+      seq::GenerateNull(2, 500, rng).ToString(seq::Alphabet::Binary());
+  const std::string text_b =
+      seq::GenerateNull(2, 500, rng).ToString(seq::Alphabet::Binary());
+  ASSERT_NE(text_a, text_b);
+  Engine engine({.num_threads = 1, .cache_capacity = 64});
+  {
+    ASSERT_OK_AND_ASSIGN(Corpus first, Corpus::FromStrings({text_a}, "01"));
+    ASSERT_OK(engine.ExecuteQueries(first, {SubstringsSpec(0, kFirstSubstrings)})
+                  .status());
+    EXPECT_EQ(engine.suffix_index_builds(), 1);
+  }
+  // The first corpus is gone; a same-length one may reuse its memory.
+  ASSERT_OK_AND_ASSIGN(Corpus second, Corpus::FromStrings({text_b}, "01"));
+  ASSERT_OK_AND_ASSIGN(
+      auto results,
+      engine.ExecuteQueries(second, {SubstringsSpec(0, kSecondSubstrings)}));
+  EXPECT_EQ(engine.suffix_index_builds(), 2);
+  ASSERT_OK_AND_ASSIGN(
+      core::SuffixScan scan,
+      core::SuffixScan::Build(second.sequence(0).symbols(), 2));
+  ExpectSamePayload(results[0], DirectSubstrings(scan, kSecondSubstrings));
+
+  // Same content at another address (a copy) is another record too.
+  Corpus copy = second;
+  ASSERT_OK_AND_ASSIGN(
+      auto copied,
+      engine.ExecuteQueries(copy, {SubstringsSpec(0, kFirstSubstrings)}));
+  EXPECT_EQ(engine.suffix_index_builds(), 3);
+  ExpectSamePayload(copied[0], DirectSubstrings(scan, kFirstSubstrings));
+}
+
+TEST(EngineSuffixIndexTest, MappedAndDecodedCorporaEachScanCorrectly) {
+  seq::Rng rng(31337);
+  const std::string text =
+      seq::GenerateNull(2, 700, rng).ToString(seq::Alphabet::Binary());
+  const std::string path =
+      ::testing::TempDir() + "/sigsub_engine_suffix_index.txt";
+  ASSERT_OK(io::WriteTextFile(path, text + "\n"));
+  ASSERT_OK_AND_ASSIGN(Corpus mapped, Corpus::FromMappedFile(path, "01"));
+  ASSERT_OK_AND_ASSIGN(Corpus decoded, Corpus::FromStrings({text}, "01"));
+  ASSERT_OK_AND_ASSIGN(core::SuffixScan mapped_scan,
+                       core::SuffixScan::BuildMapped(mapped.mapped_record(),
+                                                     mapped.decode_table(), 2));
+  ASSERT_OK_AND_ASSIGN(
+      core::SuffixScan decoded_scan,
+      core::SuffixScan::Build(decoded.sequence(0).symbols(), 2));
+
+  // No result cache: every query runs its sweep, so only the index
+  // decides what is rebuilt. Equal fingerprints, but different bytes and
+  // decode tables, so switching corpora rebuilds.
+  Engine engine({.num_threads = 1, .cache_capacity = 0});
+  struct Step {
+    const Corpus* corpus;
+    const core::SuffixScan* direct;
+    const api::SubstringsQuery* query;
+    int64_t builds;
+  };
+  const Step steps[] = {
+      {&mapped, &mapped_scan, &kFirstSubstrings, 1},
+      {&decoded, &decoded_scan, &kFirstSubstrings, 2},
+      {&decoded, &decoded_scan, &kSecondSubstrings, 2},
+      {&mapped, &mapped_scan, &kSecondSubstrings, 3},
+      {&mapped, &mapped_scan, &kFirstSubstrings, 3},
+  };
+  for (const Step& step : steps) {
+    ASSERT_OK_AND_ASSIGN(
+        auto results,
+        engine.ExecuteQueries(*step.corpus, {SubstringsSpec(0, *step.query)}));
+    EXPECT_EQ(engine.suffix_index_builds(), step.builds);
+    ExpectSamePayload(results[0], DirectSubstrings(*step.direct, *step.query));
+  }
+}
+
+TEST(EngineSuffixIndexTest, ClearCacheDropsTheRetainedIndex) {
+  Corpus corpus = MakeCorpus();
+  Engine engine({.num_threads = 1, .cache_capacity = 64});
+  ASSERT_OK(engine.ExecuteQueries(corpus, {SubstringsSpec(0, kFirstSubstrings)})
+                .status());
+  EXPECT_EQ(engine.suffix_index_builds(), 1);
+  engine.ClearCache();
+  ASSERT_OK_AND_ASSIGN(
+      auto results,
+      engine.ExecuteQueries(corpus, {SubstringsSpec(0, kFirstSubstrings)}));
+  EXPECT_FALSE(results[0].cache_hit);
+  EXPECT_EQ(engine.suffix_index_builds(), 2);
+  ASSERT_OK_AND_ASSIGN(
+      core::SuffixScan scan,
+      core::SuffixScan::Build(corpus.sequence(0).symbols(), 2));
+  ExpectSamePayload(results[0], DirectSubstrings(scan, kFirstSubstrings));
+}
+
 TEST(QueryEngineTest, CacheKeysOnCanonicalBytes) {
   // Two specs with distinct canonical forms are distinct computations;
   // the same spec resubmitted is a hit.
