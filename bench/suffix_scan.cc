@@ -20,6 +20,11 @@
 //      engine's retained suffix index and pays only its sweep; the
 //      first/second speedup is tracked in tools/bench_baseline.json, and a
 //      gate checks that the engine built the index exactly once.
+//   5. Repetitive-record sweep gate (fatal): a periodic record at
+//      min_count 2 and a random record at min_count 1, whose classes are
+//      deep, must read at most 4·(step + cells) label symbols per class
+//      and sweep within 4x the per-symbol time of the random record at
+//      min_count 2, whose classes are shallow.
 
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -247,6 +252,76 @@ int64_t PositionLayoutChild() {
   return sink;
 }
 
+/// Gate 5: the sweep stays linear when classes are deep. Every record has
+/// the same length, so the three sweeps see the same index footprint.
+bool RunRepetitiveSweepGate(bench::JsonBench* json, io::TableWriter* table) {
+  const int64_t n = bench::FastMode() ? (int64_t{1} << 20) : 2'000'000;
+  std::vector<uint8_t> periodic(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    periodic[static_cast<size_t>(i)] = static_cast<uint8_t>(i % kBigK);
+  }
+  const seq::Sequence random = MakeString(kBigK, n);
+  auto periodic_scan = core::SuffixScan::Build(periodic, kBigK);
+  auto random_scan = core::SuffixScan::Build(random.symbols(), kBigK);
+  if (!periodic_scan.ok() || !random_scan.ok()) std::abort();
+  const core::ChiSquareContext ctx(seq::MultinomialModel::Uniform(kBigK));
+
+  // Best of five, so the ratios compare sweeps rather than host noise.
+  auto sweep = [&](const core::SuffixScan& scan, int64_t min_count,
+                   core::SuffixScanStats* stats) {
+    core::SuffixScanOptions options;
+    options.min_count = min_count;
+    double best_ms = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const double ms = bench::TimeMs([&] {
+        auto result = scan.Scan(ctx, options);
+        if (!result.ok()) std::abort();
+        *stats = result.value().stats;
+      });
+      best_ms = rep == 0 ? ms : std::min(best_ms, ms);
+    }
+    return best_ms;
+  };
+  core::SuffixScanStats periodic_stats, deep_stats, shallow_stats;
+  const double periodic_ms = sweep(periodic_scan.value(), 2, &periodic_stats);
+  const double deep_ms = sweep(random_scan.value(), 1, &deep_stats);
+  const double shallow_ms = sweep(random_scan.value(), 2, &shallow_stats);
+
+  const int64_t per_class =
+      4 * (core::SuffixScan::LabelCheckpointStep(kBigK) + kBigK);
+  auto within_bound = [&](const core::SuffixScanStats& stats) {
+    return stats.label_symbols <= per_class * stats.classes_enumerated;
+  };
+  auto per_class_reads = [](const core::SuffixScanStats& stats) {
+    return static_cast<double>(stats.label_symbols) /
+           static_cast<double>(std::max<int64_t>(stats.classes_enumerated, 1));
+  };
+  const double periodic_ratio = periodic_ms / shallow_ms;
+  const double deep_ratio = deep_ms / shallow_ms;
+  const bool pass = within_bound(periodic_stats) && within_bound(deep_stats) &&
+                    periodic_ratio <= 4.0 && deep_ratio <= 4.0;
+  std::printf(
+      "repetitive record sweep (%lld symbols): periodic min_count=2 %s "
+      "(%.2fx), random min_count=1 %s (%.2fx), random min_count=2 %s; "
+      "label symbols per class %.1f and %.1f (bound %lld) — gate "
+      "(<= 4x, within bound): %s\n",
+      static_cast<long long>(n), bench::FormatMs(periodic_ms).c_str(),
+      periodic_ratio, bench::FormatMs(deep_ms).c_str(), deep_ratio,
+      bench::FormatMs(shallow_ms).c_str(), per_class_reads(periodic_stats),
+      per_class_reads(deep_stats), static_cast<long long>(per_class),
+      pass ? "pass" : "FAIL");
+  table->AddRow({"repetitive_record_sweep", bench::FormatMs(periodic_ms),
+                 StrFormat("periodic %.2fx, random min_count=1 %.2fx the "
+                           "random min_count=2 sweep",
+                           periodic_ratio, deep_ratio)});
+  json->AddResult("repetitive_record_sweep", periodic_ms);
+  json->AddScalar("repetitive_record_sweep", "vs_shallow_sweep",
+                  periodic_ratio);
+  json->AddResult("random_min_count_1_sweep", deep_ms);
+  json->AddScalar("random_min_count_1_sweep", "vs_shallow_sweep", deep_ratio);
+  return pass;
+}
+
 }  // namespace
 
 int main() {
@@ -380,6 +455,9 @@ int main() {
   }
   std::remove(kCorpusPath);
 
+  json.AddGate("sweep_linear_on_repetitive_records",
+               RunRepetitiveSweepGate(&json, &table));
+
   const bool identity_ok = RunIdentityGate();
   json.AddGate("suffix_vs_naive_bit_identical", identity_ok);
 
@@ -387,8 +465,9 @@ int main() {
   if (!json.Write()) return 1;
   if (!json.AllGatesPass()) {
     std::printf("GATE FAILED (bit-identity vs brute force, suffix peak RSS "
-                "not < 0.5x the per-position layout, or the hot record's "
-                "index built more than once)\n");
+                "not < 0.5x the per-position layout, the hot record's "
+                "index built more than once, or a deep-class sweep not "
+                "linear)\n");
     return 1;
   }
   std::printf("all gates passed\n");

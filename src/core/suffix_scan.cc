@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -318,8 +319,17 @@ class MultinomialScorer {
         k_(context.alphabet_size()),
         counts_(static_cast<size_t>(context.alphabet_size()), 0) {}
 
+  // A substring's cells are its symbols: the cell of record position i is
+  // Sym(i), and a substring [p, p + d) covers the positions [p, p + d).
+  int cells() const { return k_; }
+  static constexpr int64_t kLead = 0;
+  template <typename SymAt>
+  static int64_t CellAt(SymAt sym, int64_t i) { return sym(i); }
+
   void Reset() { std::fill(counts_.begin(), counts_.end(), 0); }
   void Extend(uint8_t symbol) { ++counts_[symbol]; }
+  // Hands out the count vector for the caller to overwrite whole.
+  int64_t* Load(uint8_t /*last*/) { return counts_.data(); }
   double Score(int64_t length) const {
     return kernel_.EvaluateCounts(counts_.data(), length);
   }
@@ -343,8 +353,23 @@ class MarkovScorer {
                    static_cast<size_t>(context.alphabet_size()),
                0) {}
 
+  // A substring's cells are its transitions: the cell of record position
+  // i >= 1 is the pair (Sym(i − 1), Sym(i)), and a substring [p, p + d)
+  // covers the positions [p + 1, p + d).
+  int cells() const { return k_ * k_; }
+  static constexpr int64_t kLead = 1;
+  template <typename SymAt>
+  int64_t CellAt(SymAt sym, int64_t i) const {
+    return static_cast<int64_t>(sym(i - 1)) * k_ + sym(i);
+  }
+
   void Reset() {
-    for (int64_t index : touched_) pairs_[static_cast<size_t>(index)] = 0;
+    if (dense_) {
+      std::fill(pairs_.begin(), pairs_.end(), 0);
+      dense_ = false;
+    } else {
+      for (int64_t index : touched_) pairs_[static_cast<size_t>(index)] = 0;
+    }
     touched_.clear();
     has_previous_ = false;
   }
@@ -357,6 +382,15 @@ class MarkovScorer {
     previous_ = symbol;
     has_previous_ = true;
   }
+  // Hands out the count vector for the caller to overwrite whole; `last`
+  // is the final symbol of the counted prefix, where Extend continues.
+  int64_t* Load(uint8_t last) {
+    touched_.clear();
+    dense_ = true;
+    previous_ = last;
+    has_previous_ = true;
+    return pairs_.data();
+  }
   double Score(int64_t /*length*/) const { return context_->Evaluate(pairs_); }
   double PValue(double x2) const { return dist_.Sf(x2); }
 
@@ -366,8 +400,80 @@ class MarkovScorer {
   stats::ChiSquaredDistribution dist_;
   std::vector<int64_t> pairs_;
   std::vector<int64_t> touched_;
+  bool dense_ = false;  // Set by Load: every cell may be non-zero.
   bool has_previous_ = false;
   uint8_t previous_ = 0;
+};
+
+/// Sampled prefix counts of a record's cells (symbols under the
+/// multinomial null, transitions under the Markov one). Row j holds the
+/// int32 tally of the cells at positions [lead, min(j·step, n)); a range's
+/// counts are the difference of the rows nearest its two ends, each
+/// corrected by the at most step/2 positions between row and end.
+class LabelCheckpoints {
+ public:
+  LabelCheckpoints(int64_t n, int64_t step, int cells, int64_t lead)
+      : n_(n), step_(step), cells_(cells), lead_(lead) {}
+
+  bool built() const { return !rows_.empty(); }
+
+  template <typename CellAt>
+  void Build(CellAt cell_at) {
+    const int64_t num_rows = (n_ + step_ - 1) / step_ + 1;
+    rows_.assign(static_cast<size_t>(num_rows * cells_), 0);
+    for (int64_t j = 1; j < num_rows; ++j) {
+      int32_t* row = Row(j);
+      std::copy(row - cells_, row, row);
+      for (int64_t i = std::max(RowStart(j - 1), lead_); i < RowStart(j); ++i) {
+        ++row[cell_at(i)];
+      }
+    }
+  }
+
+  /// Overwrites out[0, cells) with the cell counts of positions
+  /// [begin, end) (lead <= begin <= end <= n); returns the number of
+  /// positions read besides the rows.
+  template <typename CellAt>
+  int64_t Tally(int64_t begin, int64_t end, CellAt cell_at,
+                int64_t* out) const {
+    const int64_t jb = NearestRow(begin);
+    const int64_t je = NearestRow(end);
+    const int32_t* rb = Row(jb);
+    const int32_t* re = Row(je);
+    for (int c = 0; c < cells_; ++c) out[c] = int64_t{re[c]} - rb[c];
+    return Correct(RowStart(je), end, 1, cell_at, out) +
+           Correct(RowStart(jb), begin, -1, cell_at, out);
+  }
+
+ private:
+  int64_t RowStart(int64_t j) const { return std::min(j * step_, n_); }
+  int32_t* Row(int64_t j) { return rows_.data() + j * cells_; }
+  const int32_t* Row(int64_t j) const { return rows_.data() + j * cells_; }
+
+  int64_t NearestRow(int64_t x) const {
+    const int64_t below = x / step_;
+    return RowStart(below + 1) - x < x - below * step_ ? below + 1 : below;
+  }
+
+  /// Turns `sign`·P(row_start) in `out` into `sign`·P(x), where P(y) is
+  /// the tally of positions [lead, y).
+  template <typename CellAt>
+  int64_t Correct(int64_t row_start, int64_t x, int64_t sign, CellAt cell_at,
+                  int64_t* out) const {
+    if (row_start > x) {
+      sign = -sign;
+      std::swap(row_start, x);
+    }
+    const int64_t from = std::max(row_start, lead_);
+    for (int64_t i = from; i < x; ++i) out[cell_at(i)] += sign;
+    return std::max<int64_t>(x - from, 0);
+  }
+
+  int64_t n_;
+  int64_t step_;
+  int64_t cells_;
+  int64_t lead_;
+  std::vector<int32_t> rows_;
 };
 
 Status ValidateOptions(const SuffixScanOptions& options) {
@@ -452,6 +558,15 @@ Result<SuffixScanResult> SuffixScan::ScanImpl(
     }
   };
 
+  // Label counts of classes deeper than 2·step come from sampled prefix
+  // counts, built by the first such class (a shallow record never pays
+  // for them).
+  const int64_t step = LabelCheckpointStep(scorer.cells());
+  constexpr int64_t kLead = std::remove_reference_t<Scorer>::kLead;
+  auto sym_at = [this](int64_t i) { return Sym(i); };
+  auto cell_at = [&](int64_t i) { return scorer.CellAt(sym_at, i); };
+  LabelCheckpoints checkpoints(n_, step, scorer.cells(), kLead);
+
   // Scores one class: the suffix-tree node with SA interval [lb, rb],
   // parent string depth `parent_depth` and string depth `depth`, whose
   // members are the path prefixes with lengths in (parent_depth, depth].
@@ -475,16 +590,38 @@ Result<SuffixScanResult> SuffixScan::ScanImpl(
       hi_len = std::min(hi_len, options.max_length);
     }
     if (lo_len > hi_len || hi_len < options.min_length) return;
-    int64_t start = sa_[lb];
-    scorer.Reset();
-    for (int64_t len = 1; len <= hi_len; ++len) {
-      scorer.Extend(Sym(start + len - 1));
-      if (len < lo_len) continue;
+    // Every member spells the same label; read it from sa_[rb], the suffix
+    // the sweep has just passed, whose text the sweep prefetched.
+    const int64_t start = sa_[rb];
+    auto score = [&](int64_t len) {
       ++result.stats.candidates_scored;
       double x2 = scorer.Score(len);
-      if (x2 < options.min_x2) continue;
-      offer(Candidate{x2, len, lb, rb});
+      if (x2 >= options.min_x2) offer(Candidate{x2, len, lb, rb});
+    };
+    int64_t len = 0;  // Label symbols the scorer has counted.
+    if (lo_len > 2 * step) {
+      if (!checkpoints.built()) checkpoints.Build(cell_at);
+      len = lo_len;
+      result.stats.label_symbols += checkpoints.Tally(
+          start + kLead, start + len, cell_at,
+          scorer.Load(Sym(start + len - 1)));
+      score(len);
+    } else {
+      scorer.Reset();
     }
+    result.stats.label_symbols += hi_len - len;
+    for (++len; len <= hi_len; ++len) {
+      scorer.Extend(Sym(start + len - 1));
+      if (len >= lo_len) score(len);
+    }
+  };
+
+  // Each loop prefetches the text of the suffix its class will read
+  // kPrefetch ranks ahead: on a record whose index outgrows the cache, the
+  // label read is otherwise a miss for almost every class.
+  constexpr int64_t kPrefetch = 16;
+  auto prefetch_label = [this](int64_t r) {
+    if (r < n_) __builtin_prefetch(data_ + sa_[r]);
   };
 
   // Leaf classes: the substrings unique to one suffix — lengths past the
@@ -492,23 +629,27 @@ Result<SuffixScanResult> SuffixScan::ScanImpl(
   // suffix length]. Count is always 1.
   if (options.min_count <= 1) {
     for (int64_t r = 0; r < n_; ++r) {
+      prefetch_label(r + kPrefetch);
       int64_t left = lcp_[r];
       int64_t right = r + 1 < n_ ? lcp_[r + 1] : 0;
       process_class(r, r, std::max(left, right), n_ - sa_[r]);
     }
   }
 
-  // Internal nodes via the classic LCP-interval stack sweep.
+  // Internal nodes via the classic LCP-interval stack sweep. Depths and
+  // bounds fit 32 bits (BuildIndex caps n at 2^31 − 2), which halves the
+  // stack: on a^n it grows to n entries.
   {
     struct Node {
-      int64_t depth;
-      int64_t lb;
+      int32_t depth;
+      int32_t lb;
     };
     std::vector<Node> stack;
     stack.push_back(Node{0, 0});
     for (int64_t i = 1; i <= n_; ++i) {
-      int64_t l = i < n_ ? lcp_[i] : 0;
-      int64_t lb = i - 1;
+      prefetch_label(i + kPrefetch);
+      const int32_t l = i < n_ ? lcp_[i] : 0;
+      int32_t lb = static_cast<int32_t>(i - 1);
       while (stack.back().depth > l) {
         Node node = stack.back();
         stack.pop_back();

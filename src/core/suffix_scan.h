@@ -1,6 +1,7 @@
 #ifndef SIGSUB_CORE_SUFFIX_SCAN_H_
 #define SIGSUB_CORE_SUFFIX_SCAN_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -85,6 +86,9 @@ struct SubstringClass {
 struct SuffixScanStats {
   int64_t classes_enumerated = 0;  // Suffix-tree nodes visited.
   int64_t candidates_scored = 0;   // Substrings evaluated against filters.
+  // Record symbols read to form class counts: label symbols extended one
+  // by one, plus the remainders read next to a sampled prefix count.
+  int64_t label_symbols = 0;
   int64_t peak_index_bytes = 0;    // High-water bytes while building SA+LCP.
   int64_t index_bytes = 0;         // Steady-state bytes held by the index.
 };
@@ -111,8 +115,27 @@ struct SuffixScanResult {
 /// caller keeps it alive (and unchanged) for the lifetime of the scan;
 /// this is what lets a memory-mapped record be indexed without a decoded
 /// in-RAM copy (BuildMapped applies a byte→symbol table on access).
+///
+/// Sweep cost. Every member of a class spells the same label, so a class
+/// forms its count vector (k symbol counts, or k² transition counts under
+/// the Markov null — its `cells`) once. A class whose first scored length
+/// is at most 2·step reads its label symbol by symbol; a deeper one takes
+/// the difference of two sampled int32 prefix counts, P(end) − P(begin),
+/// each corrected by at most step/2 symbols read next to its sample. The
+/// samples (one row of `cells` counts every step = max(64, 8·cells)
+/// symbols, at most 0.5 B/symbol) are built by the first deep class of a
+/// scan and freed when the scan returns. A class therefore costs
+/// O(min(depth, 2·step) + cells): the maximal-only sweep over the at most
+/// 2n classes is linear in n, and the enumerate-everything mode adds O(1)
+/// per scored candidate. SuffixScanStats::label_symbols counts the reads.
 class SuffixScan {
  public:
+  /// The sample distance of the sweep's prefix counts (see above), for a
+  /// count vector of `cells` entries.
+  static constexpr int64_t LabelCheckpointStep(int64_t cells) {
+    return std::max<int64_t>(64, 8 * cells);
+  }
+
   /// Builds the index over decoded symbols (each < alphabet_size).
   /// Records are limited to 2^31 − 2 symbols (the index is 32-bit).
   static Result<SuffixScan> Build(std::span<const uint8_t> symbols,

@@ -64,6 +64,47 @@ std::vector<seq::Sequence> AdversarialStrings(int k) {
   return out;
 }
 
+/// Records with classes deeper than 2·step for both scorers at k <= 4, so
+/// the sweep derives those classes' counts from the sampled prefix counts:
+/// a run, an alternation, a period-4 word, a Fibonacci word, and a random
+/// record carrying a planted 300-symbol repeat.
+std::vector<seq::Sequence> LongRepetitiveStrings(int k) {
+  auto repeat = [](const std::string& unit, int times) {
+    std::string out;
+    for (int i = 0; i < times; ++i) out += unit;
+    return out;
+  };
+  std::string fib_a = "a";
+  std::string fib_b = "ab";
+  while (fib_b.size() < 377) {
+    std::string next = fib_b + fib_a;
+    fib_a = fib_b;
+    fib_b = next;
+  }
+  seq::Rng rng(300 + static_cast<uint64_t>(k));
+  auto random_text = [&](int64_t n) {
+    std::string out;
+    for (int64_t i = 0; i < n; ++i) {
+      out.push_back(static_cast<char>(
+          'a' + rng.NextBounded(static_cast<uint64_t>(k))));
+    }
+    return out;
+  };
+  const std::string planted = random_text(300);
+  std::vector<std::string> patterns = {
+      std::string(400, 'a'),
+      repeat("ab", 200),
+      fib_b,
+      random_text(20) + planted + random_text(20) + planted,
+  };
+  if (k >= 4) patterns.push_back(repeat("abcd", 100));
+  std::vector<seq::Sequence> out;
+  for (const std::string& pattern : patterns) {
+    out.push_back(FromPattern(k, pattern));
+  }
+  return out;
+}
+
 std::string TextOf(const seq::Sequence& s, const Substring& sub) {
   std::string text;
   for (int64_t i = sub.start; i < sub.end; ++i) {
@@ -145,6 +186,64 @@ std::span<const uint8_t> Bytes(const std::string& text) {
   return {reinterpret_cast<const uint8_t*>(text.data()), text.size()};
 }
 
+struct OptionCase {
+  SuffixScanOptions options;
+  std::string label;
+};
+
+/// Unbounded contracts for the long records: maximal-only at min_count 1
+/// and 2, and enumerate-everything over lengths that straddle 2·step, so
+/// classes both below and past the sampled-count threshold are scored.
+std::vector<OptionCase> DeepOptionCases(int64_t cells) {
+  std::vector<OptionCase> cases;
+  SuffixScanOptions o;
+  o.top_n = 0;
+  o.max_length = 0;
+  o.collect_positions = true;
+  for (int64_t min_count : {1, 2}) {
+    o.min_count = min_count;
+    cases.push_back({o, StrCat("maximal_min_count_", min_count)});
+  }
+  o.maximal_only = false;
+  o.min_count = 2;
+  o.min_length = 2 * SuffixScan::LabelCheckpointStep(cells) - 16;
+  cases.push_back({o, "full_min_count_2_deep"});
+  return cases;
+}
+
+/// Runs every DeepOptionCases contract over the long records through both
+/// the decoded and the mapped build, against the naive reference, and
+/// checks that some reported class was deeper than 2·step.
+template <typename ScanFn, typename NaiveFn>
+void ExpectLongRecordsMatchNaive(int k, int64_t cells, ScanFn scan_fn,
+                                 NaiveFn naive_fn) {
+  const int64_t threshold = 2 * SuffixScan::LabelCheckpointStep(cells);
+  const std::array<uint8_t, 256> decode = LetterDecode(k);
+  for (const seq::Sequence& s : LongRepetitiveStrings(k)) {
+    const std::string text = MappedText(s);
+    ASSERT_OK_AND_ASSIGN(SuffixScan decoded, SuffixScan::Build(s.symbols(), k));
+    ASSERT_OK_AND_ASSIGN(SuffixScan mapped,
+                         SuffixScan::BuildMapped(Bytes(text), decode, k));
+    int64_t deepest = 0;
+    for (const OptionCase& option_case : DeepOptionCases(cells)) {
+      ASSERT_OK_AND_ASSIGN(SuffixScanResult want,
+                           naive_fn(s, option_case.options));
+      for (const SuffixScan* scan : {&decoded, &mapped}) {
+        ASSERT_OK_AND_ASSIGN(SuffixScanResult got,
+                             scan_fn(*scan, option_case.options));
+        ExpectSameResult(s, got, want,
+                         StrCat(option_case.label,
+                                scan == &decoded ? " Build" : " BuildMapped",
+                                " k=", k, " n=", s.size()));
+        for (const SubstringClass& entry : got.classes) {
+          deepest = std::max(deepest, entry.substring.length());
+        }
+      }
+    }
+    EXPECT_GT(deepest, threshold) << "k=" << k << " n=" << s.size();
+  }
+}
+
 TEST(SuffixScanIndexTest, SuffixArrayMatchesBruteForceSort) {
   // Whole SA and LCP arrays against a brute-force sort and direct
   // comparison, through both the decoded and the mapped build.
@@ -211,10 +310,6 @@ TEST(SuffixScanIndexTest, OutOfAlphabetSymbolIsNamedByValueAndPosition) {
 }
 
 TEST(SuffixScanPropertyTest, MatchesNaiveReferenceMultinomial) {
-  struct OptionCase {
-    SuffixScanOptions options;
-    std::string label;
-  };
   std::vector<OptionCase> option_cases;
   {
     SuffixScanOptions o;
@@ -260,6 +355,14 @@ TEST(SuffixScanPropertyTest, MatchesNaiveReferenceMultinomial) {
         }
       }
     }
+    ExpectLongRecordsMatchNaive(
+        k, k,
+        [&](const SuffixScan& scan, const SuffixScanOptions& options) {
+          return scan.Scan(geometric, options);
+        },
+        [&](const seq::Sequence& s, const SuffixScanOptions& options) {
+          return NaiveAllSubstringsScan(s, geometric, options);
+        });
   }
 }
 
@@ -284,6 +387,14 @@ TEST(SuffixScanPropertyTest, MatchesNaiveReferenceMarkov) {
           NaiveAllSubstringsScanMarkov(s, context, options));
       ExpectSameResult(s, got, want, "markov n=" + std::to_string(s.size()));
     }
+    ExpectLongRecordsMatchNaive(
+        k, k * k,
+        [&](const SuffixScan& scan, const SuffixScanOptions& o) {
+          return scan.ScanMarkov(context, o);
+        },
+        [&](const seq::Sequence& s, const SuffixScanOptions& o) {
+          return NaiveAllSubstringsScanMarkov(s, context, o);
+        });
   }
 }
 
@@ -450,6 +561,44 @@ TEST(SuffixScanStatsTest, ReportsIndexFootprint) {
   EXPECT_GT(result.stats.candidates_scored, 0);
   EXPECT_EQ(result.stats.index_bytes, scan.index_bytes());
   EXPECT_EQ(result.stats.peak_index_bytes, scan.peak_index_bytes());
+}
+
+TEST(SuffixScanStatsTest, LabelWorkIsLinearInTheClassCount) {
+  // A periodic record, whose every internal class is as deep as its
+  // position allows, at min_count 2, and a random record at min_count 1,
+  // whose every leaf is as deep as its suffix: the symbols read to form
+  // class counts stay within 4·(step + cells) per class.
+  constexpr int64_t kN = 200000;
+  constexpr int kK = 4;
+  std::vector<uint8_t> periodic(static_cast<size_t>(kN));
+  for (int64_t i = 0; i < kN; ++i) periodic[i] = static_cast<uint8_t>(i % kK);
+  seq::Rng rng(200);
+  seq::Sequence random = seq::GenerateNull(kK, kN, rng);
+  ChiSquareContext uniform(seq::MultinomialModel::Uniform(kK));
+  ASSERT_OK_AND_ASSIGN(MarkovChiSquare markov,
+                       MarkovChiSquare::Make(seq::MarkovModel::PaperFamily(kK)));
+  struct Case {
+    std::span<const uint8_t> symbols;
+    int64_t min_count;
+    std::string label;
+  };
+  for (const Case& c : {Case{periodic, 2, "periodic"},
+                        Case{random.symbols(), 1, "random"}}) {
+    ASSERT_OK_AND_ASSIGN(SuffixScan scan, SuffixScan::Build(c.symbols, kK));
+    SuffixScanOptions options;
+    options.min_count = c.min_count;
+    for (int64_t cells : {kK, kK * kK}) {
+      ASSERT_OK_AND_ASSIGN(SuffixScanResult result,
+                           cells == kK ? scan.Scan(uniform, options)
+                                       : scan.ScanMarkov(markov, options));
+      const SuffixScanStats& stats = result.stats;
+      EXPECT_GT(stats.classes_enumerated, 0) << c.label;
+      EXPECT_LE(stats.label_symbols,
+                4 * (SuffixScan::LabelCheckpointStep(cells) + cells) *
+                    stats.classes_enumerated)
+          << c.label << " cells=" << cells;
+    }
+  }
 }
 
 }  // namespace

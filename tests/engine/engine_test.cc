@@ -763,6 +763,35 @@ void ExpectSamePayload(const api::QueryResult& result,
   EXPECT_EQ(payload.stats.start_positions, direct.stats.classes_enumerated);
 }
 
+TEST(EngineTest, SubstringsMinCountOneOnLongRecordsMatchesDirectScan) {
+  // min_count=1 scores every leaf class, each as deep as its suffix, and
+  // a periodic record makes every internal class deep too: on 200k-symbol
+  // records the query still returns promptly, bit-identical to the direct
+  // scan.
+  constexpr int64_t kN = 200000;
+  std::string periodic;
+  for (int64_t i = 0; i < kN; ++i) periodic.push_back("0123"[i % 4]);
+  seq::Rng rng(14);
+  const std::string random = seq::GenerateNull(4, kN, rng).ToString(
+      seq::Alphabet::FromCharacters("0123").value());
+  ASSERT_OK_AND_ASSIGN(Corpus corpus,
+                       Corpus::FromStrings({periodic, random}, "0123"));
+  ASSERT_OK_AND_ASSIGN(api::QuerySpec spec,
+                       api::ParseQuery("substrings:min_count=1"));
+  const auto& query = std::get<api::SubstringsQuery>(spec.request);
+  std::vector<api::QuerySpec> specs = {spec, spec};
+  specs[1].sequence_index = 1;
+  Engine engine({.num_threads = 1, .cache_capacity = 8});
+  ASSERT_OK_AND_ASSIGN(auto results, engine.ExecuteQueries(corpus, specs));
+  for (int64_t i = 0; i < corpus.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(
+        core::SuffixScan scan,
+        core::SuffixScan::Build(corpus.sequence(i).symbols(), 4));
+    ExpectSamePayload(results[static_cast<size_t>(i)],
+                      DirectSubstrings(scan, query));
+  }
+}
+
 TEST(EngineSuffixIndexTest, DistinctQueryInLaterBatchReusesTheIndex) {
   Corpus corpus = MakeCorpus();
   Engine engine({.num_threads = 1, .cache_capacity = 64});
