@@ -1,14 +1,20 @@
 #include "core/suffix_scan.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/str_util.h"
+#include "common/thread_pool.h"
 #include "core/significance.h"
 #include "core/x2_kernel.h"
 #include "seq/prefix_counts.h"
@@ -38,40 +44,208 @@ class MemTracker {
   int64_t peak_ = 0;
 };
 
-/// Bucket boundaries per symbol: heads (first slot) or tails (one past
-/// the last slot) of each symbol's bucket in the suffix array.
+/// A zero-filled build buffer. One of at least 1 MiB gets its own
+/// anonymous mapping, unmapped when the buffer dies: from the heap, once
+/// glibc's dynamic mmap threshold has risen past its size, it would leave
+/// an untrimmed heap top behind that lifts the resident set of every later
+/// build. Smaller buffers stay on the heap.
+template <typename T>
+class Scratch {
+ public:
+  explicit Scratch(int64_t size) {
+    const size_t bytes = static_cast<size_t>(size) * sizeof(T);
+    if (bytes >= kPageBackedBytes) {
+      void* pages = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (pages != MAP_FAILED) {
+        data_ = static_cast<T*>(pages);
+        mapped_bytes_ = bytes;
+        return;
+      }
+    }
+    heap_.resize(static_cast<size_t>(size));
+    data_ = heap_.data();
+  }
+  ~Scratch() {
+    if (mapped_bytes_ > 0) ::munmap(data_, mapped_bytes_);
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+
+  T* data() const { return data_; }
+  T& operator[](int64_t i) const { return data_[i]; }
+
+ private:
+  static constexpr size_t kPageBackedBytes = size_t{1} << 20;
+
+  T* data_ = nullptr;
+  size_t mapped_bytes_ = 0;
+  std::vector<T> heap_;
+};
+
+/// Records of at least 2·kParallelChunk symbols build on a worker pool.
+/// A parallel pass splits its range into contiguous chunks of at least
+/// kParallelChunk entries: up to kChunksPerWorker per worker, so the
+/// pool's stealing evens out uneven chunks, and at most kMaxChunks, so
+/// per-chunk tallies fit a fixed array and a worker task allocates
+/// nothing.
+constexpr int64_t kParallelChunk = int64_t{1} << 16;
+constexpr int64_t kChunksPerWorker = 4;
+constexpr int kMaxChunks = 64;
+
+using ChunkTallies = std::array<int64_t, kMaxChunks>;
+
+class BuildWorkers {
+ public:
+  /// One transient pool per build: a build may run inside an Engine
+  /// worker, which must never Wait() on the engine's own pool. The
+  /// calling thread runs chunks too while it waits, so the pool has one
+  /// thread fewer than the hardware.
+  explicit BuildWorkers(int64_t n) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (n >= 2 * kParallelChunk && hw > 1) {
+      pool_ = std::make_unique<ThreadPool>(static_cast<int>(hw) - 1);
+    }
+  }
+
+  int workers() const { return pool_ ? pool_->num_threads() + 1 : 1; }
+
+  /// The number of chunks ForChunks splits a range of `size` into.
+  int Chunks(int64_t size) const {
+    if (!pool_ || size < 2 * kParallelChunk) return 1;
+    return static_cast<int>(std::min<int64_t>(
+        {size / kParallelChunk, workers() * kChunksPerWorker, kMaxChunks}));
+  }
+
+  /// The first index of chunk c of [0, size) split into `chunks`.
+  static int64_t ChunkBegin(int64_t size, int chunks, int c) {
+    return size * c / chunks;
+  }
+
+  /// Runs fn(c, begin, end) over the Chunks(size) contiguous chunks of
+  /// [0, size) and returns when all have finished.
+  template <typename Fn>
+  void ForChunks(int64_t size, const Fn& fn) const {
+    const int chunks = Chunks(size);
+    if (chunks == 1) {
+      fn(0, int64_t{0}, size);
+      return;
+    }
+    for (int c = 0; c < chunks; ++c) {
+      pool_->Submit([&fn, size, chunks, c] {
+        fn(c, ChunkBegin(size, chunks, c), ChunkBegin(size, chunks, c + 1));
+      });
+    }
+    pool_->Wait();
+  }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+/// Turns per-chunk tallies into their exclusive prefix sums; returns the
+/// total.
+int64_t ExclusivePrefix(int chunks, ChunkTallies* tallies) {
+  int64_t total = 0;
+  for (int c = 0; c < chunks; ++c) {
+    const int64_t tally = (*tallies)[c];
+    (*tallies)[c] = total;
+    total += tally;
+  }
+  return total;
+}
+
+void FillEmpty(const BuildWorkers& workers, int32_t* a, int64_t size) {
+  workers.ForChunks(size, [a](int, int64_t begin, int64_t end) {
+    std::fill(a + begin, a + end, kEmpty);
+  });
+}
+
+/// types[i] = 1 iff suffix i is S-type. A chunk settles every position
+/// before its trailing run of equal symbols on its own; each run takes the
+/// type of the position after it, settled right to left once every chunk
+/// is done (s ends with a unique sentinel, so the last run is just it).
 template <typename CharT>
-void FillBuckets(const CharT* s, int64_t n, int64_t k,
-                 std::vector<int64_t>* bkt, bool tails) {
-  std::fill(bkt->begin(), bkt->end(), 0);
-  for (int64_t i = 0; i < n; ++i) ++(*bkt)[s[i]];
-  int64_t sum = 0;
-  for (int64_t c = 0; c < k; ++c) {
-    sum += (*bkt)[c];
-    (*bkt)[c] = tails ? sum : sum - (*bkt)[c];
+void ClassifyTypes(const CharT* s, int64_t n, const BuildWorkers& workers,
+                   uint8_t* types) {
+  ChunkTallies run_start{};
+  workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
+    int64_t r = end - 1;
+    while (r > begin && s[r - 1] == s[end - 1]) --r;
+    run_start[c] = r;
+    // s[r − 1] != s[r]: position r − 1 never reads the unsettled run.
+    for (int64_t i = r - 1; i >= begin; --i) {
+      types[i] =
+          (s[i] < s[i + 1] || (s[i] == s[i + 1] && types[i + 1])) ? 1 : 0;
+    }
+  });
+  const int chunks = workers.Chunks(n);
+  for (int c = chunks - 1; c >= 0; --c) {
+    const int64_t end = BuildWorkers::ChunkBegin(n, chunks, c + 1);
+    const bool s_type = end == n || s[end - 1] < s[end] ||
+                        (s[end - 1] == s[end] && types[end]);
+    std::fill(types + run_start[c], types + end, s_type ? 1 : 0);
   }
 }
 
+/// Bucket boundaries per symbol, from the level's `tails` (one past the
+/// last slot of each symbol's bucket): heads (first slot) or tails.
+void LoadBuckets(const int32_t* tails, int64_t k, bool heads, int32_t* bkt) {
+  if (heads) {
+    bkt[0] = 0;
+    std::copy(tails, tails + k - 1, bkt + 1);
+  } else {
+    std::copy(tails, tails + k, bkt);
+  }
+}
+
+/// The induce loops read no type array: scanning left to right, every
+/// suffix j InduceL meets is LMS or L-type, so j − 1 is L-type iff
+/// s[j − 1] >= s[j]; scanning right to left, InduceS meets j in bucket
+/// c = s[j] at slot i, and j is S-type iff i has already been filled by
+/// this pass, i.e. i >= bkt[c] (an L-type j sits below the bucket's S
+/// region, which bkt[c] never leaves; a placed LMS entry not yet
+/// overwritten has s[j − 1] > s[j] and induces nothing either way). Each
+/// step then reads only the adjacent symbols s[j − 1] and s[j]; the loops
+/// prefetch them kInducePrefetch slots ahead, since they are a random
+/// read once the record outgrows the cache. A slot not yet induced makes a
+/// useless but harmless prefetch.
+constexpr int64_t kInducePrefetch = 32;
+
 template <typename CharT>
-void InduceL(const CharT* s, const std::vector<uint8_t>& types, int64_t n,
-             int64_t k, std::vector<int64_t>* bkt, int32_t* sa) {
-  FillBuckets(s, n, k, bkt, /*tails=*/false);
+void PrefetchPredecessor(const CharT* s, const int32_t* sa, int64_t slot) {
+  const int64_t j = sa[slot];
+  if (j > 0) __builtin_prefetch(s + j - 1);
+}
+
+template <typename CharT>
+void InduceL(const CharT* s, int64_t n, int64_t k, const int32_t* tails,
+             int32_t* bkt, int32_t* sa) {
+  LoadBuckets(tails, k, /*heads=*/true, bkt);
   for (int64_t i = 0; i < n; ++i) {
-    int64_t j = sa[i];
-    if (j > 0 && !types[j - 1]) {
-      sa[(*bkt)[s[j - 1]]++] = static_cast<int32_t>(j - 1);
+    if (i + kInducePrefetch < n) {
+      PrefetchPredecessor(s, sa, i + kInducePrefetch);
+    }
+    const int64_t j = sa[i];
+    if (j > 0 && s[j - 1] >= s[j]) {
+      sa[bkt[s[j - 1]]++] = static_cast<int32_t>(j - 1);
     }
   }
 }
 
 template <typename CharT>
-void InduceS(const CharT* s, const std::vector<uint8_t>& types, int64_t n,
-             int64_t k, std::vector<int64_t>* bkt, int32_t* sa) {
-  FillBuckets(s, n, k, bkt, /*tails=*/true);
+void InduceS(const CharT* s, int64_t n, int64_t k, const int32_t* tails,
+             int32_t* bkt, int32_t* sa) {
+  LoadBuckets(tails, k, /*heads=*/false, bkt);
   for (int64_t i = n - 1; i >= 0; --i) {
-    int64_t j = sa[i];
-    if (j > 0 && types[j - 1]) {
-      sa[--(*bkt)[s[j - 1]]] = static_cast<int32_t>(j - 1);
+    if (i >= kInducePrefetch) {
+      PrefetchPredecessor(s, sa, i - kInducePrefetch);
+    }
+    const int64_t j = sa[i];
+    if (j <= 0) continue;
+    const CharT c = s[j];
+    if (s[j - 1] < c || (s[j - 1] == c && i >= bkt[c])) {
+      sa[--bkt[s[j - 1]]] = static_cast<int32_t>(j - 1);
     }
   }
 }
@@ -80,70 +254,98 @@ void InduceS(const CharT* s, const std::vector<uint8_t>& types, int64_t n,
 /// Suffix Array Construction"): induced sorting of LMS substrings,
 /// recursion on their names, then induction of the full array. Requires
 /// s[n-1] to be a unique smallest sentinel; writes ranks into sa[0..n).
+/// The induce loops and the bucket placements are serial; every other
+/// pass runs in chunks on `workers`.
 template <typename CharT>
 void SaIs(const CharT* s, int32_t* sa, int64_t n, int64_t k,
-          MemTracker* mem) {
+          const BuildWorkers& workers, MemTracker* mem) {
   SIGSUB_DCHECK(n >= 1);
   if (n == 1) {
     sa[0] = 0;
     return;
   }
 
-  // Type pass: types[i] == 1 iff suffix i is S-type.
-  std::vector<uint8_t> types(static_cast<size_t>(n));
+  Scratch<uint8_t> types(n);
   mem->Add(n);
-  types[n - 1] = 1;
-  for (int64_t i = n - 2; i >= 0; --i) {
-    types[i] =
-        (s[i] < s[i + 1] || (s[i] == s[i + 1] && types[i + 1])) ? 1 : 0;
-  }
-  auto is_lms = [&](int64_t i) {
+  ClassifyTypes(s, n, workers, types.data());
+  auto is_lms = [&types](int64_t i) {
     return i > 0 && types[i] && !types[i - 1];
   };
 
-  std::vector<int64_t> bkt(static_cast<size_t>(k));
+  // The symbol counts, as bucket tails, are taken once per level; `bkt`
+  // is the working copy each placement or induce round starts from.
+  Scratch<int32_t> tails(k);
+  Scratch<int32_t> bkt(k);
   mem->Add(k * 8);
+  for (int64_t i = 0; i < n; ++i) ++tails[s[i]];
+  for (int64_t c = 1; c < k; ++c) tails[c] += tails[c - 1];
 
   // Stage 1: sort the LMS substrings by one induction round.
-  std::fill(sa, sa + n, kEmpty);
-  FillBuckets(s, n, k, &bkt, /*tails=*/true);
+  FillEmpty(workers, sa, n);
+  LoadBuckets(tails.data(), k, /*heads=*/false, bkt.data());
   for (int64_t i = 1; i < n; ++i) {
     if (is_lms(i)) sa[--bkt[s[i]]] = static_cast<int32_t>(i);
   }
-  InduceL(s, types, n, k, &bkt, sa);
-  InduceS(s, types, n, k, &bkt, sa);
+  InduceL(s, n, k, tails.data(), bkt.data(), sa);
+  InduceS(s, n, k, tails.data(), bkt.data(), sa);
 
-  // Compact the sorted LMS positions into sa[0..n1).
+  // Compact the sorted LMS positions into sa[0..n1): each chunk packs its
+  // own to its front, then the packed runs move down in chunk order, each
+  // to at or below where it is, over runs already moved.
+  ChunkTallies packed{};
+  workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
+    int64_t j = begin;
+    for (int64_t i = begin; i < end; ++i) {
+      if (is_lms(sa[i])) sa[j++] = sa[i];
+    }
+    packed[c] = j - begin;
+  });
   int64_t n1 = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (is_lms(sa[i])) sa[n1++] = sa[i];
+  const int compact_chunks = workers.Chunks(n);
+  for (int c = 0; c < compact_chunks; ++c) {
+    const int64_t begin = BuildWorkers::ChunkBegin(n, compact_chunks, c);
+    std::memmove(sa + n1, sa + begin,
+                 static_cast<size_t>(packed[c]) * sizeof(int32_t));
+    n1 += packed[c];
   }
 
   // Name the LMS substrings (equal name iff equal substring) into the
   // upper half of sa, indexed by position/2 (LMS positions are >= 2
-  // apart, and n1 <= n/2, so the slots never collide).
-  std::fill(sa + n1, sa + n, kEmpty);
-  int64_t names = 0;
-  int64_t prev = -1;
-  for (int64_t r = 0; r < n1; ++r) {
-    int64_t pos = sa[r];
-    bool differs = prev < 0;
-    for (int64_t d = 0; !differs; ++d) {
+  // apart, and n1 <= n/2, so the slots never collide). The first pass
+  // writes a 0/1 "differs from the previous rank" flag into each slot and
+  // counts the flags per chunk; the second turns the flags into names,
+  // starting each chunk from the flags of the chunks before it.
+  FillEmpty(workers, sa + n1, n - n1);
+  auto differs = [&](int64_t pos, int64_t prev) {
+    for (int64_t d = 0;; ++d) {
       if (s[pos + d] != s[prev + d] || types[pos + d] != types[prev + d]) {
-        differs = true;
-        break;
+        return true;
       }
       if (d > 0 && (is_lms(pos + d) || is_lms(prev + d))) {
-        differs = !(is_lms(pos + d) && is_lms(prev + d));
-        break;
+        return !(is_lms(pos + d) && is_lms(prev + d));
       }
     }
-    if (differs) {
-      ++names;
-      prev = pos;
+  };
+  ChunkTallies firsts{};
+  workers.ForChunks(n1, [&](int c, int64_t begin, int64_t end) {
+    int64_t count = 0;
+    for (int64_t r = begin; r < end; ++r) {
+      const int64_t pos = sa[r];
+      const bool first = r == 0 || differs(pos, sa[r - 1]);
+      sa[n1 + pos / 2] = first ? 1 : 0;
+      count += first ? 1 : 0;
     }
-    sa[n1 + pos / 2] = static_cast<int32_t>(names - 1);
-  }
+    firsts[c] = count;
+  });
+  const int64_t names = ExclusivePrefix(workers.Chunks(n1), &firsts);
+  workers.ForChunks(n1, [&](int c, int64_t begin, int64_t end) {
+    int64_t name = firsts[c] - 1;
+    for (int64_t r = begin; r < end; ++r) {
+      int32_t& slot = sa[n1 + sa[r] / 2];
+      name += slot;
+      slot = static_cast<int32_t>(name);
+    }
+  });
   for (int64_t i = n - 1, j = n - 1; i >= n1; --i) {
     if (sa[i] != kEmpty) sa[j--] = sa[i];
   }
@@ -153,31 +355,46 @@ void SaIs(const CharT* s, int32_t* sa, int64_t n, int64_t k,
   // unless the names are already distinct.
   int32_t* s1 = sa + (n - n1);
   if (names < n1) {
-    SaIs<int32_t>(s1, sa, n1, names, mem);
+    SaIs<int32_t>(s1, sa, n1, names, workers, mem);
   } else {
-    for (int64_t i = 0; i < n1; ++i) sa[s1[i]] = static_cast<int32_t>(i);
+    workers.ForChunks(n1, [&](int, int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        sa[s1[i]] = static_cast<int32_t>(i);
+      }
+    });
   }
 
-  // Turn LMS ranks back into text positions (reusing the s1 slots).
-  {
-    int64_t j = 0;
-    for (int64_t i = 1; i < n; ++i) {
+  // Turn LMS ranks back into text positions: list the LMS positions in
+  // text order in the s1 slots (each chunk from its exclusive prefix of
+  // the LMS counts), then gather.
+  ChunkTallies lms_before{};
+  workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
+    int64_t count = 0;
+    for (int64_t i = begin; i < end; ++i) count += is_lms(i) ? 1 : 0;
+    lms_before[c] = count;
+  });
+  ExclusivePrefix(workers.Chunks(n), &lms_before);
+  workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
+    int64_t j = lms_before[c];
+    for (int64_t i = begin; i < end; ++i) {
       if (is_lms(i)) s1[j++] = static_cast<int32_t>(i);
     }
-  }
-  for (int64_t i = 0; i < n1; ++i) sa[i] = s1[sa[i]];
+  });
+  workers.ForChunks(n1, [&](int, int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) sa[i] = s1[sa[i]];
+  });
 
   // Stage 2: place the now fully sorted LMS suffixes at their bucket
   // tails and induce the rest.
-  std::fill(sa + n1, sa + n, kEmpty);
-  FillBuckets(s, n, k, &bkt, /*tails=*/true);
+  FillEmpty(workers, sa + n1, n - n1);
+  LoadBuckets(tails.data(), k, /*heads=*/false, bkt.data());
   for (int64_t i = n1 - 1; i >= 0; --i) {
     int64_t j = sa[i];
     sa[i] = kEmpty;
     sa[--bkt[s[j]]] = static_cast<int32_t>(j);
   }
-  InduceL(s, types, n, k, &bkt, sa);
-  InduceS(s, types, n, k, &bkt, sa);
+  InduceL(s, n, k, tails.data(), bkt.data(), sa);
+  InduceS(s, n, k, tails.data(), bkt.data(), sa);
 
   mem->Sub(n);
   mem->Sub(k * 8);
@@ -186,24 +403,39 @@ void SaIs(const CharT* s, int32_t* sa, int64_t n, int64_t k,
 /// Copies the record into a sentinel-terminated working array (symbols
 /// shifted by +1 so 0 is the unique smallest sentinel), runs SA-IS, and
 /// drops the sentinel's rank-0 entry. The copy doubles as the alphabet
-/// check: at the first symbol >= k it stops and returns that position
+/// check: a chunk stops at its first symbol >= k, and the first chunk that
+/// stopped names the record's first such position, which is returned
 /// (nothing is built); otherwise it returns -1.
 template <typename CharT, typename SymAt>
 int64_t BuildSuffixArray(SymAt sym_at, int64_t n, int64_t k,
+                         const BuildWorkers& workers,
                          std::vector<int32_t>* sa, MemTracker* mem) {
   // Zero-filled, so work[n] is already the sentinel.
-  std::vector<CharT> work(static_cast<size_t>(n) + 1);
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t symbol = sym_at(i);
-    if (symbol >= k) return i;
-    work[i] = static_cast<CharT>(symbol + 1);
+  Scratch<CharT> work(n + 1);
+  ChunkTallies first_bad{};
+  workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
+    first_bad[c] = -1;
+    for (int64_t i = begin; i < end; ++i) {
+      const int64_t symbol = sym_at(i);
+      if (symbol >= k) {
+        first_bad[c] = i;
+        return;
+      }
+      work[i] = static_cast<CharT>(symbol + 1);
+    }
+  });
+  for (int c = 0; c < workers.Chunks(n); ++c) {
+    if (first_bad[c] >= 0) return first_bad[c];
   }
   mem->Add((n + 1) * static_cast<int64_t>(sizeof(CharT)));
   std::vector<int32_t> full(static_cast<size_t>(n) + 1);
   mem->Add((n + 1) * 4);
-  SaIs<CharT>(work.data(), full.data(), n + 1, k + 1, mem);
+  SaIs<CharT>(work.data(), full.data(), n + 1, k + 1, workers, mem);
   SIGSUB_DCHECK(full[0] == static_cast<int32_t>(n));
-  sa->assign(full.begin() + 1, full.end());
+  // Shift the sentinel's entry out in place: `full` becomes the array.
+  std::copy(full.begin() + 1, full.end(), full.begin());
+  full.pop_back();
+  *sa = std::move(full);
   mem->Sub((n + 1) * static_cast<int64_t>(sizeof(CharT)));
   mem->Sub((n + 1) * 4);
   return -1;
@@ -257,11 +489,13 @@ Status SuffixScan::BuildIndex() {
   if (n_ == 0) return Status::OK();
 
   MemTracker mem;
+  BuildWorkers workers(n_);
+  build_workers_ = workers.workers();
   auto sym_at = [this](int64_t i) { return static_cast<int64_t>(Sym(i)); };
   const int64_t bad =
       k_ + 1 <= 256
-          ? BuildSuffixArray<uint8_t>(sym_at, n_, k_, &sa_, &mem)
-          : BuildSuffixArray<uint16_t>(sym_at, n_, k_, &sa_, &mem);
+          ? BuildSuffixArray<uint8_t>(sym_at, n_, k_, workers, &sa_, &mem)
+          : BuildSuffixArray<uint16_t>(sym_at, n_, k_, workers, &sa_, &mem);
   if (bad >= 0) {
     return Status::InvalidArgument(
         StrCat("byte value ", static_cast<int>(data_[bad]), " at position ",
@@ -277,27 +511,37 @@ Status SuffixScan::BuildIndex() {
   // The comparing pass reads and writes Φ in text order; the random
   // accesses sit in the Φ and permutation passes, where they are
   // independent of each other, which makes this faster than a rank-array
-  // (Kasai) pass once the index outgrows the cache.
+  // (Kasai) pass once the index outgrows the cache. All three passes run
+  // in chunks: the Φ writes are disjoint (SA is a permutation), and a
+  // PLCP chunk starts its walk from h = 0, which is exact and costs at
+  // most one extra full comparison per chunk.
   {
-    std::vector<int32_t> plcp(static_cast<size_t>(n_));
+    Scratch<int32_t> plcp(n_);
     mem.Add(n_ * 4);
-    plcp[sa_[0]] = -1;
-    for (int64_t r = 1; r < n_; ++r) plcp[sa_[r]] = sa_[r - 1];
-    int64_t h = 0;
-    for (int64_t i = 0; i < n_; ++i) {
-      const int64_t j = plcp[i];
-      if (j < 0) {
-        plcp[i] = 0;
-        h = 0;
-        continue;
+    workers.ForChunks(n_, [&](int, int64_t begin, int64_t end) {
+      for (int64_t r = begin; r < end; ++r) {
+        plcp[sa_[r]] = r == 0 ? -1 : sa_[r - 1];
       }
-      while (i + h < n_ && j + h < n_ && Sym(i + h) == Sym(j + h)) ++h;
-      plcp[i] = static_cast<int32_t>(h);
-      if (h > 0) --h;
-    }
+    });
+    workers.ForChunks(n_, [&](int, int64_t begin, int64_t end) {
+      int64_t h = 0;
+      for (int64_t i = begin; i < end; ++i) {
+        const int64_t j = plcp[i];
+        if (j < 0) {
+          plcp[i] = 0;
+          h = 0;
+          continue;
+        }
+        while (i + h < n_ && j + h < n_ && Sym(i + h) == Sym(j + h)) ++h;
+        plcp[i] = static_cast<int32_t>(h);
+        if (h > 0) --h;
+      }
+    });
     lcp_.resize(static_cast<size_t>(n_));
     mem.Add(n_ * 4);
-    for (int64_t r = 0; r < n_; ++r) lcp_[r] = plcp[sa_[r]];
+    workers.ForChunks(n_, [&](int, int64_t begin, int64_t end) {
+      for (int64_t r = begin; r < end; ++r) lcp_[r] = plcp[sa_[r]];
+    });
     mem.Sub(n_ * 4);
   }
 

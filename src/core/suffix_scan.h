@@ -128,6 +128,25 @@ struct SuffixScanResult {
 /// O(min(depth, 2·step) + cells): the maximal-only sweep over the at most
 /// 2n classes is linear in n, and the enumerate-everything mode adds O(1)
 /// per scored candidate. SuffixScanStats::label_symbols counts the reads.
+///
+/// Build parallelism. A record of at least 2·64 Ki symbols is indexed on
+/// a transient thread pool the build creates and joins itself, using up
+/// to std::thread::hardware_concurrency() threads (the calling thread
+/// included) whatever pool the caller runs on; smaller records build on
+/// the calling thread alone. Every pass without a sequential dependency
+/// runs in contiguous chunks: the copy and alphabet check (the first bad
+/// position over all chunks is reported), S/L type classification, LMS
+/// naming (0/1 "differs" flags, a prefix over per-chunk flag counts, then
+/// names), the LMS position lists and gathers, and the three LCP passes
+/// (Φ scatter, PLCP with its walk restarted per text chunk, and the
+/// permutation into rank order). The induce loops and bucket placements
+/// stay serial. The induce loops read no type array (a predecessor's type
+/// follows from two adjacent symbols and the bucket pointer) and prefetch
+/// the symbols 32 slots ahead. SA and LCP are unique for a text, so the
+/// result does not depend on the number of threads. Build scratch of at
+/// least 1 MiB (the working copy, the type array, large bucket arrays,
+/// the PLCP array) has its own anonymous mapping, returned to the kernel
+/// when the buffer dies, so repeated builds do not leave heap behind.
 class SuffixScan {
  public:
   /// The sample distance of the sweep's prefix counts (see above), for a
@@ -157,6 +176,10 @@ class SuffixScan {
   /// High-water bytes transiently allocated while building (SA-IS
   /// recursion workspace + the Φ/PLCP array of the LCP pass).
   int64_t peak_index_bytes() const { return peak_index_bytes_; }
+
+  /// Threads that ran the build's parallel passes (1 below the parallel
+  /// threshold or on a single-core host).
+  int build_workers() const { return build_workers_; }
 
   /// The underlying arrays, exposed for validation: suffix_array()[r] is
   /// the start of the rank-r suffix; lcp_array()[r] the longest common
@@ -194,6 +217,7 @@ class SuffixScan {
   std::vector<int32_t> lcp_;  // lcp_[r] = lcp(suffix sa_[r-1], sa_[r]).
   int64_t index_bytes_ = 0;
   int64_t peak_index_bytes_ = 0;
+  int build_workers_ = 1;
 };
 
 /// Brute-force reference: enumerates every substring by position, dedupes

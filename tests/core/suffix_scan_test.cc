@@ -5,6 +5,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -306,6 +307,172 @@ TEST(SuffixScanIndexTest, OutOfAlphabetSymbolIsNamedByValueAndPosition) {
     EXPECT_EQ(decoded.status().message(),
               StrCat("byte value 7 at position ", position,
                      " is outside the 4-symbol alphabet"));
+  }
+}
+
+/// Prefix doubling (Manber & Myers), O(n log² n): suffixes sorted by
+/// their first 2^h symbols, ranks refined until all are distinct. An
+/// independent reference for records too long to sort by direct
+/// comparison.
+std::vector<int32_t> DoublingSuffixArray(const seq::Sequence& s) {
+  const int64_t n = s.size();
+  std::vector<int32_t> sa(static_cast<size_t>(n));
+  std::vector<int64_t> rank(static_cast<size_t>(n));
+  std::vector<int64_t> next(static_cast<size_t>(n));
+  std::iota(sa.begin(), sa.end(), 0);
+  for (int64_t i = 0; i < n; ++i) rank[i] = s[i];
+  for (int64_t h = 1;; h *= 2) {
+    auto key = [&](int32_t i) {
+      return std::make_pair(rank[i], i + h < n ? rank[i + h] : -1);
+    };
+    std::sort(sa.begin(), sa.end(),
+              [&](int32_t a, int32_t b) { return key(a) < key(b); });
+    next[sa[0]] = 0;
+    for (int64_t r = 1; r < n; ++r) {
+      next[sa[r]] = next[sa[r - 1]] + (key(sa[r - 1]) < key(sa[r]) ? 1 : 0);
+    }
+    rank.swap(next);
+    if (rank[sa[n - 1]] == n - 1) return sa;
+  }
+}
+
+/// Kasai et al.'s LCP from the rank array: lcp[r] is the longest common
+/// prefix of the rank-(r−1) and rank-r suffixes (lcp[0] = 0).
+std::vector<int32_t> KasaiLcp(const seq::Sequence& s,
+                              const std::vector<int32_t>& sa) {
+  const int64_t n = s.size();
+  std::vector<int32_t> rank(static_cast<size_t>(n));
+  for (int64_t r = 0; r < n; ++r) rank[sa[r]] = static_cast<int32_t>(r);
+  std::vector<int32_t> lcp(static_cast<size_t>(n), 0);
+  int64_t h = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    if (rank[i] == 0) {
+      h = 0;
+      continue;
+    }
+    const int64_t j = sa[rank[i] - 1];
+    while (i + h < n && j + h < n && s[i + h] == s[j + h]) ++h;
+    lcp[rank[i]] = static_cast<int32_t>(h);
+    if (h > 0) --h;
+  }
+  return lcp;
+}
+
+TEST(SuffixScanIndexTest, ParallelBuildMatchesReference) {
+  // Records of at least four parallel chunks (64 Ki symbols each; a build
+  // goes parallel from two), plus an odd tail so the chunks are uneven:
+  // random at k = 2, 4, 26; a periodic record with planted mutations,
+  // whose deep LCPs cross chunk boundaries; a record whose LMS substrings
+  // are named in two chunks; a^n, where every PLCP chunk
+  // restarts on one long comparison; and a 97%-skewed record with long
+  // runs. SA and LCP must match the references exactly through both
+  // builds, and the error for an out-of-alphabet byte must name the
+  // record's first one.
+  constexpr int64_t kN = 4 * (int64_t{1} << 16) + 4321;
+  struct Record {
+    std::string label;
+    seq::Sequence symbols;
+  };
+  std::vector<Record> records;
+  seq::Rng rng(15);
+  for (int k : {2, 4, 26}) {
+    records.push_back({StrCat("random k=", k), seq::GenerateNull(k, kN, rng)});
+  }
+  {
+    const seq::Sequence unit = seq::GenerateNull(4, 977, rng);
+    std::vector<uint8_t> periodic(static_cast<size_t>(kN));
+    for (int64_t i = 0; i < kN; ++i) periodic[i] = unit[i % unit.size()];
+    for (int m = 0; m < 8; ++m) {
+      const int64_t at = static_cast<int64_t>(rng.NextBounded(kN));
+      periodic[at] = static_cast<uint8_t>((periodic[at] + 1) % 4);
+    }
+    records.push_back(
+        {"periodic",
+         seq::Sequence::FromSymbols(4, std::move(periodic)).value()});
+  }
+  {
+    // Every other symbol is the smallest, so half the positions are LMS:
+    // enough to name the LMS substrings in more than one chunk.
+    std::vector<uint8_t> alternating(static_cast<size_t>(kN));
+    for (int64_t i = 0; i < kN; ++i) {
+      alternating[i] =
+          i % 2 == 0 ? 0 : static_cast<uint8_t>(1 + rng.NextBounded(3));
+    }
+    records.push_back({"alternating", seq::Sequence::FromSymbols(
+                                          4, std::move(alternating))
+                                          .value()});
+  }
+  records.push_back(
+      {"a^n", seq::Sequence::FromSymbols(
+                  2, std::vector<uint8_t>(static_cast<size_t>(kN), 0))
+                  .value()});
+  {
+    std::vector<uint8_t> skewed(static_cast<size_t>(kN));
+    for (uint8_t& c : skewed) {
+      c = rng.NextBounded(100) < 97
+              ? 0
+              : static_cast<uint8_t>(1 + rng.NextBounded(3));
+    }
+    records.push_back(
+        {"skewed", seq::Sequence::FromSymbols(4, std::move(skewed)).value()});
+  }
+
+  const unsigned hw = std::thread::hardware_concurrency();
+  for (const Record& record : records) {
+    const seq::Sequence& s = record.symbols;
+    const int k = s.alphabet_size();
+    const std::vector<int32_t> sa = DoublingSuffixArray(s);
+    const std::vector<int32_t> lcp = KasaiLcp(s, sa);
+    const std::array<uint8_t, 256> decode = LetterDecode(k);
+    const std::string text = MappedText(s);
+    ASSERT_OK_AND_ASSIGN(SuffixScan decoded, SuffixScan::Build(s.symbols(), k));
+    ASSERT_OK_AND_ASSIGN(SuffixScan mapped,
+                         SuffixScan::BuildMapped(Bytes(text), decode, k));
+    for (const SuffixScan* scan : {&decoded, &mapped}) {
+      const std::string label = StrCat(
+          scan == &decoded ? "Build " : "BuildMapped ", record.label);
+      EXPECT_EQ(scan->build_workers(), hw > 1 ? static_cast<int>(hw) : 1)
+          << label;
+      EXPECT_TRUE(std::equal(sa.begin(), sa.end(),
+                             scan->suffix_array().begin(),
+                             scan->suffix_array().end()))
+          << label;
+      EXPECT_TRUE(std::equal(lcp.begin(), lcp.end(),
+                             scan->lcp_array().begin(),
+                             scan->lcp_array().end()))
+          << label;
+    }
+
+    // A bad byte in the last chunk alone, then with an earlier one in
+    // the first chunk: the first is reported either way.
+    for (int64_t early : {int64_t{-1}, int64_t{1000}}) {
+      std::string bad_text = text;
+      std::vector<uint8_t> bad_symbols(s.symbols().begin(),
+                                       s.symbols().end());
+      const int64_t late = kN - 777;
+      bad_text[late] = '#';
+      bad_symbols[late] = 250;
+      int64_t first = late;
+      if (early >= 0) {
+        bad_text[early] = '!';
+        bad_symbols[early] = 200;
+        first = early;
+      }
+      auto bad_mapped = SuffixScan::BuildMapped(Bytes(bad_text), decode, k);
+      ASSERT_FALSE(bad_mapped.ok()) << record.label;
+      EXPECT_EQ(bad_mapped.status().message(),
+                StrCat("byte value ", early >= 0 ? int{'!'} : int{'#'},
+                       " at position ", first, " is outside the ", k,
+                       "-symbol alphabet"))
+          << record.label;
+      auto bad_decoded = SuffixScan::Build(bad_symbols, k);
+      ASSERT_FALSE(bad_decoded.ok()) << record.label;
+      EXPECT_EQ(bad_decoded.status().message(),
+                StrCat("byte value ", early >= 0 ? 200 : 250,
+                       " at position ", first, " is outside the ", k,
+                       "-symbol alphabet"))
+          << record.label;
+    }
   }
 }
 

@@ -792,6 +792,44 @@ TEST(EngineTest, SubstringsMinCountOneOnLongRecordsMatchesDirectScan) {
   }
 }
 
+TEST(EngineTest, SubstringsOnRecordsAboveTheParallelBuildThreshold) {
+  // Two records long enough for a parallel index build (four chunks of
+  // 64 Ki symbols), queried in one batch on a four-thread engine: each
+  // build runs its own pool inside an engine worker, concurrently with
+  // the other. Every payload equals the direct scan.
+  constexpr int64_t kN = 4 * (int64_t{1} << 16) + 999;
+  seq::Rng rng(15);
+  const seq::Alphabet alphabet = seq::Alphabet::FromCharacters("0123").value();
+  const std::string random = seq::GenerateNull(4, kN, rng).ToString(alphabet);
+  const std::string unit = seq::GenerateNull(4, 613, rng).ToString(alphabet);
+  std::string periodic;
+  while (static_cast<int64_t>(periodic.size()) < kN) periodic += unit;
+  periodic.resize(static_cast<size_t>(kN));
+  periodic[kN / 3] = periodic[kN / 3] == '0' ? '1' : '0';
+  ASSERT_OK_AND_ASSIGN(Corpus corpus,
+                       Corpus::FromStrings({random, periodic}, "0123"));
+  const std::vector<api::SubstringsQuery> queries = {kFirstSubstrings,
+                                                     kSecondSubstrings};
+  std::vector<api::QuerySpec> specs;
+  for (int64_t record = 0; record < corpus.size(); ++record) {
+    for (const api::SubstringsQuery& query : queries) {
+      specs.push_back(SubstringsSpec(record, query));
+    }
+  }
+  Engine engine({.num_threads = 4, .cache_capacity = 8});
+  ASSERT_OK_AND_ASSIGN(auto results, engine.ExecuteQueries(corpus, specs));
+  EXPECT_EQ(engine.suffix_index_builds(), 2);
+  for (int64_t record = 0; record < corpus.size(); ++record) {
+    ASSERT_OK_AND_ASSIGN(
+        core::SuffixScan scan,
+        core::SuffixScan::Build(corpus.sequence(record).symbols(), 4));
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const size_t at = static_cast<size_t>(record) * queries.size() + q;
+      ExpectSamePayload(results[at], DirectSubstrings(scan, queries[q]));
+    }
+  }
+}
+
 TEST(EngineSuffixIndexTest, DistinctQueryInLaterBatchReusesTheIndex) {
   Corpus corpus = MakeCorpus();
   Engine engine({.num_threads = 1, .cache_capacity = 64});
