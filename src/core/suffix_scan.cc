@@ -102,10 +102,9 @@ class BuildWorkers {
   /// calling thread runs chunks too while it waits, so the pool has one
   /// thread fewer than the hardware.
   explicit BuildWorkers(int64_t n) {
+    if (n < 2 * kParallelChunk) return;
     const unsigned hw = std::thread::hardware_concurrency();
-    if (n >= 2 * kParallelChunk && hw > 1) {
-      pool_ = std::make_unique<ThreadPool>(static_cast<int>(hw) - 1);
-    }
+    if (hw > 1) pool_ = std::make_unique<ThreadPool>(static_cast<int>(hw) - 1);
   }
 
   int workers() const { return pool_ ? pool_->num_threads() + 1 : 1; }
@@ -169,14 +168,22 @@ template <typename CharT>
 void ClassifyTypes(const CharT* s, int64_t n, const BuildWorkers& workers,
                    uint8_t* types) {
   ChunkTallies run_start{};
-  workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
+  // A byte store may alias any object, the closure's captures included, so
+  // the loop reads its pointers from locals the compiler keeps in
+  // registers.
+  workers.ForChunks(n, [s, types, &run_start](int c, int64_t begin,
+                                              int64_t end) {
+    const CharT* const text = s;
+    uint8_t* const out = types;
     int64_t r = end - 1;
-    while (r > begin && s[r - 1] == s[end - 1]) --r;
+    while (r > begin && text[r - 1] == text[end - 1]) --r;
     run_start[c] = r;
     // s[r − 1] != s[r]: position r − 1 never reads the unsettled run.
     for (int64_t i = r - 1; i >= begin; --i) {
-      types[i] =
-          (s[i] < s[i + 1] || (s[i] == s[i + 1] && types[i + 1])) ? 1 : 0;
+      out[i] = (text[i] < text[i + 1] ||
+                (text[i] == text[i + 1] && out[i + 1]))
+                   ? 1
+                   : 0;
     }
   });
   const int chunks = workers.Chunks(n);
@@ -366,14 +373,17 @@ void SaIs(const CharT* s, int32_t* sa, int64_t n, int64_t k,
 
   // Turn LMS ranks back into text positions: list the LMS positions in
   // text order in the s1 slots (each chunk from its exclusive prefix of
-  // the LMS counts), then gather.
+  // the LMS counts; a lone chunk starts from 0 and counts nothing), then
+  // gather.
   ChunkTallies lms_before{};
-  workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
-    int64_t count = 0;
-    for (int64_t i = begin; i < end; ++i) count += is_lms(i) ? 1 : 0;
-    lms_before[c] = count;
-  });
-  ExclusivePrefix(workers.Chunks(n), &lms_before);
+  if (workers.Chunks(n) > 1) {
+    workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
+      int64_t count = 0;
+      for (int64_t i = begin; i < end; ++i) count += is_lms(i) ? 1 : 0;
+      lms_before[c] = count;
+    });
+    ExclusivePrefix(workers.Chunks(n), &lms_before);
+  }
   workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
     int64_t j = lms_before[c];
     for (int64_t i = begin; i < end; ++i) {
@@ -414,6 +424,7 @@ int64_t BuildSuffixArray(SymAt sym_at, int64_t n, int64_t k,
   Scratch<CharT> work(n + 1);
   ChunkTallies first_bad{};
   workers.ForChunks(n, [&](int c, int64_t begin, int64_t end) {
+    CharT* const out = work.data();  // As in ClassifyTypes.
     first_bad[c] = -1;
     for (int64_t i = begin; i < end; ++i) {
       const int64_t symbol = sym_at(i);
@@ -421,7 +432,7 @@ int64_t BuildSuffixArray(SymAt sym_at, int64_t n, int64_t k,
         first_bad[c] = i;
         return;
       }
-      work[i] = static_cast<CharT>(symbol + 1);
+      out[i] = static_cast<CharT>(symbol + 1);
     }
   });
   for (int c = 0; c < workers.Chunks(n); ++c) {
