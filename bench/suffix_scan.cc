@@ -14,8 +14,8 @@
 //      so getrusage(RUSAGE_SELF).ru_maxrss is that path's own high water,
 //      not an accumulation over the whole bench.
 //   3. Throughput: build + scan Msymbols/s on the big record, and the
-//      index build's own Msymbols/s with the number of threads it used.
-//      Timings and the memory_reduction metric land in
+//      index build's and the sweep's own Msymbols/s with the number of
+//      threads each used. Timings and the memory_reduction metric land in
 //      BENCH_suffix_scan.json.
 //   4. Hot record: one Engine runs a first substrings query and then a
 //      distinct one on the mapped big record. The second reuses the
@@ -402,6 +402,7 @@ int main() {
     int64_t classes = 0;
     int build_workers = 0;
     double build_ms = 0.0;
+    double sweep_ms = 0.0;
     double total_ms = bench::TimeMs([&] {
       Result<core::SuffixScan> scan{Status::Internal("unset")};
       build_ms = bench::TimeMs([&] {
@@ -410,22 +411,33 @@ int main() {
       });
       if (!scan.ok()) std::abort();
       build_workers = scan.value().build_workers();
-      auto result = scan.value().Scan(ctx, BigRecordOptions());
+      Result<core::SuffixScanResult> result{Status::Internal("unset")};
+      sweep_ms = bench::TimeMs(
+          [&] { result = scan.value().Scan(ctx, BigRecordOptions()); });
       if (!result.ok()) std::abort();
       classes = result.value().stats.classes_enumerated;
     });
     double msym_per_sec = static_cast<double>(big_n) / (total_ms * 1000.0);
     double build_msym_per_sec =
         static_cast<double>(big_n) / (build_ms * 1000.0);
+    double sweep_msym_per_sec =
+        static_cast<double>(big_n) / (sweep_ms * 1000.0);
+    // The sweep splits into rank chunks under the build's policy, so it
+    // runs on as many threads as the build did.
     std::printf(
-        "throughput: build %s (%.2f Msym/s, %d workers) + scan -> total %s, "
-        "%.2f Msym/s (%lld classes)\n",
+        "throughput: build %s (%.2f Msym/s, %d workers) + sweep %s "
+        "(%.2f Msym/s, %d workers) -> total %s, %.2f Msym/s (%lld "
+        "classes)\n",
         bench::FormatMs(build_ms).c_str(), build_msym_per_sec, build_workers,
+        bench::FormatMs(sweep_ms).c_str(), sweep_msym_per_sec, build_workers,
         bench::FormatMs(total_ms).c_str(), msym_per_sec,
         static_cast<long long>(classes));
     table.AddRow({"build_index", bench::FormatMs(build_ms),
                   StrFormat("SA-IS + Φ-PLCP, %.2f Msym/s, %d workers",
                             build_msym_per_sec, build_workers)});
+    table.AddRow({"suffix_sweep", bench::FormatMs(sweep_ms),
+                  StrFormat("LCP-interval sweep, %.2f Msym/s, %d workers",
+                            sweep_msym_per_sec, build_workers)});
     table.AddRow({"build_plus_scan", bench::FormatMs(total_ms),
                   StrFormat("%.2f Msym/s", msym_per_sec)});
     json.AddResult("suffix_build_index", build_ms);
@@ -433,6 +445,9 @@ int main() {
     json.AddScalar("throughput", "msym_per_sec", msym_per_sec);
     json.AddScalar("build_throughput", "msym_per_sec", build_msym_per_sec);
     json.AddScalar("build_throughput", "workers", build_workers);
+    json.AddResult("suffix_sweep", sweep_ms);
+    json.AddScalar("sweep_throughput", "msym_per_sec", sweep_msym_per_sec);
+    json.AddScalar("sweep_throughput", "workers", build_workers);
   }
 
   // Hot record: a distinct second query on the same record, one Engine.

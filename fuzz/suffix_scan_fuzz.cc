@@ -11,6 +11,9 @@
 //            min_count = 1 + (b >> 2) % 3, min_length = 1 + (b >> 4)
 //   byte 2   top_n = b % 32 (0 keeps every match); max_length = 0 when
 //            b < 128, else min_length + (b >> 5) % 4 * 8
+//   byte 3   the sweep is also run split into 1 + b % 64 rank chunks
+//            (SuffixScanTestPeer), so chunk boundaries fall inside the
+//            deep intervals of these small records
 //   then pairs (a, b):
 //     a < 128  a run of symbol a % k, 1 + b % 64 long
 //     a >= 128 repeat the last u = 1 + (a & 127) + 128·(b & 3) symbols
@@ -22,6 +25,8 @@
 //   Scan == NaiveAllSubstringsScan              (multinomial null)
 //   ScanMarkov == NaiveAllSubstringsScanMarkov  (paper's Markov family)
 //   Build and BuildMapped give the same SA, LCP and scan results
+//   the chunked sweep == the naive reference, with the one-chunk
+//   sweep's counters (classes, candidates, label symbols)
 //
 // Every field must match bit for bit: both sides count with integers and
 // score through the same kernels.
@@ -43,6 +48,7 @@
 #include "core/suffix_scan.h"
 #include "seq/model.h"
 #include "seq/sequence.h"
+#include "testing/suffix_scan_peer.h"
 
 namespace core = sigsub::core;
 namespace seq = sigsub::seq;
@@ -89,10 +95,30 @@ void CheckSame(const core::SuffixScanResult& a,
   SIGSUB_CHECK(a.positions == b.positions);
 }
 
+/// Checks the sweep split into `chunks` against `want` and against the
+/// one-chunk sweep's counters.
+template <typename Context>
+void CheckChunked(const core::SuffixScan& scan, const Context& context,
+                  const core::SuffixScanOptions& options, int chunks,
+                  const core::SuffixScanResult& want) {
+  auto one =
+      core::SuffixScanTestPeer::ScanInChunks(scan, context, options, 1);
+  auto split =
+      core::SuffixScanTestPeer::ScanInChunks(scan, context, options, chunks);
+  SIGSUB_CHECK(one.ok() && split.ok());
+  CheckSame(*one, want);
+  CheckSame(*split, want);
+  SIGSUB_CHECK(split->stats.classes_enumerated ==
+               one->stats.classes_enumerated);
+  SIGSUB_CHECK(split->stats.candidates_scored ==
+               one->stats.candidates_scored);
+  SIGSUB_CHECK(split->stats.label_symbols == one->stats.label_symbols);
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  if (size < 3) return 0;
+  if (size < 4) return 0;
   const int k = 2 + data[0] % 5;
   core::SuffixScanOptions options;
   options.maximal_only = (data[1] & 1) != 0;
@@ -102,9 +128,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   options.top_n = data[2] % 32;
   options.max_length =
       data[2] < 128 ? 0 : options.min_length + (data[2] >> 5) % 4 * 8;
+  const int chunks = 1 + data[3] % 64;
 
   std::vector<uint8_t> symbols =
-      DecodeRecord(std::span<const uint8_t>(data + 3, size - 3), k);
+      DecodeRecord(std::span<const uint8_t>(data + 4, size - 4), k);
   std::vector<uint8_t> text;
   for (uint8_t symbol : symbols) text.push_back('a' + symbol);
   std::array<uint8_t, 256> decode;
@@ -129,6 +156,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     SIGSUB_CHECK(got.ok());
     CheckSame(*got, *want);
   }
+  CheckChunked(*decoded, multinomial, options, chunks, *want);
 
   auto markov = core::MarkovChiSquare::Make(seq::MarkovModel::PaperFamily(k));
   SIGSUB_CHECK(markov.ok());
@@ -140,5 +168,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     SIGSUB_CHECK(got.ok());
     CheckSame(*got, *want_markov);
   }
+  CheckChunked(*decoded, *markov, options, chunks, *want_markov);
   return 0;
 }

@@ -83,34 +83,49 @@ class Scratch {
   std::vector<T> heap_;
 };
 
-/// Records of at least 2·kParallelChunk symbols build on a worker pool.
-/// A parallel pass splits its range into contiguous chunks of at least
-/// kParallelChunk entries: up to kChunksPerWorker per worker, so the
-/// pool's stealing evens out uneven chunks, and at most kMaxChunks, so
-/// per-chunk tallies fit a fixed array and a worker task allocates
-/// nothing.
+/// Records of at least 2·kParallelChunk symbols build and sweep on a
+/// worker pool. A parallel pass splits its range into contiguous chunks
+/// of at least kParallelChunk entries: up to kChunksPerWorker per worker,
+/// so the pool's stealing evens out uneven chunks, and at most
+/// kMaxChunks, so per-chunk tallies fit a fixed array and a build task
+/// allocates nothing.
 constexpr int64_t kParallelChunk = int64_t{1} << 16;
 constexpr int64_t kChunksPerWorker = 4;
 constexpr int kMaxChunks = 64;
 
 using ChunkTallies = std::array<int64_t, kMaxChunks>;
 
-class BuildWorkers {
+class ChunkWorkers {
  public:
-  /// One transient pool per build: a build may run inside an Engine
-  /// worker, which must never Wait() on the engine's own pool. The
+  /// One transient pool per build or sweep: either may run inside an
+  /// Engine worker, which must never Wait() on the engine's own pool. The
   /// calling thread runs chunks too while it waits, so the pool has one
   /// thread fewer than the hardware.
-  explicit BuildWorkers(int64_t n) {
+  explicit ChunkWorkers(int64_t n) {
     if (n < 2 * kParallelChunk) return;
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw > 1) pool_ = std::make_unique<ThreadPool>(static_cast<int>(hw) - 1);
+  }
+
+  /// Splits every range into exactly `chunks` (clamped to [1,
+  /// kMaxChunks]) chunks, empty ones included, run on at least one pool
+  /// thread besides the caller: the sweep's test seam, which forces chunk
+  /// boundaries onto small records.
+  static ChunkWorkers Forced(int chunks) {
+    ChunkWorkers workers(0);
+    workers.forced_chunks_ = std::clamp(chunks, 1, kMaxChunks);
+    if (workers.forced_chunks_ > 1) {
+      const int hw = static_cast<int>(std::thread::hardware_concurrency());
+      workers.pool_ = std::make_unique<ThreadPool>(std::max(hw - 1, 1));
+    }
+    return workers;
   }
 
   int workers() const { return pool_ ? pool_->num_threads() + 1 : 1; }
 
   /// The number of chunks ForChunks splits a range of `size` into.
   int Chunks(int64_t size) const {
+    if (forced_chunks_ > 0) return forced_chunks_;
     if (!pool_ || size < 2 * kParallelChunk) return 1;
     return static_cast<int>(std::min<int64_t>(
         {size / kParallelChunk, workers() * kChunksPerWorker, kMaxChunks}));
@@ -140,6 +155,7 @@ class BuildWorkers {
 
  private:
   std::unique_ptr<ThreadPool> pool_;
+  int forced_chunks_ = 0;  // 0: chunks follow the range size.
 };
 
 /// Turns per-chunk tallies into their exclusive prefix sums; returns the
@@ -154,7 +170,7 @@ int64_t ExclusivePrefix(int chunks, ChunkTallies* tallies) {
   return total;
 }
 
-void FillEmpty(const BuildWorkers& workers, int32_t* a, int64_t size) {
+void FillEmpty(const ChunkWorkers& workers, int32_t* a, int64_t size) {
   workers.ForChunks(size, [a](int, int64_t begin, int64_t end) {
     std::fill(a + begin, a + end, kEmpty);
   });
@@ -165,7 +181,7 @@ void FillEmpty(const BuildWorkers& workers, int32_t* a, int64_t size) {
 /// type of the position after it, settled right to left once every chunk
 /// is done (s ends with a unique sentinel, so the last run is just it).
 template <typename CharT>
-void ClassifyTypes(const CharT* s, int64_t n, const BuildWorkers& workers,
+void ClassifyTypes(const CharT* s, int64_t n, const ChunkWorkers& workers,
                    uint8_t* types) {
   ChunkTallies run_start{};
   // A byte store may alias any object, the closure's captures included, so
@@ -188,7 +204,7 @@ void ClassifyTypes(const CharT* s, int64_t n, const BuildWorkers& workers,
   });
   const int chunks = workers.Chunks(n);
   for (int c = chunks - 1; c >= 0; --c) {
-    const int64_t end = BuildWorkers::ChunkBegin(n, chunks, c + 1);
+    const int64_t end = ChunkWorkers::ChunkBegin(n, chunks, c + 1);
     const bool s_type = end == n || s[end - 1] < s[end] ||
                         (s[end - 1] == s[end] && types[end]);
     std::fill(types + run_start[c], types + end, s_type ? 1 : 0);
@@ -265,7 +281,7 @@ void InduceS(const CharT* s, int64_t n, int64_t k, const int32_t* tails,
 /// pass runs in chunks on `workers`.
 template <typename CharT>
 void SaIs(const CharT* s, int32_t* sa, int64_t n, int64_t k,
-          const BuildWorkers& workers, MemTracker* mem) {
+          const ChunkWorkers& workers, MemTracker* mem) {
   SIGSUB_DCHECK(n >= 1);
   if (n == 1) {
     sa[0] = 0;
@@ -310,7 +326,7 @@ void SaIs(const CharT* s, int32_t* sa, int64_t n, int64_t k,
   int64_t n1 = 0;
   const int compact_chunks = workers.Chunks(n);
   for (int c = 0; c < compact_chunks; ++c) {
-    const int64_t begin = BuildWorkers::ChunkBegin(n, compact_chunks, c);
+    const int64_t begin = ChunkWorkers::ChunkBegin(n, compact_chunks, c);
     std::memmove(sa + n1, sa + begin,
                  static_cast<size_t>(packed[c]) * sizeof(int32_t));
     n1 += packed[c];
@@ -418,7 +434,7 @@ void SaIs(const CharT* s, int32_t* sa, int64_t n, int64_t k,
 /// (nothing is built); otherwise it returns -1.
 template <typename CharT, typename SymAt>
 int64_t BuildSuffixArray(SymAt sym_at, int64_t n, int64_t k,
-                         const BuildWorkers& workers,
+                         const ChunkWorkers& workers,
                          std::vector<int32_t>* sa, MemTracker* mem) {
   // Zero-filled, so work[n] is already the sentinel.
   Scratch<CharT> work(n + 1);
@@ -500,7 +516,7 @@ Status SuffixScan::BuildIndex() {
   if (n_ == 0) return Status::OK();
 
   MemTracker mem;
-  BuildWorkers workers(n_);
+  ChunkWorkers workers(n_);
   build_workers_ = workers.workers();
   auto sym_at = [this](int64_t i) { return static_cast<int64_t>(Sym(i)); };
   const int64_t bad =
@@ -525,7 +541,9 @@ Status SuffixScan::BuildIndex() {
   // (Kasai) pass once the index outgrows the cache. All three passes run
   // in chunks: the Φ writes are disjoint (SA is a permutation), and a
   // PLCP chunk starts its walk from h = 0, which is exact and costs at
-  // most one extra full comparison per chunk.
+  // most one extra full comparison per chunk. The PLCP pass also takes
+  // the largest LCP, which tells a scan up front whether it can meet a
+  // class deep enough for the sampled label counts.
   {
     Scratch<int32_t> plcp(n_);
     mem.Add(n_ * 4);
@@ -534,8 +552,10 @@ Status SuffixScan::BuildIndex() {
         plcp[sa_[r]] = r == 0 ? -1 : sa_[r - 1];
       }
     });
-    workers.ForChunks(n_, [&](int, int64_t begin, int64_t end) {
+    ChunkTallies deepest{};
+    workers.ForChunks(n_, [&](int c, int64_t begin, int64_t end) {
       int64_t h = 0;
+      int64_t chunk_max = 0;
       for (int64_t i = begin; i < end; ++i) {
         const int64_t j = plcp[i];
         if (j < 0) {
@@ -545,9 +565,12 @@ Status SuffixScan::BuildIndex() {
         }
         while (i + h < n_ && j + h < n_ && Sym(i + h) == Sym(j + h)) ++h;
         plcp[i] = static_cast<int32_t>(h);
+        chunk_max = std::max(chunk_max, h);
         if (h > 0) --h;
       }
+      deepest[c] = chunk_max;
     });
+    max_lcp_ = *std::max_element(deepest.begin(), deepest.end());
     lcp_.resize(static_cast<size_t>(n_));
     mem.Add(n_ * 4);
     workers.ForChunks(n_, [&](int, int64_t begin, int64_t end) {
@@ -670,19 +693,49 @@ class LabelCheckpoints {
   LabelCheckpoints(int64_t n, int64_t step, int cells, int64_t lead)
       : n_(n), step_(step), cells_(cells), lead_(lead) {}
 
-  bool built() const { return !rows_.empty(); }
-
+  /// Row j >= 1 is row j − 1 plus the cells of positions
+  /// [RowStart(j − 1), RowStart(j)), its segment. Each chunk of [0, n)
+  /// tallies the rows whose segment starts in it, counting from zero;
+  /// then, in chunk order, the last row of each chunk adds the (final)
+  /// row before the chunk, and every other row of the chunk adds it in a
+  /// second chunked pass.
   template <typename CellAt>
-  void Build(CellAt cell_at) {
+  void Build(CellAt cell_at, const ChunkWorkers& workers) {
     const int64_t num_rows = (n_ + step_ - 1) / step_ + 1;
     rows_.assign(static_cast<size_t>(num_rows * cells_), 0);
-    for (int64_t j = 1; j < num_rows; ++j) {
-      int32_t* row = Row(j);
-      std::copy(row - cells_, row, row);
-      for (int64_t i = std::max(RowStart(j - 1), lead_); i < RowStart(j); ++i) {
-        ++row[cell_at(i)];
+    // The first row whose segment starts at or after position x.
+    auto first_row = [this](int64_t x) { return (x + step_ - 1) / step_ + 1; };
+    workers.ForChunks(n_, [&](int, int64_t begin, int64_t end) {
+      const int64_t first = first_row(begin);
+      for (int64_t j = first; j < first_row(end); ++j) {
+        int32_t* row = Row(j);
+        if (j > first) std::copy(row - cells_, row, row);
+        for (int64_t i = std::max(RowStart(j - 1), lead_); i < RowStart(j);
+             ++i) {
+          ++row[cell_at(i)];
+        }
       }
+    });
+    const int chunks = workers.Chunks(n_);
+    if (chunks == 1) return;
+    auto add_row = [this](int64_t from, int64_t to) {
+      const int32_t* carry = Row(from);
+      int32_t* row = Row(to);
+      for (int64_t c = 0; c < cells_; ++c) row[c] += carry[c];
+    };
+    for (int c = 1; c < chunks; ++c) {
+      const int64_t first = first_row(ChunkWorkers::ChunkBegin(n_, chunks, c));
+      const int64_t last =
+          first_row(ChunkWorkers::ChunkBegin(n_, chunks, c + 1)) - 1;
+      if (first <= last) add_row(first - 1, last);
     }
+    workers.ForChunks(n_, [&](int c, int64_t begin, int64_t end) {
+      if (c == 0) return;
+      const int64_t first = first_row(begin);
+      for (int64_t j = first; j < first_row(end) - 1; ++j) {
+        add_row(first - 1, j);
+      }
+    });
   }
 
   /// Overwrites out[0, cells) with the cell counts of positions
@@ -753,16 +806,66 @@ Status ValidateOptions(const SuffixScanOptions& options) {
   return Status::OK();
 }
 
+/// An open LCP interval on the sweep's stack: its string depth and left
+/// bound. Both fit 32 bits (BuildIndex caps n at 2^31 − 2), which halves
+/// the stack: on a^n it grows to n entries.
+struct OpenInterval {
+  int32_t depth;
+  int32_t lb;
+};
+
+/// The interval stack the serial sweep holds once it has passed position
+/// `begin`, as much of it as a chunk owning positions (begin, end] can
+/// reach: every interval deeper than the chunk's minimum LCP m (position
+/// n closes everything, so m is 0 there), over a floor that is never
+/// popped. Those intervals are the strict right-to-left minima of
+/// lcp[1, begin] above m, and each one's left bound is the position of
+/// the next minimum to its left; a backward scan finds them and stops at
+/// the first rank with LCP <= m, which is the floor (rank 0, LCP 0, at
+/// the latest). The first chunk starts from the serial sweep's bottom.
+std::vector<OpenInterval> StackAt(std::span<const int32_t> lcp, int64_t begin,
+                                  int64_t end) {
+  if (begin == 0) return {OpenInterval{0, 0}};
+  const int64_t n = static_cast<int64_t>(lcp.size());
+  int32_t floor_depth = 0;
+  if (end < n) {
+    floor_depth = lcp[begin + 1];
+    for (int64_t i = begin + 2; i <= end; ++i) {
+      floor_depth = std::min(floor_depth, lcp[i]);
+    }
+  }
+  // Top first, each entry holding its own rank until the bounds shift.
+  std::vector<OpenInterval> stack;
+  int32_t below = std::numeric_limits<int32_t>::max();
+  int64_t r = begin;
+  for (; lcp[r] > floor_depth; --r) {
+    if (lcp[r] < below) {
+      below = lcp[r];
+      stack.push_back(OpenInterval{below, static_cast<int32_t>(r)});
+    }
+  }
+  stack.push_back(OpenInterval{lcp[r], static_cast<int32_t>(r)});
+  std::reverse(stack.begin(), stack.end());
+  for (size_t t = stack.size() - 1; t > 0; --t) stack[t].lb = stack[t - 1].lb;
+  return stack;
+}
+
 }  // namespace
 
-template <typename Scorer>
-Result<SuffixScanResult> SuffixScan::ScanImpl(
-    Scorer&& scorer, const SuffixScanOptions& options) const {
+template <typename Context>
+Result<SuffixScanResult> SuffixScan::ScanModel(const Context& context,
+                                               const SuffixScanOptions& options,
+                                               int sweep_chunks) const {
+  if (context.alphabet_size() != k_) {
+    return Status::InvalidArgument(
+        StrCat("model alphabet size ", context.alphabet_size(),
+               " != record alphabet size ", k_));
+  }
   SIGSUB_RETURN_IF_ERROR(ValidateOptions(options));
-
-  SuffixScanResult result;
-  result.stats.peak_index_bytes = peak_index_bytes_;
-  result.stats.index_bytes = index_bytes_;
+  using Scorer =
+      std::conditional_t<std::is_same_v<Context, MarkovChiSquare>,
+                         MarkovScorer, MultinomialScorer>;
+  Scorer scorer(context);
 
   // A candidate remembers its SA interval instead of its positions: the
   // representative (minimum) start and the position list are resolved only
@@ -776,7 +879,8 @@ Result<SuffixScanResult> SuffixScan::ScanImpl(
 
   // Total order: X² descending, then length ascending, then substring
   // text ascending — independent of enumeration order, so the top-N cut
-  // is deterministic. Distinct substrings never compare equal.
+  // is deterministic, and the same whichever chunk kept a candidate.
+  // Distinct substrings never compare equal.
   auto better = [this](const Candidate& a, const Candidate& b) {
     if (a.x2 != b.x2) return a.x2 > b.x2;
     if (a.length != b.length) return a.length < b.length;
@@ -790,135 +894,192 @@ Result<SuffixScanResult> SuffixScan::ScanImpl(
     return false;
   };
 
-  // Min-heap under `better` (root = worst kept candidate) for the top-N
-  // cut; unbounded collection when top_n == 0.
-  std::vector<Candidate> kept;
-  const int64_t cap = options.top_n;
-  if (cap > 0) kept.reserve(static_cast<size_t>(std::min<int64_t>(cap, 1 << 20)) + 1);
-  auto offer = [&](const Candidate& candidate) {
-    ++result.match_count;
-    if (cap == 0) {
-      kept.push_back(candidate);
-      return;
-    }
-    if (static_cast<int64_t>(kept.size()) < cap) {
-      kept.push_back(candidate);
-      std::push_heap(kept.begin(), kept.end(), better);
-      return;
-    }
-    if (better(candidate, kept.front())) {
-      std::pop_heap(kept.begin(), kept.end(), better);
-      kept.back() = candidate;
-      std::push_heap(kept.begin(), kept.end(), better);
-    }
-  };
+  const ChunkWorkers workers = sweep_chunks > 0
+                                   ? ChunkWorkers::Forced(sweep_chunks)
+                                   : ChunkWorkers(n_);
 
   // Label counts of classes deeper than 2·step come from sampled prefix
-  // counts, built by the first such class (a shallow record never pays
-  // for them).
+  // counts, built before the sweep when such a class can be scored: a
+  // leaf (min_count 1) spans up to its whole suffix, an internal class at
+  // most the largest LCP.
   const int64_t step = LabelCheckpointStep(scorer.cells());
-  constexpr int64_t kLead = std::remove_reference_t<Scorer>::kLead;
+  constexpr int64_t kLead = Scorer::kLead;
   auto sym_at = [this](int64_t i) { return Sym(i); };
   auto cell_at = [&](int64_t i) { return scorer.CellAt(sym_at, i); };
   LabelCheckpoints checkpoints(n_, step, scorer.cells(), kLead);
+  int64_t deepest = options.min_count <= 1 ? n_ : max_lcp_;
+  if (options.max_length > 0) deepest = std::min(deepest, options.max_length);
+  if (deepest > 2 * step) checkpoints.Build(cell_at, workers);
 
-  // Scores one class: the suffix-tree node with SA interval [lb, rb],
-  // parent string depth `parent_depth` and string depth `depth`, whose
-  // members are the path prefixes with lengths in (parent_depth, depth].
-  auto process_class = [&](int64_t lb, int64_t rb, int64_t parent_depth,
-                           int64_t depth) {
-    ++result.stats.classes_enumerated;
-    // Empty class: every prefix up to `depth` is shared with a neighboring
-    // suffix, so this node contributes no members of its own (only leaves
-    // whose whole suffix recurs elsewhere hit this).
-    if (depth <= parent_depth) return;
-    int64_t count = rb - lb + 1;
-    if (count < options.min_count) return;
-    int64_t lo_len = std::max(parent_depth + 1, options.min_length);
-    int64_t hi_len = depth;
-    if (options.maximal_only) {
-      // Only the longest member is class-maximal; a truncation at
-      // max_length would have a same-count right extension.
-      if (options.max_length > 0 && depth > options.max_length) return;
-      lo_len = depth;
-    } else if (options.max_length > 0) {
-      hi_len = std::min(hi_len, options.max_length);
-    }
-    if (lo_len > hi_len || hi_len < options.min_length) return;
-    // Every member spells the same label; read it from sa_[rb], the suffix
-    // the sweep has just passed, whose text the sweep prefetched.
-    const int64_t start = sa_[rb];
-    auto score = [&](int64_t len) {
-      ++result.stats.candidates_scored;
-      double x2 = scorer.Score(len);
-      if (x2 >= options.min_x2) offer(Candidate{x2, len, lb, rb});
-    };
-    int64_t len = 0;  // Label symbols the scorer has counted.
-    if (lo_len > 2 * step) {
-      if (!checkpoints.built()) checkpoints.Build(cell_at);
-      len = lo_len;
-      result.stats.label_symbols += checkpoints.Tally(
-          start + kLead, start + len, cell_at,
-          scorer.Load(Sym(start + len - 1)));
-      score(len);
-    } else {
-      scorer.Reset();
-    }
-    result.stats.label_symbols += hi_len - len;
-    for (++len; len <= hi_len; ++len) {
-      scorer.Extend(Sym(start + len - 1));
-      if (len >= lo_len) score(len);
-    }
+  // What one chunk of the sweep found: its own top-N heap, match count and
+  // counters, merged once every chunk is done.
+  struct ChunkResult {
+    std::vector<Candidate> kept;
+    int64_t match_count = 0;
+    SuffixScanStats stats;
   };
+  const int64_t cap = options.top_n;
 
-  // Each loop prefetches the text of the suffix its class will read
-  // kPrefetch ranks ahead: on a record whose index outgrows the cache, the
-  // label read is otherwise a miss for almost every class.
-  constexpr int64_t kPrefetch = 16;
-  auto prefetch_label = [this](int64_t r) {
-    if (r < n_) __builtin_prefetch(data_ + sa_[r]);
-  };
-
-  // Leaf classes: the substrings unique to one suffix — lengths past the
-  // longest prefix shared with any neighbor, i.e. (max adjacent LCP,
-  // suffix length]. Count is always 1.
-  if (options.min_count <= 1) {
-    for (int64_t r = 0; r < n_; ++r) {
-      prefetch_label(r + kPrefetch);
-      int64_t left = lcp_[r];
-      int64_t right = r + 1 < n_ ? lcp_[r + 1] : 0;
-      process_class(r, r, std::max(left, right), n_ - sa_[r]);
-    }
-  }
-
-  // Internal nodes via the classic LCP-interval stack sweep. Depths and
-  // bounds fit 32 bits (BuildIndex caps n at 2^31 − 2), which halves the
-  // stack: on a^n it grows to n entries.
-  {
-    struct Node {
-      int32_t depth;
-      int32_t lb;
+  // Sweeps the leaves of ranks [begin, end) and the internal classes
+  // popped at positions (begin, end] with its own scorer into `out`. The
+  // chunk works on a local, whose counters no other memory can alias, and
+  // moves it out when done.
+  auto sweep_chunk = [&](Scorer& chunk_scorer, int64_t begin, int64_t end,
+                         ChunkResult* out) {
+    ChunkResult part;
+    // Min-heap under `better` (root = worst kept candidate) for the top-N
+    // cut; unbounded collection when top_n == 0.
+    std::vector<Candidate>& kept = part.kept;
+    constexpr int64_t kReserve = int64_t{1} << 12;
+    if (cap > 0) kept.reserve(static_cast<size_t>(std::min(cap, kReserve)) + 1);
+    auto offer = [&](const Candidate& candidate) {
+      ++part.match_count;
+      if (cap == 0) {
+        kept.push_back(candidate);
+        return;
+      }
+      if (static_cast<int64_t>(kept.size()) < cap) {
+        kept.push_back(candidate);
+        std::push_heap(kept.begin(), kept.end(), better);
+        return;
+      }
+      if (better(candidate, kept.front())) {
+        std::pop_heap(kept.begin(), kept.end(), better);
+        kept.back() = candidate;
+        std::push_heap(kept.begin(), kept.end(), better);
+      }
     };
-    std::vector<Node> stack;
-    stack.push_back(Node{0, 0});
-    for (int64_t i = 1; i <= n_; ++i) {
+
+    // Scores one class: the suffix-tree node with SA interval [lb, rb],
+    // parent string depth `parent_depth` and string depth `depth`, whose
+    // members are the path prefixes with lengths in (parent_depth, depth].
+    // Out of line: inlined into both loops below, it made the sweep of a
+    // 32 k-symbol record about 10% slower.
+    auto process_class = [&](int64_t lb, int64_t rb, int64_t parent_depth,
+                             int64_t depth) __attribute__((noinline)) {
+      ++part.stats.classes_enumerated;
+      // Empty class: every prefix up to `depth` is shared with a
+      // neighboring suffix, so this node contributes no members of its own
+      // (only leaves whose whole suffix recurs elsewhere hit this).
+      if (depth <= parent_depth) return;
+      int64_t count = rb - lb + 1;
+      if (count < options.min_count) return;
+      int64_t lo_len = std::max(parent_depth + 1, options.min_length);
+      int64_t hi_len = depth;
+      if (options.maximal_only) {
+        // Only the longest member is class-maximal; a truncation at
+        // max_length would have a same-count right extension.
+        if (options.max_length > 0 && depth > options.max_length) return;
+        lo_len = depth;
+      } else if (options.max_length > 0) {
+        hi_len = std::min(hi_len, options.max_length);
+      }
+      if (lo_len > hi_len || hi_len < options.min_length) return;
+      // Every member spells the same label; read it from sa_[rb], the
+      // suffix the sweep has just passed, whose text the sweep prefetched.
+      const int64_t start = sa_[rb];
+      auto score = [&](int64_t len) {
+        ++part.stats.candidates_scored;
+        double x2 = chunk_scorer.Score(len);
+        if (x2 >= options.min_x2) offer(Candidate{x2, len, lb, rb});
+      };
+      int64_t len = 0;  // Label symbols the scorer has counted.
+      if (lo_len > 2 * step) {
+        len = lo_len;
+        part.stats.label_symbols += checkpoints.Tally(
+            start + kLead, start + len, cell_at,
+            chunk_scorer.Load(Sym(start + len - 1)));
+        score(len);
+      } else {
+        chunk_scorer.Reset();
+      }
+      part.stats.label_symbols += hi_len - len;
+      for (++len; len <= hi_len; ++len) {
+        chunk_scorer.Extend(Sym(start + len - 1));
+        if (len >= lo_len) score(len);
+      }
+    };
+
+    // Each loop prefetches the text of the suffix its class will read
+    // kPrefetch ranks ahead: on a record whose index outgrows the cache,
+    // the label read is otherwise a miss for almost every class.
+    constexpr int64_t kPrefetch = 16;
+    auto prefetch_label = [this](int64_t r) {
+      if (r < n_) __builtin_prefetch(data_ + sa_[r]);
+    };
+
+    // The loops read the index through locals, which the compiler need not
+    // reload after every process_class call.
+    const int64_t n = n_;
+    const int32_t* const sa = sa_.data();
+    const int32_t* const lcp = lcp_.data();
+
+    // Leaf classes: the substrings unique to one suffix — lengths past the
+    // longest prefix shared with any neighbor, i.e. (max adjacent LCP,
+    // suffix length]. Count is always 1.
+    if (options.min_count <= 1) {
+      for (int64_t r = begin; r < end; ++r) {
+        prefetch_label(r + kPrefetch);
+        int64_t left = lcp[r];
+        int64_t right = r + 1 < n ? lcp[r + 1] : 0;
+        process_class(r, r, std::max(left, right), n - sa[r]);
+      }
+    }
+
+    // Internal nodes via the classic LCP-interval stack sweep, each popped
+    // at a position the chunk owns. The stack is assigned rather than
+    // initialized from StackAt so that its address never leaves this
+    // function, and it can stay in registers across process_class calls.
+    std::vector<OpenInterval> stack;
+    stack = StackAt(lcp_, begin, end);
+    for (int64_t i = begin + 1; i <= end; ++i) {
       prefetch_label(i + kPrefetch);
-      const int32_t l = i < n_ ? lcp_[i] : 0;
+      const int32_t l = i < n ? lcp[i] : 0;
       int32_t lb = static_cast<int32_t>(i - 1);
       while (stack.back().depth > l) {
-        Node node = stack.back();
+        OpenInterval node = stack.back();
         stack.pop_back();
         process_class(node.lb, i - 1, std::max(stack.back().depth, l),
                       node.depth);
         lb = node.lb;
       }
-      if (stack.back().depth < l) stack.push_back(Node{l, lb});
+      if (stack.back().depth < l) stack.push_back(OpenInterval{l, lb});
     }
+    *out = std::move(part);
+  };
+
+  // The sweep in rank chunks: chunk c takes the leaves of its ranks
+  // [begin, end) and the classes popped at positions (begin, end]. The
+  // first chunk works with `scorer`, the others with copies.
+  const int chunks = workers.Chunks(n_);
+  std::vector<Scorer> chunk_scorers(static_cast<size_t>(chunks - 1), scorer);
+  std::vector<ChunkResult> parts(static_cast<size_t>(chunks));
+  workers.ForChunks(n_, [&](int c, int64_t begin, int64_t end) {
+    if (begin == end) return;
+    sweep_chunk(c == 0 ? scorer : chunk_scorers[c - 1], begin, end, &parts[c]);
+  });
+
+  // Merge: the union of the chunks' top-N sets holds the overall top N,
+  // and the total order makes the cut the serial sweep's.
+  SuffixScanResult result;
+  result.stats.peak_index_bytes = peak_index_bytes_;
+  result.stats.index_bytes = index_bytes_;
+  std::vector<Candidate> kept = std::move(parts[0].kept);
+  for (int c = 0; c < chunks; ++c) {
+    const ChunkResult& part = parts[c];
+    if (c > 0) kept.insert(kept.end(), part.kept.begin(), part.kept.end());
+    result.match_count += part.match_count;
+    result.stats.classes_enumerated += part.stats.classes_enumerated;
+    result.stats.candidates_scored += part.stats.candidates_scored;
+    result.stats.label_symbols += part.stats.label_symbols;
+  }
+  std::sort(kept.begin(), kept.end(), better);
+  if (cap > 0 && static_cast<int64_t>(kept.size()) > cap) {
+    kept.resize(static_cast<size_t>(cap));
   }
 
-  // Resolve survivors: sort into the total order, then fill the
-  // representative (minimum) start, p-value and optional positions.
-  std::sort(kept.begin(), kept.end(), better);
+  // Resolve survivors: fill the representative (minimum) start, p-value
+  // and optional positions.
   result.classes.reserve(kept.size());
   if (options.collect_positions) result.positions.reserve(kept.size());
   for (const Candidate& candidate : kept) {
@@ -945,24 +1106,19 @@ Result<SuffixScanResult> SuffixScan::ScanImpl(
   return result;
 }
 
+template Result<SuffixScanResult> SuffixScan::ScanModel(
+    const ChiSquareContext&, const SuffixScanOptions&, int) const;
+template Result<SuffixScanResult> SuffixScan::ScanModel(
+    const MarkovChiSquare&, const SuffixScanOptions&, int) const;
+
 Result<SuffixScanResult> SuffixScan::Scan(
     const ChiSquareContext& context, const SuffixScanOptions& options) const {
-  if (context.alphabet_size() != k_) {
-    return Status::InvalidArgument(
-        StrCat("model alphabet size ", context.alphabet_size(),
-               " != record alphabet size ", k_));
-  }
-  return ScanImpl(MultinomialScorer(context), options);
+  return ScanModel(context, options, /*sweep_chunks=*/0);
 }
 
 Result<SuffixScanResult> SuffixScan::ScanMarkov(
     const MarkovChiSquare& context, const SuffixScanOptions& options) const {
-  if (context.alphabet_size() != k_) {
-    return Status::InvalidArgument(
-        StrCat("model alphabet size ", context.alphabet_size(),
-               " != record alphabet size ", k_));
-  }
-  return ScanImpl(MarkovScorer(context), options);
+  return ScanModel(context, options, /*sweep_chunks=*/0);
 }
 
 namespace {

@@ -123,11 +123,34 @@ struct SuffixScanResult {
 /// the difference of two sampled int32 prefix counts, P(end) − P(begin),
 /// each corrected by at most step/2 symbols read next to its sample. The
 /// samples (one row of `cells` counts every step = max(64, 8·cells)
-/// symbols, at most 0.5 B/symbol) are built by the first deep class of a
-/// scan and freed when the scan returns. A class therefore costs
-/// O(min(depth, 2·step) + cells): the maximal-only sweep over the at most
-/// 2n classes is linear in n, and the enumerate-everything mode adds O(1)
-/// per scored candidate. SuffixScanStats::label_symbols counts the reads.
+/// symbols, at most 0.5 B/symbol) are built before the sweep whenever a
+/// class deeper than 2·step can be scored — a leaf at min_count 1, or an
+/// internal class when the index's largest LCP (taken by the build)
+/// exceeds 2·step, either capped by max_length — and freed when the scan
+/// returns. A class therefore costs O(min(depth, 2·step) + cells): the
+/// maximal-only sweep over the at most 2n classes is linear in n, and the
+/// enumerate-everything mode adds O(1) per scored candidate.
+/// SuffixScanStats::label_symbols counts the reads.
+///
+/// Sweep parallelism. A record of at least 2·64 Ki symbols is swept on a
+/// transient pool, under the same policy as the build (below); smaller
+/// records sweep as one chunk on the calling thread, with no extra pass.
+/// The sweep splits into contiguous rank chunks: chunk c takes the leaves
+/// of its ranks [b, e) and every internal class the LCP-interval stack
+/// pops at a position i in (b, e] (the interval [lb, i − 1]). It starts
+/// from the exact stack the serial sweep holds at b, cut to the intervals
+/// deeper than the chunk's minimum LCP m: those are the strict
+/// right-to-left minima of lcp[1, b] above m, each with its left bound at
+/// the next minimum to its left, found by a backward scan that stops at
+/// the first rank with LCP <= m (the never-popped floor). The scan is one
+/// enclosing interval long on random records and reads at most
+/// chunks·n/2 LCP entries in all, when the chunk minima fall strictly
+/// left to right. Each chunk scores with its own scorer copy into its own
+/// top-N heap, match count and counters; the heaps are concatenated,
+/// sorted by the total order and cut to top_n, which is the serial cut,
+/// and the counters are summed. The checkpoint rows are built in the same
+/// chunks (each chunk's rows from zero, then the rows before it added).
+/// Results and all three sweep counters do not depend on the split.
 ///
 /// Build parallelism. A record of at least 2·64 Ki symbols is indexed on
 /// a transient thread pool the build creates and joins itself, using up
@@ -178,7 +201,8 @@ class SuffixScan {
   int64_t peak_index_bytes() const { return peak_index_bytes_; }
 
   /// Threads that ran the build's parallel passes (1 below the parallel
-  /// threshold or on a single-core host).
+  /// threshold or on a single-core host); Scan and ScanMarkov sweep on as
+  /// many.
   int build_workers() const { return build_workers_; }
 
   /// The underlying arrays, exposed for validation: suffix_array()[r] is
@@ -199,15 +223,22 @@ class SuffixScan {
                                       const SuffixScanOptions& options) const;
 
  private:
+  friend class SuffixScanTestPeer;
+
   SuffixScan() = default;
 
   Status BuildIndex();
 
   uint8_t Sym(int64_t i) const { return decode_[data_[i]]; }
 
-  template <typename Scorer>
-  Result<SuffixScanResult> ScanImpl(Scorer&& scorer,
-                                    const SuffixScanOptions& options) const;
+  /// Scan (ChiSquareContext) or ScanMarkov (MarkovChiSquare) with the
+  /// sweep split into `sweep_chunks` rank chunks (1..64, however small the
+  /// record), or into as many as the record's size calls for when 0. Only
+  /// Scan, ScanMarkov and the tests' SuffixScanTestPeer call it.
+  template <typename Context>
+  Result<SuffixScanResult> ScanModel(const Context& context,
+                                     const SuffixScanOptions& options,
+                                     int sweep_chunks) const;
 
   const uint8_t* data_ = nullptr;
   int64_t n_ = 0;
@@ -217,6 +248,7 @@ class SuffixScan {
   std::vector<int32_t> lcp_;  // lcp_[r] = lcp(suffix sa_[r-1], sa_[r]).
   int64_t index_bytes_ = 0;
   int64_t peak_index_bytes_ = 0;
+  int64_t max_lcp_ = 0;  // The largest lcp_ entry.
   int build_workers_ = 1;
 };
 

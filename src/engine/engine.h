@@ -81,11 +81,12 @@ struct EngineOptions {
 /// via core::MssShardScan: its X² value is still bit-identical to the
 /// sequential kernel's, but when several substrings tie at the maximum
 /// the reported witness may differ (the parallel-scan contract). The
-/// second is the suffix index build of a substrings query on a record of
-/// at least 128 Ki symbols: core::SuffixScan builds it on a transient pool
-/// of its own, with up to std::thread::hardware_concurrency() threads
-/// whatever `num_threads` is (core/suffix_scan.h). The index, and so the
-/// result, is the same as a serial build's.
+/// second is the suffix path of a substrings query on a record of at
+/// least 128 Ki symbols: core::SuffixScan builds its index and sweeps it
+/// on transient pools of its own, with up to
+/// std::thread::hardware_concurrency() threads whatever `num_threads` is,
+/// and the result is the same as a serial build and sweep's
+/// (core/suffix_scan.h).
 ///
 /// Thread safety: one batch at a time per engine (calls from multiple
 /// threads must be serialized by the caller); the cache itself is

@@ -17,6 +17,7 @@
 #include "seq/model.h"
 #include "seq/rng.h"
 #include "seq/sequence.h"
+#include "testing/suffix_scan_peer.h"
 #include "testing/test_util.h"
 
 namespace sigsub {
@@ -150,6 +151,53 @@ void ExpectSameResult(const seq::Sequence& s, const SuffixScanResult& got,
   }
 }
 
+/// The sweep counters, which must not depend on how the sweep is split.
+void ExpectSameStats(const SuffixScanStats& got, const SuffixScanStats& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.classes_enumerated, want.classes_enumerated) << label;
+  EXPECT_EQ(got.candidates_scored, want.candidates_scored) << label;
+  EXPECT_EQ(got.label_symbols, want.label_symbols) << label;
+}
+
+Result<SuffixScanResult> PublicScan(const SuffixScan& scan,
+                                    const ChiSquareContext& context,
+                                    const SuffixScanOptions& options) {
+  return scan.Scan(context, options);
+}
+
+Result<SuffixScanResult> PublicScan(const SuffixScan& scan,
+                                    const MarkovChiSquare& context,
+                                    const SuffixScanOptions& options) {
+  return scan.ScanMarkov(context, options);
+}
+
+/// The public scan and the sweep forced into 1, 2, 7 and 64 rank chunks
+/// must all report `want`; every forced split must also reproduce the
+/// one-chunk sweep's counters.
+template <typename Context>
+void ExpectEverySweepMatches(const seq::Sequence& s, const SuffixScan& scan,
+                             const Context& context,
+                             const SuffixScanOptions& options,
+                             const SuffixScanResult& want,
+                             const std::string& label) {
+  ASSERT_OK_AND_ASSIGN(SuffixScanResult got,
+                       PublicScan(scan, context, options));
+  ExpectSameResult(s, got, want, label);
+  ASSERT_OK_AND_ASSIGN(
+      SuffixScanResult one,
+      SuffixScanTestPeer::ScanInChunks(scan, context, options, 1));
+  ExpectSameResult(s, one, want, label + " chunks=1");
+  ExpectSameStats(got.stats, one.stats, label);
+  for (int chunks : {2, 7, 64}) {
+    const std::string chunk_label = StrCat(label, " chunks=", chunks);
+    ASSERT_OK_AND_ASSIGN(
+        SuffixScanResult split,
+        SuffixScanTestPeer::ScanInChunks(scan, context, options, chunks));
+    ExpectSameResult(s, split, want, chunk_label);
+    ExpectSameStats(split.stats, one.stats, chunk_label);
+  }
+}
+
 /// lcp[r] = the longest common prefix of the rank-(r−1) and rank-r
 /// suffixes, by direct comparison (lcp[0] = 0).
 std::vector<int32_t> BruteLcp(const seq::Sequence& s,
@@ -213,10 +261,11 @@ std::vector<OptionCase> DeepOptionCases(int64_t cells) {
 }
 
 /// Runs every DeepOptionCases contract over the long records through both
-/// the decoded and the mapped build, against the naive reference, and
-/// checks that some reported class was deeper than 2·step.
-template <typename ScanFn, typename NaiveFn>
-void ExpectLongRecordsMatchNaive(int k, int64_t cells, ScanFn scan_fn,
+/// the decoded and the mapped build, against the naive reference, with
+/// every sweep split (ExpectEverySweepMatches), and checks that some
+/// reported class was deeper than 2·step.
+template <typename Context, typename NaiveFn>
+void ExpectLongRecordsMatchNaive(int k, int64_t cells, const Context& context,
                                  NaiveFn naive_fn) {
   const int64_t threshold = 2 * SuffixScan::LabelCheckpointStep(cells);
   const std::array<uint8_t, 256> decode = LetterDecode(k);
@@ -230,15 +279,14 @@ void ExpectLongRecordsMatchNaive(int k, int64_t cells, ScanFn scan_fn,
       ASSERT_OK_AND_ASSIGN(SuffixScanResult want,
                            naive_fn(s, option_case.options));
       for (const SuffixScan* scan : {&decoded, &mapped}) {
-        ASSERT_OK_AND_ASSIGN(SuffixScanResult got,
-                             scan_fn(*scan, option_case.options));
-        ExpectSameResult(s, got, want,
-                         StrCat(option_case.label,
-                                scan == &decoded ? " Build" : " BuildMapped",
-                                " k=", k, " n=", s.size()));
-        for (const SubstringClass& entry : got.classes) {
-          deepest = std::max(deepest, entry.substring.length());
-        }
+        ExpectEverySweepMatches(
+            s, *scan, context, option_case.options, want,
+            StrCat(option_case.label,
+                   scan == &decoded ? " Build" : " BuildMapped", " k=", k,
+                   " n=", s.size()));
+      }
+      for (const SubstringClass& entry : want.classes) {
+        deepest = std::max(deepest, entry.substring.length());
       }
     }
     EXPECT_GT(deepest, threshold) << "k=" << k << " n=" << s.size();
@@ -493,6 +541,14 @@ TEST(SuffixScanPropertyTest, MatchesNaiveReferenceMultinomial) {
     option_cases.push_back({o, "full_max_len_6"});
     o.min_length = 2;
     option_cases.push_back({o, "full_min_len_2"});
+    // Top-N cuts the chunks' own heaps must merge into: one, a few, and
+    // more than any record here has.
+    SuffixScanOptions cut;
+    cut.collect_positions = true;
+    for (int64_t top_n : {int64_t{1}, int64_t{7}, int64_t{1} << 20}) {
+      cut.top_n = top_n;
+      option_cases.push_back({cut, StrCat("maximal_top_", top_n)});
+    }
   }
   for (int k : {2, 4}) {
     seq::Rng rng(99 + static_cast<uint64_t>(k));
@@ -510,23 +566,19 @@ TEST(SuffixScanPropertyTest, MatchesNaiveReferenceMultinomial) {
                            SuffixScan::Build(s.symbols(), k));
       for (const ChiSquareContext& context : {uniform, geometric}) {
         for (const OptionCase& option_case : option_cases) {
-          ASSERT_OK_AND_ASSIGN(SuffixScanResult got,
-                               scan.Scan(context, option_case.options));
           ASSERT_OK_AND_ASSIGN(
               SuffixScanResult want,
               NaiveAllSubstringsScan(s, context, option_case.options));
-          ExpectSameResult(s, got, want,
-                           option_case.label + " n=" +
-                               std::to_string(s.size()) +
-                               " k=" + std::to_string(k));
+          ExpectEverySweepMatches(s, scan, context, option_case.options,
+                                  want,
+                                  option_case.label + " n=" +
+                                      std::to_string(s.size()) +
+                                      " k=" + std::to_string(k));
         }
       }
     }
     ExpectLongRecordsMatchNaive(
-        k, k,
-        [&](const SuffixScan& scan, const SuffixScanOptions& options) {
-          return scan.Scan(geometric, options);
-        },
+        k, k, geometric,
         [&](const seq::Sequence& s, const SuffixScanOptions& options) {
           return NaiveAllSubstringsScan(s, geometric, options);
         });
@@ -534,10 +586,20 @@ TEST(SuffixScanPropertyTest, MatchesNaiveReferenceMultinomial) {
 }
 
 TEST(SuffixScanPropertyTest, MatchesNaiveReferenceMarkov) {
-  SuffixScanOptions options;
-  options.top_n = 0;
-  options.min_length = 2;
-  options.collect_positions = true;
+  std::vector<OptionCase> option_cases;
+  {
+    SuffixScanOptions o;
+    o.top_n = 0;
+    o.min_length = 2;
+    o.collect_positions = true;
+    option_cases.push_back({o, "markov"});
+    o.top_n = 1;
+    option_cases.push_back({o, "markov_top_1"});
+    o.top_n = 0;
+    o.maximal_only = false;
+    o.max_length = 6;
+    option_cases.push_back({o, "markov_full_max_len_6"});
+  }
   for (int k : {2, 4}) {
     seq::Rng rng(7 + static_cast<uint64_t>(k));
     seq::MarkovModel model = seq::MarkovModel::PaperFamily(k);
@@ -548,20 +610,99 @@ TEST(SuffixScanPropertyTest, MatchesNaiveReferenceMarkov) {
     for (const seq::Sequence& s : cases) {
       ASSERT_OK_AND_ASSIGN(SuffixScan scan,
                            SuffixScan::Build(s.symbols(), k));
-      ASSERT_OK_AND_ASSIGN(SuffixScanResult got, scan.ScanMarkov(context, options));
-      ASSERT_OK_AND_ASSIGN(
-          SuffixScanResult want,
-          NaiveAllSubstringsScanMarkov(s, context, options));
-      ExpectSameResult(s, got, want, "markov n=" + std::to_string(s.size()));
+      for (const OptionCase& option_case : option_cases) {
+        ASSERT_OK_AND_ASSIGN(
+            SuffixScanResult want,
+            NaiveAllSubstringsScanMarkov(s, context, option_case.options));
+        ExpectEverySweepMatches(
+            s, scan, context, option_case.options, want,
+            StrCat(option_case.label, " n=", s.size(), " k=", k));
+      }
     }
     ExpectLongRecordsMatchNaive(
-        k, k * k,
-        [&](const SuffixScan& scan, const SuffixScanOptions& o) {
-          return scan.ScanMarkov(context, o);
-        },
+        k, k * k, context,
         [&](const seq::Sequence& s, const SuffixScanOptions& o) {
           return NaiveAllSubstringsScanMarkov(s, context, o);
         });
+  }
+}
+
+TEST(SuffixScanPropertyTest, ParallelSweepMatchesOneChunk) {
+  // Records past four sweep chunks (64 Ki symbols each; a sweep goes
+  // parallel from two), through the public scans, which split the sweep
+  // across the host's cores: each must report what the one-chunk sweep
+  // reports, counters included. A random record, and a periodic one with
+  // planted mutations, whose deep intervals span every chunk and whose
+  // deep classes take their counts from the chunk-built checkpoint rows.
+  constexpr int64_t kN = 4 * (int64_t{1} << 16) + 1234;
+  constexpr int kK = 4;
+  seq::Rng rng(16);
+  struct Record {
+    std::string label;
+    seq::Sequence symbols;
+  };
+  std::vector<Record> records;
+  records.push_back({"random", seq::GenerateNull(kK, kN, rng)});
+  {
+    const seq::Sequence unit = seq::GenerateNull(kK, 701, rng);
+    std::vector<uint8_t> periodic(static_cast<size_t>(kN));
+    for (int64_t i = 0; i < kN; ++i) periodic[i] = unit[i % unit.size()];
+    for (int m = 0; m < 16; ++m) {
+      const int64_t at = static_cast<int64_t>(rng.NextBounded(kN));
+      periodic[at] = static_cast<uint8_t>((periodic[at] + 1) % kK);
+    }
+    records.push_back(
+        {"periodic",
+         seq::Sequence::FromSymbols(kK, std::move(periodic)).value()});
+  }
+  std::vector<OptionCase> option_cases;
+  {
+    SuffixScanOptions o;  // The hot-record bench's first query...
+    o.top_n = 20;
+    o.min_count = 2;
+    option_cases.push_back({o, "top_20_min_count_2"});
+    o.top_n = 10;  // ...and its distinct second one.
+    o.min_length = 8;
+    o.min_count = 3;
+    option_cases.push_back({o, "top_10_min_length_8_min_count_3"});
+    SuffixScanOptions leaves;
+    leaves.top_n = 50;
+    leaves.collect_positions = true;
+    option_cases.push_back({leaves, "top_50_min_count_1_positions"});
+    SuffixScanOptions threshold;  // Capped: every match is compared.
+    threshold.top_n = 0;
+    threshold.min_count = 2;
+    threshold.max_length = 40;
+    threshold.min_x2 = 12.0;
+    option_cases.push_back({threshold, "top_0_min_x2_12_max_len_40"});
+    SuffixScanOptions full;
+    full.top_n = 100;
+    full.maximal_only = false;
+    full.max_length = 6;
+    option_cases.push_back({full, "full_max_len_6"});
+  }
+  const ChiSquareContext uniform(seq::MultinomialModel::Uniform(kK));
+  ASSERT_OK_AND_ASSIGN(MarkovChiSquare markov,
+                       MarkovChiSquare::Make(seq::MarkovModel::PaperFamily(kK)));
+  for (const Record& record : records) {
+    const seq::Sequence& s = record.symbols;
+    ASSERT_OK_AND_ASSIGN(SuffixScan scan, SuffixScan::Build(s.symbols(), kK));
+    for (const OptionCase& option_case : option_cases) {
+      auto check = [&](const auto& context, const std::string& model) {
+        const std::string label =
+            StrCat(record.label, " ", option_case.label, " ", model);
+        ASSERT_OK_AND_ASSIGN(SuffixScanResult got,
+                             PublicScan(scan, context, option_case.options));
+        ASSERT_OK_AND_ASSIGN(SuffixScanResult one,
+                             SuffixScanTestPeer::ScanInChunks(
+                                 scan, context, option_case.options, 1));
+        EXPECT_FALSE(one.classes.empty()) << label;
+        ExpectSameResult(s, got, one, label);
+        ExpectSameStats(got.stats, one.stats, label);
+      };
+      check(uniform, "multinomial");
+      check(markov, "markov");
+    }
   }
 }
 
