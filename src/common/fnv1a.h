@@ -1,7 +1,6 @@
 #ifndef SIGSUB_COMMON_FNV1A_H_
 #define SIGSUB_COMMON_FNV1A_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -34,11 +33,6 @@ class Fnv1a {
   void UpdateI64(int64_t value) {
     UpdateU64(static_cast<uint64_t>(value));
   }
-
-  /// Hashes the exact bit pattern, so fingerprints distinguish any two
-  /// doubles that compare unequal (and conflate +0.0/-0.0 only by design
-  /// of the caller).
-  void UpdateDouble(double value) { UpdateU64(std::bit_cast<uint64_t>(value)); }
 
   uint64_t Digest() const { return state_; }
 

@@ -88,13 +88,9 @@
 #include "seq/prefix_counts.h"
 #include "seq/rng.h"
 #include "seq/sequence.h"
-#include "stats/beta.h"
-#include "stats/binomial.h"
 #include "stats/chi_squared.h"
 #include "stats/count_statistics.h"
 #include "stats/descriptive.h"
-#include "stats/exact_multinomial.h"
 #include "stats/gamma.h"
-#include "stats/normal.h"
 
 #endif  // SIGSUB_SIGSUB_H_

@@ -45,11 +45,6 @@ double ChiSquaredDistribution::Sf(double x) const {
   return RegularizedGammaQ(dof_ / 2.0, x / 2.0);
 }
 
-double ChiSquaredDistribution::Quantile(double p) const {
-  SIGSUB_CHECK(p >= 0.0 && p < 1.0);
-  return 2.0 * InverseRegularizedGammaP(dof_ / 2.0, p);
-}
-
 double ChiSquaredDistribution::CriticalValue(double alpha) const {
   SIGSUB_CHECK(alpha > 0.0 && alpha <= 1.0);
   // Bisect on the survival function: Sf is strictly decreasing.

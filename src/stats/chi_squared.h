@@ -34,11 +34,8 @@ class ChiSquaredDistribution {
   /// tails (p-values ~1e-300) retain relative precision.
   double Sf(double x) const;
 
-  /// Quantile function: smallest x with Cdf(x) >= p, for p in [0, 1).
-  double Quantile(double p) const;
-
-  /// The X² threshold whose p-value equals `alpha` (i.e. Quantile(1-alpha)),
-  /// handling small alpha without cancellation.
+  /// The X² threshold whose p-value equals `alpha`, i.e. the x with
+  /// Sf(x) = alpha; bisects on Sf so small alpha avoids cancellation.
   double CriticalValue(double alpha) const;
 
  private:

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/str_util.h"
 #include "stats/chi_squared.h"
 
 namespace sigsub {
@@ -24,42 +23,6 @@ double PearsonChiSquare(std::span<const int64_t> counts,
   return sum / dl - dl;
 }
 
-Status ValidateCountsAndProbs(std::span<const int64_t> counts,
-                              std::span<const double> probs) {
-  if (counts.size() != probs.size()) {
-    return Status::InvalidArgument(
-        StrCat("counts size (", counts.size(), ") != probs size (",
-               probs.size(), ")"));
-  }
-  if (counts.empty()) {
-    return Status::InvalidArgument("empty count vector");
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    if (counts[i] < 0) {
-      return Status::InvalidArgument(
-          StrCat("negative count at index ", i, ": ", counts[i]));
-    }
-    if (!(probs[i] > 0.0) || probs[i] > 1.0) {
-      return Status::InvalidArgument(
-          StrCat("probability at index ", i, " must be in (0, 1], got ",
-                 probs[i]));
-    }
-    total += probs[i];
-  }
-  if (std::fabs(total - 1.0) > 1e-9) {
-    return Status::InvalidArgument(
-        StrCat("probabilities must sum to 1, got ", total));
-  }
-  return Status::OK();
-}
-
-Result<double> PearsonChiSquareChecked(std::span<const int64_t> counts,
-                                       std::span<const double> probs) {
-  SIGSUB_RETURN_IF_ERROR(ValidateCountsAndProbs(counts, probs));
-  return PearsonChiSquare(counts, probs);
-}
-
 double LikelihoodRatioG2(std::span<const int64_t> counts,
                          std::span<const double> probs) {
   SIGSUB_DCHECK(counts.size() == probs.size());
@@ -74,12 +37,6 @@ double LikelihoodRatioG2(std::span<const int64_t> counts,
     sum += y * std::log(y / (dl * probs[i]));
   }
   return 2.0 * sum;
-}
-
-Result<double> LikelihoodRatioG2Checked(std::span<const int64_t> counts,
-                                        std::span<const double> probs) {
-  SIGSUB_RETURN_IF_ERROR(ValidateCountsAndProbs(counts, probs));
-  return LikelihoodRatioG2(counts, probs);
 }
 
 double ChiSquarePValue(double x2, int alphabet_size) {

@@ -25,10 +25,6 @@ struct LinearFit {
 /// Requires xs.size() == ys.size() >= 2 and non-constant xs.
 LinearFit FitLine(std::span<const double> xs, std::span<const double> ys);
 
-/// Pearson correlation coefficient of two equal-length samples.
-double PearsonCorrelation(std::span<const double> xs,
-                          std::span<const double> ys);
-
 }  // namespace stats
 }  // namespace sigsub
 

@@ -19,10 +19,6 @@ double RegularizedGammaP(double a, double x);
 /// relative precision.
 double RegularizedGammaQ(double a, double x);
 
-/// Inverse of P(a, .): returns x such that P(a, x) = p, for p in [0, 1).
-/// Uses a Wilson-Hilferty initial guess refined by Halley iterations.
-double InverseRegularizedGammaP(double a, double p);
-
 }  // namespace stats
 }  // namespace sigsub
 

@@ -1,24 +1,10 @@
 #include "io/string_codec.h"
 
 #include "gtest/gtest.h"
-#include "seq/alphabet.h"
 
 namespace sigsub {
 namespace io {
 namespace {
-
-TEST(BinaryFromBoolsTest, EncodesBits) {
-  seq::Sequence s = BinaryFromBools({true, false, true, true});
-  ASSERT_EQ(s.size(), 4);
-  EXPECT_EQ(s[0], 1);
-  EXPECT_EQ(s[1], 0);
-  EXPECT_EQ(s[2], 1);
-  EXPECT_EQ(s[3], 1);
-}
-
-TEST(BinaryFromBoolsTest, EmptyInput) {
-  EXPECT_TRUE(BinaryFromBools({}).empty());
-}
 
 TEST(UpDownFromLevelsTest, EncodesMoves) {
   auto s = UpDownFromLevels({100.0, 101.0, 100.5, 100.5, 102.0});
@@ -45,17 +31,6 @@ TEST(FormatSignedPercentTest, Signs) {
   EXPECT_EQ(FormatSignedPercent(0.681), "+68.10%");
   EXPECT_EQ(FormatSignedPercent(-0.4127), "-41.27%");
   EXPECT_EQ(FormatSignedPercent(0.0), "+0.00%");
-}
-
-TEST(ParseBinaryStringTest, RoundTrip) {
-  auto s = ParseBinaryString("0110101");
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->size(), 7);
-  EXPECT_EQ(s->ToString(seq::Alphabet::Binary()), "0110101");
-}
-
-TEST(ParseBinaryStringTest, RejectsNonBinary) {
-  EXPECT_TRUE(ParseBinaryString("0120").status().IsNotFound());
 }
 
 }  // namespace

@@ -55,34 +55,6 @@ TEST(PearsonChiSquareTest, PermutationInvariant) {
               PearsonChiSquare(counts_p, probs_p), 1e-12);
 }
 
-TEST(ValidateCountsAndProbsTest, CatchesBadInput) {
-  std::vector<double> probs{0.5, 0.5};
-  EXPECT_TRUE(ValidateCountsAndProbs(std::vector<int64_t>{1}, probs)
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ValidateCountsAndProbs(std::vector<int64_t>{}, {})
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ValidateCountsAndProbs(std::vector<int64_t>{-1, 2}, probs)
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ValidateCountsAndProbs(std::vector<int64_t>{1, 2},
-                                     std::vector<double>{0.5, 0.6})
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ValidateCountsAndProbs(std::vector<int64_t>{1, 2},
-                                     std::vector<double>{1.0, 0.0})
-                  .IsInvalidArgument());
-  EXPECT_TRUE(
-      ValidateCountsAndProbs(std::vector<int64_t>{1, 2}, probs).ok());
-}
-
-TEST(PearsonChiSquareCheckedTest, PropagatesValidation) {
-  auto bad = PearsonChiSquareChecked(std::vector<int64_t>{1},
-                                     std::vector<double>{0.5, 0.5});
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  auto good = PearsonChiSquareChecked(std::vector<int64_t>{19, 1},
-                                      std::vector<double>{0.5, 0.5});
-  ASSERT_TRUE(good.ok());
-  EXPECT_NEAR(good.value(), 16.2, 1e-12);
-}
-
 TEST(LikelihoodRatioTest, ZeroWhenCountsMatchExpectation) {
   std::vector<int64_t> counts{25, 25};
   std::vector<double> probs{0.5, 0.5};

@@ -86,28 +86,6 @@ TEST(RegularizedGammaTest, DeepTailKeepsRelativePrecision) {
   EXPECT_NEAR(q / expected, 1.0, 1e-9);
 }
 
-class GammaInverseRoundTrip
-    : public ::testing::TestWithParam<std::tuple<double, double>> {};
-
-TEST_P(GammaInverseRoundTrip, InverseIsConsistent) {
-  auto [a, p] = GetParam();
-  double x = InverseRegularizedGammaP(a, p);
-  EXPECT_GE(x, 0.0);
-  EXPECT_NEAR(RegularizedGammaP(a, x), p, 1e-9)
-      << "a=" << a << " p=" << p << " x=" << x;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, GammaInverseRoundTrip,
-    ::testing::Combine(
-        ::testing::Values(0.25, 0.5, 1.0, 1.5, 2.0, 5.0, 12.5, 50.0),
-        ::testing::Values(1e-6, 0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999,
-                          0.999999)));
-
-TEST(GammaInverseTest, ZeroMapsToZero) {
-  EXPECT_DOUBLE_EQ(InverseRegularizedGammaP(3.0, 0.0), 0.0);
-}
-
 }  // namespace
 }  // namespace stats
 }  // namespace sigsub
