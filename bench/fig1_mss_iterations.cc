@@ -4,6 +4,9 @@
 //     trivial scan with slope 2.
 // (b) the same sweep for k = 2, 3, 5, 10: alphabet size has no significant
 //     effect on the iteration count.
+//
+// Exits nonzero unless the k = 2 slope lies in [1.35, 1.65] and the
+// trivial scan's in [1.95, 2.05].
 
 #include <cmath>
 #include <cstdio>
@@ -25,6 +28,8 @@ int main() {
   if (bench::FastMode()) sizes = {512, 2048, 8192};
 
   // --- Figure 1a: ours vs trivial, k = 2. ---
+  double ours_slope = 0.0;
+  double trivial_slope = 0.0;
   {
     io::TableWriter table({"n", "ln n", "iter(ours)", "ln iter(ours)",
                            "iter(trivial)", "ln iter(trivial)"});
@@ -50,8 +55,8 @@ int main() {
       iters.push_back(iter);
     }
     std::printf("\nFigure 1a (k = 2):\n%s", table.Render().c_str());
-    bench::PrintLogLogSlope("ours, expect ~1.5", ns, iters);
-    bench::PrintLogLogSlope(
+    ours_slope = bench::PrintLogLogSlope("ours, expect ~1.5", ns, iters);
+    trivial_slope = bench::PrintLogLogSlope(
         "trivial, expect 2.0", ns,
         [&] {
           std::vector<double> t;
@@ -80,5 +85,13 @@ int main() {
     std::printf("(expected: columns nearly equal — k has no significant "
                 "effect)\n");
   }
-  return 0;
+
+  // The paper's headline claim: the MSS scan examines O(n^{3/2})
+  // positions, against the trivial scan's n(n+1)/2.
+  const bool gate_ok = ours_slope >= 1.35 && ours_slope <= 1.65 &&
+                       trivial_slope >= 1.95 && trivial_slope <= 2.05;
+  std::printf("\ngate (k=2 slope in [1.35, 1.65], trivial slope in "
+              "[1.95, 2.05]): %s\n",
+              gate_ok ? "PASS" : "FAIL");
+  return gate_ok ? 0 : 1;
 }

@@ -194,6 +194,15 @@ int main() {
     double topt_ms =
         bench::TimeMs([&] { core::FindTopT(counts2, ctx2, 100); });
     record("find_top_t_100_k2", topt_ms);
+    double threshold_ms = bench::TimeMs(
+        [&] { core::FindAboveThreshold(counts2, ctx2, /*alpha0=*/15.0); });
+    record("find_threshold_k2", threshold_ms);
+    double min_length_ms =
+        bench::TimeMs([&] { core::FindMssMinLength(counts2, ctx2, n / 8); });
+    record("find_min_length_k2", min_length_ms);
+    double bounded_ms = bench::TimeMs(
+        [&] { core::FindMssLengthBounded(counts2, ctx2, 16, 4096); });
+    record("find_length_bounded_k2", bounded_ms);
     double parallel_ms = bench::TimeMs(
         [&] { core::FindMssParallel(counts2, ctx2, /*num_threads=*/0); });
     record("find_mss_parallel_hw", parallel_ms);

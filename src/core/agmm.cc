@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/str_util.h"
 #include "core/x2_kernel.h"
 
 namespace sigsub {
@@ -115,14 +114,7 @@ MssResult FindMssAgmm(const seq::Sequence& sequence,
 
 Result<MssResult> FindMssAgmm(const seq::Sequence& sequence,
                               const seq::MultinomialModel& model) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   seq::PrefixCounts counts(sequence);
   ChiSquareContext context(model);
   return FindMssAgmm(sequence, counts, context);

@@ -1,10 +1,14 @@
 #ifndef SIGSUB_CORE_CHAIN_COVER_H_
 #define SIGSUB_CORE_CHAIN_COVER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
 #include "core/chi_square.h"
+#include "core/scan_types.h"
+#include "core/x2_kernel.h"
+#include "seq/prefix_counts.h"
 
 namespace sigsub {
 namespace core {
@@ -73,6 +77,57 @@ class SkipSolver {
  private:
   const ChiSquareContext* context_;
 };
+
+/// Paper Algorithm 1, the scan loop every chain-cover interval kernel runs:
+/// for each start i (from the right end down), walk the ending positions
+/// of the row, evaluate X² of S[i, end) from two prefix blocks, call
+/// `visit(i, end, x2)`, and jump past every ending position that
+/// MaxSafeExtension proves cannot score above the budget B `visit`
+/// returned. The variants differ only in B:
+///
+///   MSS, min-length and length-bounded MSS (Problems 1 and 4)
+///                                      — the running maximum;
+///   top-t (Problem 2, Algorithm 2)     — the t-th best so far;
+///   threshold (Problem 3, Algorithm 3) — the fixed cutoff α₀;
+///   parallel MSS shard                 — the maximum shared by all shards.
+///
+/// Scans the substrings of [lo, hi) with min_length <= length <=
+/// max_length, taking start positions hi − min_length − shard, then every
+/// num_shards-th one below it, down to lo. `Visit` is a template
+/// parameter so the call inlines into the loop. Returns the scan's
+/// counters.
+template <typename Visit>
+ScanStats ChainCoverScan(const seq::PrefixCounts& counts,
+                         const ChiSquareContext& context, int64_t lo,
+                         int64_t hi, int64_t min_length, int64_t max_length,
+                         int shard, int num_shards, Visit&& visit) {
+  ScanStats stats;
+  SkipSolver solver(context);
+  X2Kernel kernel(context);
+  for (int64_t i = hi - min_length - shard; i >= lo; i -= num_shards) {
+    ++stats.start_positions;
+    const int64_t* start_block = counts.BlockAt(i);
+    // min(hi, i + max_length) without overflow for max_length near
+    // INT64_MAX.
+    const int64_t row_end = hi - i > max_length ? i + max_length : hi;
+    int64_t end = i + min_length;
+    while (end <= row_end) {
+      const int64_t* end_block = counts.BlockAt(end);
+      const int64_t l = end - i;
+      const double x2 = kernel.EvaluateBlocks(start_block, end_block, l);
+      ++stats.positions_examined;
+      const double budget = visit(i, end, x2);
+      const int64_t skip =
+          solver.MaxSafeExtension(start_block, end_block, l, x2, budget);
+      if (skip > 0) {
+        ++stats.skip_events;
+        stats.positions_skipped += std::min(end + skip, row_end) - end;
+      }
+      end += skip + 1;
+    }
+  }
+  return stats;
+}
 
 /// The paper's literal skip rule (Algorithm 1 lines 9-13): pick the single
 /// character t maximizing (2Y_t + x)/p_t with x approximated by the previous

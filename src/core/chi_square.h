@@ -9,6 +9,7 @@
 #include "core/x2_dispatch.h"
 #include "seq/model.h"
 #include "seq/prefix_counts.h"
+#include "seq/sequence.h"
 
 namespace sigsub {
 namespace core {
@@ -95,6 +96,11 @@ class ChiSquareContext {
   bool x2_simd_active_ = false;
   X2RangeFn x2_range_fn_;
 };
+
+/// The check every (sequence, model) entry point runs first: the sequence
+/// is non-empty and its alphabet size matches the model's.
+Status ValidateSequenceModel(const seq::Sequence& sequence,
+                             const seq::MultinomialModel& model);
 
 }  // namespace core
 }  // namespace sigsub

@@ -1,12 +1,10 @@
 #include "core/length_bounded.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/check.h"
 #include "common/str_util.h"
-#include "core/chain_cover.h"
-#include "core/x2_kernel.h"
+#include "core/mss.h"
 
 namespace sigsub {
 namespace core {
@@ -15,14 +13,7 @@ namespace {
 Status ValidateInput(const seq::Sequence& sequence,
                      const seq::MultinomialModel& model, int64_t min_length,
                      int64_t max_length) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   if (min_length < 1 || min_length > sequence.size()) {
     return Status::InvalidArgument(
         StrCat("min_length must be in [1, ", sequence.size(), "], got ",
@@ -41,44 +32,9 @@ Status ValidateInput(const seq::Sequence& sequence,
 MssResult FindMssLengthBounded(const seq::PrefixCounts& counts,
                                const ChiSquareContext& context,
                                int64_t min_length, int64_t max_length) {
-  SIGSUB_CHECK(context.alphabet_size() == counts.alphabet_size());
-  SIGSUB_CHECK(min_length >= 1 && max_length >= min_length);
-  const int64_t n = counts.sequence_size();
-  MssResult result;
-  result.best = Substring{0, 0, 0.0};
-  if (n < min_length) return result;
-
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-  double best = 0.0;
-  bool found = false;
-  for (int64_t i = n - min_length; i >= 0; --i) {
-    ++result.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t row_end = std::min(n, i + max_length);
-    int64_t end = i + min_length;
-    while (end <= row_end) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++result.stats.positions_examined;
-      if (x2 > best || !found) {
-        best = x2;
-        found = true;
-        result.best = Substring{i, end, x2};
-      }
-      int64_t skip = solver.MaxSafeExtension(lo, hi, l, x2, best);
-      if (skip > 0) {
-        ++result.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, row_end);
-        if (last_skipped > end) {
-          result.stats.positions_skipped += last_skipped - end;
-        }
-      }
-      end += skip + 1;
-    }
-  }
-  return result;
+  SIGSUB_CHECK(max_length >= min_length);
+  return FindMssInRange(counts, context, 0, counts.sequence_size(),
+                        min_length, max_length);
 }
 
 Result<MssResult> FindMssLengthBounded(const seq::Sequence& sequence,

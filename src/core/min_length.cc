@@ -1,6 +1,5 @@
 #include "core/min_length.h"
 
-#include "common/check.h"
 #include "common/str_util.h"
 #include "core/mss.h"
 
@@ -10,21 +9,14 @@ namespace core {
 MssResult FindMssMinLength(const seq::PrefixCounts& counts,
                            const ChiSquareContext& context,
                            int64_t min_length) {
-  return FindMssInRange(counts, context, 0, counts.sequence_size(),
-                        min_length);
+  const int64_t n = counts.sequence_size();
+  return FindMssInRange(counts, context, 0, n, min_length, n);
 }
 
 Result<MssResult> FindMssMinLength(const seq::Sequence& sequence,
                                    const seq::MultinomialModel& model,
                                    int64_t min_length) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   if (min_length < 1 || min_length > sequence.size()) {
     return Status::InvalidArgument(
         StrCat("min_length must be in [1, ", sequence.size(), "], got ",

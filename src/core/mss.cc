@@ -1,89 +1,43 @@
 #include "core/mss.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/check.h"
-#include "common/str_util.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
-namespace {
-
-Status ValidateInput(const seq::Sequence& sequence,
-                     const seq::MultinomialModel& model) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 MssResult FindMssInRange(const seq::PrefixCounts& counts,
                          const ChiSquareContext& context, int64_t range_start,
-                         int64_t range_end, int64_t min_length) {
+                         int64_t range_end, int64_t min_length,
+                         int64_t max_length) {
   SIGSUB_CHECK(context.alphabet_size() == counts.alphabet_size());
   SIGSUB_CHECK(range_start >= 0 && range_end <= counts.sequence_size());
   SIGSUB_CHECK(min_length >= 1);
 
   MssResult result;
   result.best = Substring{range_start, range_start, 0.0};
-  if (range_end - range_start < min_length) return result;
-
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-  double best = 0.0;
   bool found = false;
-
-  // Paper Algorithm 1: outer loop over start positions (the paper goes
-  // i = n..1; direction does not affect correctness or the analysis), inner
-  // loop over ending positions with chain-cover skips. The start block is
-  // pinned per row; each candidate is one fused pass over two blocks.
-  for (int64_t i = range_end - min_length; i >= range_start; --i) {
-    ++result.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t end = i + min_length;
-    while (end <= range_end) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++result.stats.positions_examined;
-      if (x2 > best || !found) {
-        best = x2;
-        found = true;
-        result.best = Substring{i, end, x2};
-      }
-      int64_t skip = solver.MaxSafeExtension(lo, hi, l, x2, best);
-      if (skip > 0) {
-        ++result.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, range_end);
-        if (last_skipped > end) {
-          result.stats.positions_skipped += last_skipped - end;
+  result.stats = ChainCoverScan(
+      counts, context, range_start, range_end, min_length, max_length,
+      /*shard=*/0, /*num_shards=*/1, [&](int64_t i, int64_t end, double x2) {
+        if (x2 > result.best.chi_square || !found) {
+          found = true;
+          result.best = Substring{i, end, x2};
         }
-      }
-      end += skip + 1;
-    }
-  }
+        return result.best.chi_square;
+      });
   return result;
 }
 
 MssResult FindMss(const seq::PrefixCounts& counts,
                   const ChiSquareContext& context) {
-  return FindMssInRange(counts, context, 0, counts.sequence_size(),
-                        /*min_length=*/1);
+  const int64_t n = counts.sequence_size();
+  return FindMssInRange(counts, context, 0, n, /*min_length=*/1, n);
 }
 
 Result<MssResult> FindMss(const seq::Sequence& sequence,
                           const seq::MultinomialModel& model) {
-  SIGSUB_RETURN_IF_ERROR(ValidateInput(sequence, model));
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   seq::PrefixCounts counts(sequence);
   ChiSquareContext context(model);
   return FindMss(counts, context);

@@ -26,13 +26,15 @@ Result<MssResult> FindMss(const seq::Sequence& sequence,
 MssResult FindMss(const seq::PrefixCounts& counts,
                   const ChiSquareContext& context);
 
-/// Restricted kernel: MSS among substrings contained in [range_start,
-/// range_end) with length >= min_length. Shared by the min-length variant
-/// (Problem 4) and the disjoint top-t utility. Returns a result with
-/// best.length() == 0 if no substring qualifies.
+/// The chain-cover MSS scan behind FindMss, FindMssMinLength,
+/// FindMssLengthBounded and FindTopDisjoint: the highest-X² substring
+/// contained in [range_start, range_end) with min_length <= length <=
+/// max_length. Returns a result with best.length() == 0 if no substring
+/// qualifies.
 MssResult FindMssInRange(const seq::PrefixCounts& counts,
                          const ChiSquareContext& context, int64_t range_start,
-                         int64_t range_end, int64_t min_length);
+                         int64_t range_end, int64_t min_length,
+                         int64_t max_length);
 
 }  // namespace core
 }  // namespace sigsub

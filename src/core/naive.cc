@@ -8,23 +8,6 @@
 
 namespace sigsub {
 namespace core {
-namespace {
-
-Status ValidateInput(const seq::Sequence& sequence,
-                     const seq::MultinomialModel& model) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 MssResult NaiveFindMss(const seq::Sequence& sequence,
                        const ChiSquareContext& context) {
   SIGSUB_CHECK(sequence.alphabet_size() == context.alphabet_size());
@@ -51,7 +34,7 @@ MssResult NaiveFindMss(const seq::Sequence& sequence,
 
 Result<MssResult> NaiveFindMss(const seq::Sequence& sequence,
                                const seq::MultinomialModel& model) {
-  SIGSUB_RETURN_IF_ERROR(ValidateInput(sequence, model));
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   return NaiveFindMss(sequence, ChiSquareContext(model));
 }
 
@@ -79,7 +62,7 @@ TopTResult NaiveFindTopT(const seq::Sequence& sequence,
 Result<TopTResult> NaiveFindTopT(const seq::Sequence& sequence,
                                  const seq::MultinomialModel& model,
                                  int64_t t) {
-  SIGSUB_RETURN_IF_ERROR(ValidateInput(sequence, model));
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   if (t < 1) {
     return Status::InvalidArgument(StrCat("t must be >= 1, got ", t));
   }
@@ -121,7 +104,7 @@ ThresholdResult NaiveFindAboveThreshold(const seq::Sequence& sequence,
 Result<ThresholdResult> NaiveFindAboveThreshold(
     const seq::Sequence& sequence, const seq::MultinomialModel& model,
     double alpha0, int64_t max_matches) {
-  SIGSUB_RETURN_IF_ERROR(ValidateInput(sequence, model));
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   if (max_matches < 0) {
     return Status::InvalidArgument(
         StrCat("max_matches must be >= 0, got ", max_matches));
@@ -160,7 +143,7 @@ MssResult NaiveFindMssMinLength(const seq::Sequence& sequence,
 Result<MssResult> NaiveFindMssMinLength(const seq::Sequence& sequence,
                                         const seq::MultinomialModel& model,
                                         int64_t min_length) {
-  SIGSUB_RETURN_IF_ERROR(ValidateInput(sequence, model));
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   if (min_length < 1 || min_length > sequence.size()) {
     return Status::InvalidArgument(
         StrCat("min_length must be in [1, ", sequence.size(), "], got ",

@@ -5,9 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/str_util.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
@@ -20,35 +18,17 @@ MssResult MssShardScan(const seq::PrefixCounts& counts,
   const int64_t n = counts.sequence_size();
   MssResult local;
   local.best = Substring{0, 0, 0.0};
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
   bool found = false;
-  for (int64_t i = n - 1 - shard; i >= 0; i -= num_shards) {
-    ++local.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t end = i + 1;
-    while (end <= n) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++local.stats.positions_examined;
-      if (x2 > local.best.chi_square || !found) {
-        found = true;
-        local.best = Substring{i, end, x2};
-        shared_best->Update(x2);
-      }
-      int64_t skip =
-          solver.MaxSafeExtension(lo, hi, l, x2, shared_best->load());
-      if (skip > 0) {
-        ++local.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, n);
-        if (last_skipped > end) {
-          local.stats.positions_skipped += last_skipped - end;
+  local.stats = ChainCoverScan(
+      counts, context, 0, n, /*min_length=*/1, n, shard, num_shards,
+      [&](int64_t i, int64_t end, double x2) {
+        if (x2 > local.best.chi_square || !found) {
+          found = true;
+          local.best = Substring{i, end, x2};
+          shared_best->Update(x2);
         }
-      }
-      end += skip + 1;
-    }
-  }
+        return shared_best->load();
+      });
   return local;
 }
 
@@ -95,14 +75,7 @@ MssResult FindMssParallel(const seq::PrefixCounts& counts,
 Result<MssResult> FindMssParallel(const seq::Sequence& sequence,
                                   const seq::MultinomialModel& model,
                                   int num_threads) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   seq::PrefixCounts counts(sequence);
   ChiSquareContext context(model);
   return FindMssParallel(counts, context, num_threads);

@@ -17,11 +17,11 @@ namespace sigsub {
 namespace core {
 
 /// Multi-threaded MSS (Problem 1). Start positions are strided across
-/// threads; each thread runs the same chain-cover skip scan against a
-/// shared atomic X²_max, so a discovery by any thread immediately widens
-/// every thread's skips. Exact: a substring is only ever skipped when its
-/// cover bound is at most the shared maximum at that instant, which never
-/// exceeds the final maximum.
+/// threads; each thread runs the same chain-cover skip scan (MssShardScan)
+/// against a shared atomic X²_max, so a discovery by any thread immediately
+/// widens every thread's skips. Exact: a substring is only ever skipped
+/// when its cover bound is at most the shared maximum at that instant,
+/// which never exceeds the final maximum.
 ///
 /// The returned X² value equals the sequential algorithm's; when several
 /// substrings tie at the maximum, which one is reported may vary across
@@ -38,13 +38,14 @@ MssResult FindMssParallel(const seq::PrefixCounts& counts,
                           const ChiSquareContext& context,
                           int num_threads = 0);
 
-/// One strided shard of the parallel scan: start positions
-/// n-1-shard, n-1-shard-num_shards, ... with the chain-cover skip bound
-/// read from (and published to) `shared_best`. Exposed so external
-/// executors — engine::Engine splitting one oversized record across its
-/// ThreadPool — can schedule shards themselves; FindMssParallel is the
-/// packaged composition. Pure apart from `shared_best`; shards of one
-/// scan may run concurrently in any order.
+/// One strided shard of the parallel scan: ChainCoverScan over start
+/// positions n-1-shard, n-1-shard-num_shards, ..., publishing each new
+/// shard-local best to `shared_best` and taking every skip against its
+/// current value. Exposed so external executors — engine::Engine
+/// splitting one oversized record across its ThreadPool — can schedule
+/// shards themselves; FindMssParallel is the packaged composition. Pure
+/// apart from `shared_best`; shards of one scan may run concurrently in
+/// any order.
 MssResult MssShardScan(const seq::PrefixCounts& counts,
                        const ChiSquareContext& context, int shard,
                        int num_shards, AtomicMax* shared_best);

@@ -1,12 +1,10 @@
 #include "core/threshold.h"
 
-#include <algorithm>
-#include <vector>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/str_util.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
@@ -18,45 +16,25 @@ ThresholdResult FindAboveThreshold(const seq::PrefixCounts& counts,
   SIGSUB_CHECK(options.max_matches >= 0);
   const int64_t n = counts.sequence_size();
   ThresholdResult result;
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-  bool found = false;
-
-  for (int64_t i = n - 1; i >= 0; --i) {
-    ++result.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t end = i + 1;
-    while (end <= n) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++result.stats.positions_examined;
-      if (x2 > alpha0) {
-        Substring match{i, end, x2};
-        ++result.match_count;
-        if (static_cast<int64_t>(result.matches.size()) <
-            options.max_matches) {
-          result.matches.push_back(match);
+  // The budget stays fixed at alpha0 (paper Algorithm 3). When x2 > alpha0
+  // the solver returns 0 and the scan advances by one — the paper's
+  // max(..., 1).
+  result.stats = ChainCoverScan(
+      counts, context, 0, n, /*min_length=*/1, n, /*shard=*/0,
+      /*num_shards=*/1, [&](int64_t i, int64_t end, double x2) {
+        if (x2 > alpha0) {
+          Substring match{i, end, x2};
+          ++result.match_count;
+          if (static_cast<int64_t>(result.matches.size()) <
+              options.max_matches) {
+            result.matches.push_back(match);
+          }
+          if (result.match_count == 1 || x2 > result.best.chi_square) {
+            result.best = match;
+          }
         }
-        if (!found || x2 > result.best.chi_square) {
-          found = true;
-          result.best = match;
-        }
-      }
-      // The budget stays fixed at alpha0 (paper Algorithm 3). When
-      // x2 > alpha0 the solver returns 0 and the scan advances by one —
-      // the paper's max(..., 1).
-      int64_t skip = solver.MaxSafeExtension(lo, hi, l, x2, alpha0);
-      if (skip > 0) {
-        ++result.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, n);
-        if (last_skipped > end) {
-          result.stats.positions_skipped += last_skipped - end;
-        }
-      }
-      end += skip + 1;
-    }
-  }
+        return alpha0;
+      });
   return result;
 }
 
@@ -64,21 +42,16 @@ Result<ThresholdResult> FindAboveThreshold(const seq::Sequence& sequence,
                                            const seq::MultinomialModel& model,
                                            double alpha0,
                                            ThresholdOptions options) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   if (options.max_matches < 0) {
     return Status::InvalidArgument(
         StrCat("max_matches must be >= 0, got ", options.max_matches));
   }
-  if (alpha0 < 0.0) {
-    return Status::InvalidArgument(
-        StrCat("alpha0 must be >= 0 (X² is non-negative), got ", alpha0));
+  // NaN fails every comparison, so `alpha0 < 0.0` alone would let it
+  // through and the scan would match nothing; +inf matches nothing too.
+  if (!(alpha0 >= 0.0) || std::isinf(alpha0)) {
+    return Status::InvalidArgument(StrCat(
+        "alpha0 must be finite and >= 0 (X² is non-negative), got ", alpha0));
   }
   seq::PrefixCounts counts(sequence);
   ChiSquareContext context(model);

@@ -1,6 +1,6 @@
 #include "core/top_disjoint.h"
 
-#include <algorithm>
+#include <cmath>
 #include <queue>
 
 #include "common/check.h"
@@ -37,7 +37,7 @@ std::vector<Substring> FindTopDisjoint(const seq::PrefixCounts& counts,
   auto push_segment = [&](int64_t lo, int64_t hi) {
     if (hi - lo < options.min_length) return;
     MssResult mss =
-        FindMssInRange(counts, context, lo, hi, options.min_length);
+        FindMssInRange(counts, context, lo, hi, options.min_length, hi - lo);
     if (mss.best.length() < options.min_length) return;
     if (!(mss.best.chi_square > options.min_chi_square)) return;
     heap.push(SegmentBest{lo, hi, mss.best});
@@ -58,20 +58,18 @@ std::vector<Substring> FindTopDisjoint(const seq::PrefixCounts& counts,
 Result<std::vector<Substring>> FindTopDisjoint(
     const seq::Sequence& sequence, const seq::MultinomialModel& model,
     TopDisjointOptions options) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   if (options.t < 1) {
     return Status::InvalidArgument(StrCat("t must be >= 1, got ", options.t));
   }
   if (options.min_length < 1) {
     return Status::InvalidArgument(
         StrCat("min_length must be >= 1, got ", options.min_length));
+  }
+  if (std::isnan(options.min_chi_square)) {
+    // Every comparison against NaN is false, so the scan would keep
+    // nothing.
+    return Status::InvalidArgument("min_chi_square must not be NaN");
   }
   seq::PrefixCounts counts(sequence);
   ChiSquareContext context(model);

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/str_util.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
@@ -64,46 +63,21 @@ TopTResult FindTopT(const seq::PrefixCounts& counts,
   const int64_t n = counts.sequence_size();
   TopTResult result;
   TopTCollector collector(t);
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-
-  for (int64_t i = n - 1; i >= 0; --i) {
-    ++result.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t end = i + 1;
-    while (end <= n) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++result.stats.positions_examined;
-      collector.Offer(Substring{i, end, x2});
-      // Skip against the t-th best value (paper's X²_max_t), re-read after
-      // the offer so insertions tighten the budget immediately.
-      int64_t skip = solver.MaxSafeExtension(lo, hi, l, x2, collector.budget());
-      if (skip > 0) {
-        ++result.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, n);
-        if (last_skipped > end) {
-          result.stats.positions_skipped += last_skipped - end;
-        }
-      }
-      end += skip + 1;
-    }
-  }
+  // Skip against the t-th best value (paper's X²_max_t), read after the
+  // offer so insertions tighten the budget immediately.
+  result.stats = ChainCoverScan(
+      counts, context, 0, n, /*min_length=*/1, n, /*shard=*/0,
+      /*num_shards=*/1, [&](int64_t i, int64_t end, double x2) {
+        collector.Offer(Substring{i, end, x2});
+        return collector.budget();
+      });
   result.top = collector.TakeSortedDescending();
   return result;
 }
 
 Result<TopTResult> FindTopT(const seq::Sequence& sequence,
                             const seq::MultinomialModel& model, int64_t t) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
   if (t < 1) {
     return Status::InvalidArgument(StrCat("t must be >= 1, got ", t));
   }

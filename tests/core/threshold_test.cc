@@ -1,6 +1,8 @@
 #include "core/threshold.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "core/mss.h"
@@ -31,6 +33,19 @@ TEST(FindAboveThresholdTest, ValidatesInput) {
   seq::Sequence empty(2);
   EXPECT_TRUE(
       FindAboveThreshold(empty, model, 1.0).status().IsInvalidArgument());
+}
+
+TEST(FindAboveThresholdTest, RejectsNonFiniteCutoff) {
+  seq::Rng rng(1);
+  seq::Sequence s = seq::GenerateNull(2, 10, rng);
+  auto model = seq::MultinomialModel::Uniform(2);
+  EXPECT_TRUE(FindAboveThreshold(s, model, std::nan(""))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      FindAboveThreshold(s, model, std::numeric_limits<double>::infinity())
+          .status()
+          .IsInvalidArgument());
 }
 
 TEST(FindAboveThresholdTest, HugeThresholdFindsNothing) {

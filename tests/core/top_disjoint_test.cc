@@ -1,6 +1,7 @@
 #include "core/top_disjoint.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/mss.h"
 #include "gtest/gtest.h"
@@ -26,6 +27,16 @@ TEST(TopDisjointTest, ValidatesInput) {
   seq::Sequence empty(2);
   EXPECT_TRUE(
       FindTopDisjoint(empty, model, {}).status().IsInvalidArgument());
+}
+
+TEST(TopDisjointTest, RejectsNaNMinChiSquare) {
+  seq::Rng rng(1);
+  seq::Sequence s = seq::GenerateNull(2, 10, rng);
+  auto model = seq::MultinomialModel::Uniform(2);
+  TopDisjointOptions options;
+  options.min_chi_square = std::nan("");
+  EXPECT_TRUE(
+      FindTopDisjoint(s, model, options).status().IsInvalidArgument());
 }
 
 TEST(TopDisjointTest, FirstResultIsTheMss) {
