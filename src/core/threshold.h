@@ -23,7 +23,8 @@ struct ThresholdOptions {
 /// Problem 3 (significance above a threshold): every substring with
 /// X² > alpha0. Paper Algorithm 3; the skip budget is the constant alpha0,
 /// giving O(k·n·sqrt(n/alpha0)) once alpha0 exceeds typical substring
-/// scores, degrading gracefully to O(k·n²) as alpha0 → 0.
+/// scores, degrading gracefully to O(k·n²) as alpha0 → 0. A NaN, infinite
+/// or negative alpha0 is an InvalidArgument.
 Result<ThresholdResult> FindAboveThreshold(const seq::Sequence& sequence,
                                            const seq::MultinomialModel& model,
                                            double alpha0,

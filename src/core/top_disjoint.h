@@ -22,7 +22,8 @@ namespace core {
 /// repeatedly take the MSS of the remaining region, then split the region
 /// around it and recurse, until `t` substrings are found or nothing with
 /// length >= min_length and X² > min_chi_square remains. Results come back
-/// in descending X² order; consecutive results never overlap.
+/// in descending X² order; consecutive results never overlap. The
+/// (sequence, model) form rejects a NaN min_chi_square.
 struct TopDisjointOptions {
   int64_t t = 5;
   int64_t min_length = 1;
