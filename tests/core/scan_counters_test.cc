@@ -22,6 +22,8 @@
 #include "core/top_disjoint.h"
 #include "core/top_t.h"
 #include "gtest/gtest.h"
+#include "seq/generators.h"
+#include "seq/model.h"
 #include "seq/prefix_counts.h"
 #include "seq/rng.h"
 #include "testing/test_util.h"
@@ -76,15 +78,22 @@ struct Config {
   int64_t n;
   double alpha0;
   std::vector<std::string> expected;
+  // When set, a grouped null (several symbols share one probability)
+  // replaces `family`: the record is drawn from it and scored under it.
+  std::vector<double> grouped_probs = {};
 };
 
 /// One line per kernel call, in a fixed order.
 std::vector<std::string> RunAll(const Config& config) {
   seq::Rng rng(1000 + static_cast<uint64_t>(config.k));
-  seq::Sequence s =
-      testing::GenerateFamily(config.family, config.k, config.n, rng);
   seq::MultinomialModel model =
-      testing::ScoringModel(config.family, config.k);
+      config.grouped_probs.empty()
+          ? testing::ScoringModel(config.family, config.k)
+          : seq::MultinomialModel::Make(config.grouped_probs).value();
+  seq::Sequence s =
+      config.grouped_probs.empty()
+          ? testing::GenerateFamily(config.family, config.k, config.n, rng)
+          : seq::GenerateMultinomial(model, config.n, rng);
   seq::PrefixCounts counts(s);
   ChiSquareContext context(model, X2Dispatch::kScalar);
   const int64_t n = config.n;
@@ -252,13 +261,43 @@ const Config kConfigs[] = {
          "shard1/3 [35,37)=175.30330694589207 ex=15529 st=333 se=15393 sk=150971",
          "shard2/3 [34,38)=103.92375205402126 ex=10637 st=333 se=10629 sk=156196",
      }},
+    // Grouped nulls: the daemon workload's probs(0.3;0.2;0.2;0.3), and a
+    // k=8 model whose two classes interleave.
+    {4, Family::kNull, 2000, 16.0, {
+         "mss [1118,1130)=23.277777777777779 ex=62444 st=2000 se=62386 sk=1938556",
+         "minlen [520,730)=17.825396825396837 ex=61069 st=1801 se=60567 sk=1561632",
+         "lenbound [1118,1130)=23.277777777777779 ex=41420 st=1996 se=41348 sk=825836",
+         "threshold count=381 n=381 h=0d433cd77c32a530 best [1118,1130)=23.277777777777779 ex=81867 st=2000 se=81135 sk=1919133",
+         "threshold3 count=381 n=3 h=caa40673cfbdc856 best [1118,1130)=23.277777777777779 ex=81867 st=2000 se=81135 sk=1919133",
+         "topt n=10 h=795567487bcc93f8 first [1118,1130)=23.277777777777779 last [1122,1131)=19.703703703703702 ex=72037 st=2000 se=71726 sk=1928963",
+         "disjoint n=4 h=d7f34b80d74e59be [1118,1130)=23.277777777777779 [541,730)=18.716049382716051 [1429,1471)=17.087301587301596 [1757,1765)=17",
+         "shard0/1 [1118,1130)=23.277777777777779 ex=62444 st=2000 se=62386 sk=1938556",
+         "shard0/3 [1117,1130)=20.717948717948715 ex=22579 st=667 se=22515 sk=644421",
+         "shard1/3 [1122,1130)=23.041666666666668 ex=19685 st=667 se=19682 sk=647982",
+         "shard2/3 [1118,1130)=23.277777777777779 ex=19072 st=666 se=19068 sk=647261",
+     }, {0.3, 0.2, 0.2, 0.3}},
+    {8, Family::kNull, 1500, 28.0, {
+         "mss [1158,1168)=34 ex=47034 st=1500 se=46924 sk=1078716",
+         "minlen [733,889)=19.256410256410277 ex=43268 st=1351 se=43099 sk=870008",
+         "lenbound [1158,1168)=34 ex=31028 st=1496 se=30889 sk=455353",
+         "threshold count=20 n=20 h=e2b4e19cf16ae381 best [1158,1168)=34 ex=53621 st=1500 se=53542 sk=1072129",
+         "threshold3 count=20 n=3 h=a7e4edb2190bc4e1 best [1158,1168)=34 ex=53621 st=1500 se=53542 sk=1072129",
+         "topt n=10 h=b4c564677fe9911e first [1158,1168)=34 last [1382,1424)=29.26984126984128 ex=52990 st=1500 se=52496 sk=1072760",
+         "disjoint n=4 h=23ec0499004145c0 [1158,1168)=34 [51,57)=34 [1086,1097)=31.121212121212125 [1381,1425)=30.090909090909093",
+         "shard0/1 [1158,1168)=34 ex=47034 st=1500 se=46924 sk=1078716",
+         "shard0/3 [1157,1168)=30.81818181818182 ex=16754 st=500 se=16681 sk=357996",
+         "shard1/3 [1381,1425)=30.090909090909093 ex=16490 st=500 se=16488 sk=358760",
+         "shard2/3 [1158,1168)=34 ex=15503 st=500 se=15500 sk=360247",
+     }, {0.15, 0.1, 0.15, 0.1, 0.15, 0.1, 0.15, 0.1}},
 };
 
 INSTANTIATE_TEST_SUITE_P(
     Records, ScanCountersTest, ::testing::ValuesIn(kConfigs),
     [](const ::testing::TestParamInfo<Config>& info) {
-      return "K" + std::to_string(info.param.k) +
-             (info.param.family == Family::kNull ? "Uniform" : "Skewed");
+      const char* model = !info.param.grouped_probs.empty() ? "Grouped"
+                          : info.param.family == Family::kNull ? "Uniform"
+                                                               : "Skewed";
+      return "K" + std::to_string(info.param.k) + model;
     });
 
 }  // namespace
