@@ -1,5 +1,6 @@
 #include "core/chain_cover.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -54,22 +55,17 @@ double SkipSolver::CharacterRoot(int64_t y_c, double p_c, int64_t l,
 
 namespace {
 
-/// Shared core of the MaxSafeExtension overloads. `count_at(c)` yields
-/// Y_c however the caller stores it (materialized span, two prefix
-/// blocks, or a 2-D rectangle gather); the skip logic is identical, so
-/// all overloads return identical results for identical counts.
-template <typename CountAt>
-int64_t MaxSafeExtensionImpl(const SkipSolver& solver,
-                             std::span<const double> probs,
-                             const CountAt& count_at, int64_t l, double x2_l,
-                             double budget) {
-  SIGSUB_DCHECK(l >= 1);
-  if (x2_l > budget) return 0;
-
+/// The skip allowed by n binding cover quadratics, quadratic j having
+/// count count_of(j) and probability prob_of(j): the floor of the smallest
+/// root, verified against every quadratic in long double.
+template <typename CountOf, typename ProbOf>
+int64_t SkipUnderQuadratics(const SkipSolver& solver, size_t n,
+                            const CountOf& count_of, const ProbOf& prob_of,
+                            int64_t l, double x2_l, double budget) {
   double min_root = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < probs.size(); ++c) {
-    double root = solver.CharacterRoot(count_at(c), probs[c], l, x2_l,
-                                       budget);
+  for (size_t j = 0; j < n; ++j) {
+    double root =
+        solver.CharacterRoot(count_of(j), prob_of(j), l, x2_l, budget);
     if (root < min_root) min_root = root;
   }
   if (!(min_root > 0.0)) return 0;
@@ -78,19 +74,55 @@ int64_t MaxSafeExtensionImpl(const SkipSolver& solver,
   int64_t m = static_cast<int64_t>(std::floor(min_root));
   if (m <= 0) return 0;
 
-  // Verify the integer candidate against every character's quadratic in
-  // extended precision; floating-point error in the root can otherwise
-  // overshoot by one position. Each decrement is at most a rounding step,
-  // so this loop runs O(1) times in practice.
-  for (size_t c = 0; c < probs.size() && m > 0;) {
-    if (CoverQuadraticAt(count_at(c), probs[c], l, x2_l, budget, m) > 0.0L) {
+  // Verify the integer candidate against every quadratic in extended
+  // precision; floating-point error in the root can otherwise overshoot
+  // by one position. Each decrement is at most a rounding step, so this
+  // loop runs O(1) times in practice.
+  for (size_t j = 0; j < n && m > 0;) {
+    if (CoverQuadraticAt(count_of(j), prob_of(j), l, x2_l, budget, m) >
+        0.0L) {
       --m;
-      c = 0;  // Re-verify all characters at the smaller candidate.
+      j = 0;  // Re-verify all quadratics at the smaller candidate.
       continue;
     }
-    ++c;
+    ++j;
   }
   return m;
+}
+
+/// Shared core of the MaxSafeExtension overloads. `count_at(c)` yields
+/// Y_c however the caller stores it (materialized span, two prefix
+/// blocks, or a 2-D rectangle gather); the skip logic is identical, so
+/// all overloads return identical results for identical counts. Only the
+/// largest count of each probability class binds (see chain_cover.h).
+template <typename CountAt>
+int64_t MaxSafeExtensionImpl(const SkipSolver& solver,
+                             const ChiSquareContext& context,
+                             const CountAt& count_at, int64_t l, double x2_l,
+                             double budget) {
+  SIGSUB_DCHECK(l >= 1);
+  if (x2_l > budget) return 0;
+
+  std::span<const double> probs = context.probs();
+  std::span<const ChiSquareContext::ProbabilityClass> classes =
+      context.probability_classes();
+  if (classes.size() == probs.size()) {
+    // Every symbol is its own class.
+    return SkipUnderQuadratics(
+        solver, probs.size(), count_at, [&](size_t c) { return probs[c]; },
+        l, x2_l, budget);
+  }
+  std::span<const uint8_t> symbols = context.class_symbols();
+  auto class_max = [&](size_t j) {
+    int64_t y = count_at(symbols[classes[j].begin]);
+    for (int i = classes[j].begin + 1; i < classes[j].end; ++i) {
+      y = std::max(y, count_at(symbols[i]));
+    }
+    return y;
+  };
+  return SkipUnderQuadratics(
+      solver, classes.size(), class_max,
+      [&](size_t j) { return classes[j].prob; }, l, x2_l, budget);
 }
 
 }  // namespace
@@ -98,17 +130,16 @@ int64_t MaxSafeExtensionImpl(const SkipSolver& solver,
 int64_t SkipSolver::MaxSafeExtension(std::span<const int64_t> counts,
                                      int64_t l, double x2_l,
                                      double budget) const {
-  std::span<const double> probs = context_->probs();
-  SIGSUB_DCHECK(counts.size() == probs.size());
+  SIGSUB_DCHECK(counts.size() == context_->probs().size());
   return MaxSafeExtensionImpl(
-      *this, probs, [&](size_t c) { return counts[c]; }, l, x2_l, budget);
+      *this, *context_, [&](size_t c) { return counts[c]; }, l, x2_l, budget);
 }
 
 int64_t SkipSolver::MaxSafeExtension(const int64_t* start_block,
                                      const int64_t* end_block, int64_t l,
                                      double x2_l, double budget) const {
   return MaxSafeExtensionImpl(
-      *this, context_->probs(),
+      *this, *context_,
       [&](size_t c) { return end_block[c] - start_block[c]; }, l, x2_l,
       budget);
 }

@@ -34,7 +34,23 @@ namespace core {
 /// character as argmax_c (2Y_c + x)/p_c with x not yet known (the argmax can
 /// depend on x when P is skewed). We implement the exact fixed point
 /// instead: the binding character is the one with the smallest root, so we
-/// take min_c over all k roots. See DESIGN.md §1.1.
+/// take the minimum root over the characters.
+///
+/// Under equal probabilities the paper's single-character rule is exact,
+/// and so it is inside any probability class (the symbols whose p_c are
+/// bit-equal; ChiSquareContext::probability_classes). Within a class the
+/// quadratic's a = 1 − p and constant (X²_l − B)·l·p are shared, and
+/// b_c = 2Y_c − 2lp − pB differs only through Y_c. The positive root
+/// falls as b grows, so the member with the largest Y_c binds. For any
+/// other member q_c(x) = q_max(x) − 2(Y_max − Y_c)·x, at least 2x below
+/// q_max(x). So the solver solves one quadratic per class, k for an
+/// all-distinct model but one under a uniform null, and verifies only
+/// those. Each floating-point step of the long double check, and of each
+/// of CharacterRoot's two formulas, is monotone in Y_c; members that fall
+/// on either side of the switch between the formulas have b at least 2
+/// apart, and roots far more than a rounding apart. So the skip is
+/// bit-identical to taking all k roots, which a differential test and a
+/// fuzz harness check against a copy of that solver.
 
 /// X² of the chain cover λ(S, c, x) given the base substring's statistic.
 /// `x` may be fractional (used by tests to probe the bound's continuity).
@@ -54,6 +70,11 @@ class SkipSolver {
   ///
   /// Requires l >= 1. If X²_l > budget the result is 0 (paper Algorithm 3's
   /// `max(..., 1)` advance corresponds to skip 0 here).
+  ///
+  /// Solves one cover quadratic per probability class, for the class's
+  /// largest Y_c, and verifies the integer skip against those quadratics
+  /// only: the other members' constraints are implied (see the note
+  /// above), so the result equals the minimum over all k characters.
   int64_t MaxSafeExtension(std::span<const int64_t> counts, int64_t l,
                            double x2_l, double budget) const;
 
