@@ -1,5 +1,6 @@
 #include "common/harness.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -34,6 +35,15 @@ double TimeMs(const std::function<void()>& fn) {
   fn();
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(end - start).count();
+}
+
+double MedianTimeMs(const std::function<void()>& fn, int runs) {
+  std::vector<double> times;
+  for (int i = 0; i < runs; ++i) times.push_back(TimeMs(fn));
+  std::sort(times.begin(), times.end());
+  const size_t mid = times.size() / 2;
+  return times.size() % 2 == 1 ? times[mid]
+                               : 0.5 * (times[mid - 1] + times[mid]);
 }
 
 std::string FormatMs(double ms) {

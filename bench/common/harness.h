@@ -21,9 +21,12 @@ bool FastMode();
 void PrintHeader(const std::string& paper_result,
                  const std::string& description);
 
-/// Wall-clock milliseconds of `fn` (single run; the scans themselves are
-/// deterministic and long enough that one run is stable).
+/// Wall-clock milliseconds of one run of `fn`.
 double TimeMs(const std::function<void()>& fn);
+
+/// Median wall-clock milliseconds of `runs` runs of `fn`, for rows whose
+/// single runs swing with the load of a shared host.
+double MedianTimeMs(const std::function<void()>& fn, int runs);
 
 /// Milliseconds pretty-printer: "0.53ms" / "1.24s".
 std::string FormatMs(double ms);

@@ -9,9 +9,12 @@
 //      is fatal: a mismatch exits nonzero.
 //   2. Perf trajectory: every timing lands in BENCH_core.json, including
 //      the FillCounts-dominated scan where the flat layout's target is
-//      >= 1.5x over the row-major reference.
+//      >= 1.5x over the row-major reference. Each row is the median of 5
+//      runs (3 under SIGSUB_BENCH_FAST), since single runs of these
+//      kernels swing by ±8% on a loaded host.
 
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "common/harness.h"
@@ -129,6 +132,10 @@ int main() {
     return 1;
   }
 
+  const int runs = bench::FastMode() ? 3 : 5;
+  auto time_ms = [runs](const std::function<void()>& fn) {
+    return bench::MedianTimeMs(fn, runs);
+  };
   io::TableWriter table({"bench", "time", "speedup"});
   auto record = [&](const std::string& name, double ms) {
     table.AddRow({name, bench::FormatMs(ms), "-"});
@@ -156,8 +163,8 @@ int main() {
         sink += scratch[0] + scratch[k - 1];
       }
     };
-    double row_ms = bench::TimeMs([&] { sweep(reference); });
-    double flat_ms = bench::TimeMs([&] { sweep(flat); });
+    double row_ms = time_ms([&] { sweep(reference); });
+    double flat_ms = time_ms([&] { sweep(flat); });
     double speedup = row_ms / flat_ms;
     std::printf("fill scan (k=%d, n=%lld, %zu queries): row-major %s, "
                 "flat %s, %.2fx (sink %lld)\n",
@@ -177,7 +184,7 @@ int main() {
   {
     const int64_t n = bench::FastMode() ? (1 << 15) : (1 << 17);
     seq::Sequence s4 = MakeString(4, n);
-    double build_ms = bench::TimeMs([&] {
+    double build_ms = time_ms([&] {
       for (int rep = 0; rep < 8; ++rep) {
         seq::PrefixCounts counts(s4);
         if (counts.sequence_size() != n) std::abort();
@@ -188,24 +195,29 @@ int main() {
     seq::Sequence s2 = MakeString(2, n);
     core::ChiSquareContext ctx2(seq::MultinomialModel::Uniform(2));
     seq::PrefixCounts counts2(s2);
-    double mss_ms =
-        bench::TimeMs([&] { core::FindMss(counts2, ctx2); });
-    record("find_mss_k2", mss_ms);
-    double topt_ms =
-        bench::TimeMs([&] { core::FindTopT(counts2, ctx2, 100); });
-    record("find_top_t_100_k2", topt_ms);
-    double threshold_ms = bench::TimeMs(
-        [&] { core::FindAboveThreshold(counts2, ctx2, /*alpha0=*/15.0); });
-    record("find_threshold_k2", threshold_ms);
-    double min_length_ms =
-        bench::TimeMs([&] { core::FindMssMinLength(counts2, ctx2, n / 8); });
-    record("find_min_length_k2", min_length_ms);
-    double bounded_ms = bench::TimeMs(
-        [&] { core::FindMssLengthBounded(counts2, ctx2, 16, 4096); });
-    record("find_length_bounded_k2", bounded_ms);
-    double parallel_ms = bench::TimeMs(
-        [&] { core::FindMssParallel(counts2, ctx2, /*num_threads=*/0); });
-    record("find_mss_parallel_hw", parallel_ms);
+    record("find_mss_k2", time_ms([&] { core::FindMss(counts2, ctx2); }));
+    record("find_top_t_100_k2",
+           time_ms([&] { core::FindTopT(counts2, ctx2, 100); }));
+    record("find_threshold_k2", time_ms([&] {
+             core::FindAboveThreshold(counts2, ctx2, /*alpha0=*/15.0);
+           }));
+    record("find_min_length_k2",
+           time_ms([&] { core::FindMssMinLength(counts2, ctx2, n / 8); }));
+    record("find_length_bounded_k2", time_ms([&] {
+             core::FindMssLengthBounded(counts2, ctx2, 16, 4096);
+           }));
+    record("find_mss_parallel_hw", time_ms([&] {
+             core::FindMssParallel(counts2, ctx2, /*num_threads=*/0);
+           }));
+
+    // k=4 under a uniform null: one probability class, so the skip
+    // solves one cover quadratic where it once solved four.
+    core::ChiSquareContext ctx4(seq::MultinomialModel::Uniform(4));
+    seq::PrefixCounts counts4(s4);
+    record("find_mss_k4", time_ms([&] { core::FindMss(counts4, ctx4); }));
+    record("find_threshold_k4", time_ms([&] {
+             core::FindAboveThreshold(counts4, ctx4, /*alpha0=*/20.0);
+           }));
   }
 
   // ------------------------------------------------------- tight kernels
@@ -214,25 +226,38 @@ int main() {
     core::ChiSquareContext ctx(seq::MultinomialModel::Uniform(k));
     std::vector<int64_t> counts(k, 100);
     const int reps = bench::FastMode() ? 2000000 : 20000000;
-    double eval_ms = bench::TimeMs([&] {
+    double eval_ms = time_ms([&] {
       double acc = 0.0;
       for (int i = 0; i < reps; ++i) acc += ctx.Evaluate(counts, 100 * k);
       if (acc < 0.0) std::abort();
     });
     record(StrCat("chi_square_evaluate_k20_x", reps), eval_ms);
 
-    core::SkipSolver solver(ctx);
-    std::vector<int64_t> skip_counts(k, 50);
-    double x2 = ctx.Evaluate(skip_counts, 50 * k);
+    // The skip solver on one balanced count vector, under the uniform
+    // null (one probability class) and under the harmonic null (20
+    // classes: every symbol's quadratic is solved).
     const int skip_reps = bench::FastMode() ? 200000 : 2000000;
-    double skip_ms = bench::TimeMs([&] {
-      int64_t acc = 0;
-      for (int i = 0; i < skip_reps; ++i) {
-        acc += solver.MaxSafeExtension(skip_counts, 50 * k, x2, 25.0);
+    auto time_skip = [&](const core::ChiSquareContext& context) {
+      std::vector<int64_t> skip_counts(k);
+      int64_t l = 0;
+      for (int c = 0; c < k; ++c) {
+        skip_counts[c] = static_cast<int64_t>(1000.0 * context.probs()[c]);
+        l += skip_counts[c];
       }
-      if (acc < 0) std::abort();
-    });
-    record(StrCat("skip_solver_k20_x", skip_reps), skip_ms);
+      const double x2 = context.Evaluate(skip_counts, l);
+      core::SkipSolver solver(context);
+      return time_ms([&] {
+        int64_t acc = 0;
+        for (int i = 0; i < skip_reps; ++i) {
+          acc += solver.MaxSafeExtension(skip_counts, l, x2, x2 + 25.0);
+        }
+        if (acc < 0) std::abort();
+      });
+    };
+    record(StrCat("skip_solver_k20_x", skip_reps), time_skip(ctx));
+    core::ChiSquareContext harmonic(seq::MultinomialModel::Harmonic(k));
+    record(StrCat("skip_solver_k20_harmonic_x", skip_reps),
+           time_skip(harmonic));
   }
 
   std::printf("\n%s", table.Render().c_str());
