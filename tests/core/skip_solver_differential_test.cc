@@ -144,19 +144,19 @@ TEST_P(SkipSolverDifferentialTest, MatchesAllCharacterReference) {
     for (int64_t y : counts) l += y;
     const double x2 = context.Evaluate(counts, l);
 
-    double budget = x2;
+    double budget = x2;  // Mode 1: at X².
     const uint64_t mode = rng.NextBounded(7);
     const int ulps = static_cast<int>(rng.NextBounded(5)) - 2;
-    const int c = static_cast<int>(rng.NextBounded(k));
+    const int target = static_cast<int>(rng.NextBounded(k));
     if (mode == 0) {  // Below X²: no skip.
       budget = x2 - (std::fabs(x2) + 1.0) * rng.NextDouble() - 1e-9;
     } else if (mode == 2) {  // Above X² by 1e-6 .. 1e6.
       budget = x2 + std::pow(10.0, -6.0 + 12.0 * rng.NextDouble());
-    } else if (mode == 3) {  // Symbol c's root within ulps of an integer.
+    } else if (mode == 3) {  // One symbol's root within ulps of an integer.
       const uint64_t m0 =
           1 + rng.NextBounded(uint64_t{1} << (1 + rng.NextBounded(40)));
       budget = NudgeUlps(
-          BudgetWithRootAt(counts[c], probs[c], l, x2,
+          BudgetWithRootAt(counts[target], probs[target], l, x2,
                            static_cast<long double>(m0)),
           ulps);
     } else if (mode == 4) {  // The same, with the root around the cap.
@@ -164,16 +164,17 @@ TEST_P(SkipSolverDifferentialTest, MatchesAllCharacterReference) {
           9.0e18L +
           static_cast<long double>(rng.NextBounded(uint64_t{1} << 24)) -
           static_cast<long double>(uint64_t{1} << 23);
-      budget = NudgeUlps(BudgetWithRootAt(counts[c], probs[c], l, x2, m0),
-                         ulps);
+      budget = NudgeUlps(
+          BudgetWithRootAt(counts[target], probs[target], l, x2, m0), ulps);
     } else if (mode == 5) {  // Roots far above the cap, including +inf.
       const double huge[] = {1e20, 1e25, 1e100, 1e300,
                              std::numeric_limits<double>::infinity()};
       budget = huge[rng.NextBounded(5)];
     } else if (mode == 6) {
-      // Symbol c's linear coefficient near zero, where its root formula
+      // One symbol's linear coefficient near zero, where its root formula
       // switches branch.
-      budget = NudgeUlps(BudgetWithZeroSlope(counts[c], probs[c], l), ulps);
+      budget = NudgeUlps(
+          BudgetWithZeroSlope(counts[target], probs[target], l), ulps);
     }
 
     double min_root = std::numeric_limits<double>::infinity();
