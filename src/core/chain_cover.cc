@@ -38,8 +38,12 @@ double CoverChiSquare(double x2_l, int64_t l, int64_t y_c, double p_c,
          (dl + x);
 }
 
-double SkipSolver::CharacterRoot(int64_t y_c, double p_c, int64_t l,
-                                 double x2_l, double budget) const {
+namespace {
+
+/// The positive root of symbol c's cover quadratic (see chain_cover.h):
+/// the largest real x with the cover constraint satisfied.
+double CoverRoot(int64_t y_c, double p_c, int64_t l, double x2_l,
+                 double budget) {
   double a = 1.0 - p_c;
   double b = 2.0 * static_cast<double>(y_c) -
              2.0 * static_cast<double>(l) * p_c - p_c * budget;
@@ -53,41 +57,27 @@ double SkipSolver::CharacterRoot(int64_t y_c, double p_c, int64_t l,
   return (-2.0 * c) / (b + sq);
 }
 
-namespace {
+}  // namespace
 
-/// The skip allowed by n binding cover quadratics, quadratic j having
-/// count count_of(j) and probability prob_of(j): the floor of the smallest
-/// root, verified against every quadratic in long double.
-template <typename CountOf, typename ProbOf>
-int64_t SkipUnderQuadratics(const SkipSolver& solver, size_t n,
-                            const CountOf& count_of, const ProbOf& prob_of,
-                            int64_t l, double x2_l, double budget) {
-  double min_root = std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < n; ++j) {
-    double root =
-        solver.CharacterRoot(count_of(j), prob_of(j), l, x2_l, budget);
-    if (root < min_root) min_root = root;
-  }
-  if (!(min_root > 0.0)) return 0;
-  // Guard against pathological overflow of the cast below.
-  if (min_root > 9.0e18) min_root = 9.0e18;
-  int64_t m = static_cast<int64_t>(std::floor(min_root));
-  if (m <= 0) return 0;
-
-  // Verify the integer candidate against every quadratic in extended
-  // precision; floating-point error in the root can otherwise overshoot
-  // by one position. Each decrement is at most a rounding step, so this
-  // loop runs O(1) times in practice.
-  for (size_t j = 0; j < n && m > 0;) {
-    if (CoverQuadraticAt(count_of(j), prob_of(j), l, x2_l, budget, m) >
-        0.0L) {
-      --m;
-      j = 0;  // Re-verify all quadratics at the smaller candidate.
-      continue;
+SkipSolver::SkipSolver(const ChiSquareContext& context) {
+  std::span<const double> probs = context.probs();
+  const int k = context.alphabet_size();
+  for (int c = 0; c < k; ++c) {
+    if (std::find(probs.begin(), probs.begin() + c, probs[c]) !=
+        probs.begin() + c) {
+      continue;  // Symbol c joined the class of an earlier symbol.
     }
-    ++j;
+    for (int d = c; d < k; ++d) {
+      if (probs[d] == probs[c]) class_symbols_.push_back(d);
+    }
+    class_probs_.push_back(probs[c]);
+    class_ends_.push_back(static_cast<int>(class_symbols_.size()));
   }
-  return m;
+}
+
+double SkipSolver::CharacterRoot(int64_t y_c, double p_c, int64_t l,
+                                 double x2_l, double budget) const {
+  return CoverRoot(y_c, p_c, l, x2_l, budget);
 }
 
 /// Shared core of the MaxSafeExtension overloads. `count_at(c)` yields
@@ -96,54 +86,65 @@ int64_t SkipUnderQuadratics(const SkipSolver& solver, size_t n,
 /// all overloads return identical results for identical counts. Only the
 /// largest count of each probability class binds (see chain_cover.h).
 template <typename CountAt>
-int64_t MaxSafeExtensionImpl(const SkipSolver& solver,
-                             const ChiSquareContext& context,
-                             const CountAt& count_at, int64_t l, double x2_l,
-                             double budget) {
+int64_t SkipSolver::MaxSafeExtensionImpl(const CountAt& count_at, int64_t l,
+                                         double x2_l, double budget) const {
   SIGSUB_DCHECK(l >= 1);
   if (x2_l > budget) return 0;
 
-  std::span<const double> probs = context.probs();
-  std::span<const ChiSquareContext::ProbabilityClass> classes =
-      context.probability_classes();
-  if (classes.size() == probs.size()) {
-    // Every symbol is its own class.
-    return SkipUnderQuadratics(
-        solver, probs.size(), count_at, [&](size_t c) { return probs[c]; },
-        l, x2_l, budget);
-  }
-  std::span<const uint8_t> symbols = context.class_symbols();
-  auto class_max = [&](size_t j) {
-    int64_t y = count_at(symbols[classes[j].begin]);
-    for (int i = classes[j].begin + 1; i < classes[j].end; ++i) {
+  const size_t num_classes = class_probs_.size();
+  const double* probs = class_probs_.data();
+  const int* symbols = class_symbols_.data();
+  const int* ends = class_ends_.data();
+  // The largest count of each class, kept for the check below (k <= 255,
+  // as MultinomialModel enforces).
+  int64_t class_max[256];
+  double min_root = std::numeric_limits<double>::infinity();
+  for (size_t j = 0, i = 0; j < num_classes; ++j) {
+    int64_t y = count_at(symbols[i]);
+    for (++i; i < static_cast<size_t>(ends[j]); ++i) {
       y = std::max(y, count_at(symbols[i]));
     }
-    return y;
-  };
-  return SkipUnderQuadratics(
-      solver, classes.size(), class_max,
-      [&](size_t j) { return classes[j].prob; }, l, x2_l, budget);
-}
+    class_max[j] = y;
+    double root = CoverRoot(y, probs[j], l, x2_l, budget);
+    if (root < min_root) min_root = root;
+  }
+  if (!(min_root > 0.0)) return 0;
+  // Guard against pathological overflow of the cast below.
+  if (min_root > 9.0e18) min_root = 9.0e18;
+  int64_t m = static_cast<int64_t>(std::floor(min_root));
+  if (m <= 0) return 0;
 
-}  // namespace
+  // Verify the integer candidate against every class's binding quadratic
+  // in extended precision; floating-point error in the root can otherwise
+  // overshoot by one position. Each decrement is at most a rounding step,
+  // so this loop runs O(1) times in practice.
+  for (size_t j = 0; j < num_classes && m > 0;) {
+    if (CoverQuadraticAt(class_max[j], probs[j], l, x2_l, budget, m) >
+        0.0L) {
+      --m;
+      j = 0;  // Re-verify all classes at the smaller candidate.
+      continue;
+    }
+    ++j;
+  }
+  return m;
+}
 
 int64_t SkipSolver::MaxSafeExtension(std::span<const int64_t> counts,
                                      int64_t l, double x2_l,
                                      double budget) const {
-  SIGSUB_DCHECK(counts.size() == context_->probs().size());
-  return MaxSafeExtensionImpl(
-      *this, *context_, [&](size_t c) { return counts[c]; }, l, x2_l, budget);
+  SIGSUB_DCHECK(counts.size() == class_symbols_.size());
+  return MaxSafeExtensionImpl([&](size_t c) { return counts[c]; }, l, x2_l,
+                              budget);
 }
 
 int64_t SkipSolver::MaxSafeExtension(const int64_t* start_block,
                                      const int64_t* end_block, int64_t l,
                                      double x2_l, double budget) const {
   return MaxSafeExtensionImpl(
-      *this, *context_,
       [&](size_t c) { return end_block[c] - start_block[c]; }, l, x2_l,
       budget);
 }
-
 
 int64_t PaperSingleCharacterSkip(const ChiSquareContext& context,
                                  std::span<const int64_t> counts, int64_t l,
@@ -162,8 +163,7 @@ int64_t PaperSingleCharacterSkip(const ChiSquareContext& context,
       t = c;
     }
   }
-  SkipSolver solver(context);
-  double root = solver.CharacterRoot(counts[t], probs[t], l, x2_l, budget);
+  double root = CoverRoot(counts[t], probs[t], l, x2_l, budget);
   // Paper line 13-14: x = ceil(root), increment l by x => x − 1 unchecked
   // positions are skipped.
   int64_t x = static_cast<int64_t>(std::ceil(root));

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/chi_square.h"
 #include "core/scan_types.h"
@@ -38,7 +39,7 @@ namespace core {
 ///
 /// Under equal probabilities the paper's single-character rule is exact,
 /// and so it is inside any probability class (the symbols whose p_c are
-/// bit-equal; ChiSquareContext::probability_classes). Within a class the
+/// bit-equal, which SkipSolver groups when it is built). Within a class the
 /// quadratic's a = 1 − p and constant (X²_l − B)·l·p are shared, and
 /// b_c = 2Y_c − 2lp − pB differs only through Y_c. The positive root
 /// falls as b grows, so the member with the largest Y_c binds. For any
@@ -57,11 +58,11 @@ namespace core {
 double CoverChiSquare(double x2_l, int64_t l, int64_t y_c, double p_c,
                       double x);
 
-/// Computes safe skip lengths. Stateless except for the model view; cheap
-/// to copy.
+/// Computes safe skip lengths. Holds the model's probability classes,
+/// grouped once at construction (O(k²) comparisons); build one per scan.
 class SkipSolver {
  public:
-  explicit SkipSolver(const ChiSquareContext& context) : context_(&context) {}
+  explicit SkipSolver(const ChiSquareContext& context);
 
   /// Largest integer m >= 0 such that every extension of the current
   /// substring (counts, l, X²_l) by 1..m characters has X² <= budget.
@@ -96,7 +97,17 @@ class SkipSolver {
                        double budget) const;
 
  private:
-  const ChiSquareContext* context_;
+  template <typename CountAt>
+  int64_t MaxSafeExtensionImpl(const CountAt& count_at, int64_t l,
+                               double x2_l, double budget) const;
+
+  /// The probability classes, in order of each class's first symbol:
+  /// class j has probability class_probs_[j] and the members
+  /// class_symbols_[class_ends_[j − 1], class_ends_[j]) (from 0 for
+  /// j = 0), in symbol order.
+  std::vector<double> class_probs_;
+  std::vector<int> class_ends_;
+  std::vector<int> class_symbols_;
 };
 
 /// Paper Algorithm 1, the scan loop every chain-cover interval kernel runs:

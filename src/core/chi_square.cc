@@ -18,22 +18,6 @@ ChiSquareContext::ChiSquareContext(std::vector<double> probs,
   for (size_t i = 0; i < probs_.size(); ++i) {
     inv_probs_[i] = 1.0 / probs_[i];
   }
-  const int k = alphabet_size();
-  for (int c = 0; c < k; ++c) {
-    if (std::find(probs_.begin(), probs_.begin() + c, probs_[c]) !=
-        probs_.begin() + c) {
-      continue;  // Symbol c joined the class of an earlier symbol.
-    }
-    ProbabilityClass cls{probs_[c], static_cast<int>(class_symbols_.size()),
-                         0};
-    for (int d = c; d < k; ++d) {
-      if (probs_[d] == probs_[c]) {
-        class_symbols_.push_back(static_cast<uint8_t>(d));
-      }
-    }
-    cls.end = static_cast<int>(class_symbols_.size());
-    classes_.push_back(cls);
-  }
 }
 
 ChiSquareContext::ChiSquareContext(const seq::MultinomialModel& model,

@@ -35,25 +35,6 @@ class ChiSquareContext {
   std::span<const double> probs() const { return probs_; }
   std::span<const double> inv_probs() const { return inv_probs_; }
 
-  /// The symbols of one probability class: every symbol whose p_c equals
-  /// `prob` (bit-equal, as probabilities are positive and finite). Its
-  /// members are class_symbols()[begin, end), in symbol order.
-  struct ProbabilityClass {
-    double prob;
-    int begin;
-    int end;
-  };
-
-  /// The model's probability classes, in order of each class's first
-  /// symbol: one class under a uniform model, k when every p_c differs.
-  /// SkipSolver solves one cover quadratic per class instead of one per
-  /// symbol (see chain_cover.h).
-  std::span<const ProbabilityClass> probability_classes() const {
-    return classes_;
-  }
-  /// The symbols 0..k−1 grouped by class (see ProbabilityClass).
-  std::span<const uint8_t> class_symbols() const { return class_symbols_; }
-
   /// The fused X² range kernel resolved at build time. Scanners consume it
   /// through core::X2Kernel rather than calling it directly.
   X2RangeFn x2_range_fn() const { return x2_range_fn_; }
@@ -110,8 +91,6 @@ class ChiSquareContext {
 
   std::vector<double> probs_;
   std::vector<double> inv_probs_;
-  std::vector<ProbabilityClass> classes_;
-  std::vector<uint8_t> class_symbols_;
   // Initialized before x2_range_fn_ (declaration order): ResolveX2RangeFn
   // writes it while x2_range_fn_'s initializer runs.
   bool x2_simd_active_ = false;

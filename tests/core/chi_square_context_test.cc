@@ -1,6 +1,5 @@
 #include "core/chi_square.h"
 
-#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -18,33 +17,6 @@ TEST(ChiSquareContextTest, MakeValidates) {
   EXPECT_TRUE(ChiSquareContext::Make({0.5, 0.5}).ok());
   EXPECT_TRUE(ChiSquareContext::Make({0.5, 0.6}).status().IsInvalidArgument());
   EXPECT_TRUE(ChiSquareContext::Make({1.0}).status().IsInvalidArgument());
-}
-
-TEST(ChiSquareContextTest, GroupsSymbolsByProbability) {
-  auto members = [](const ChiSquareContext& ctx, size_t j) {
-    const ChiSquareContext::ProbabilityClass& cls =
-        ctx.probability_classes()[j];
-    std::span<const uint8_t> symbols = ctx.class_symbols();
-    return std::vector<int>(symbols.begin() + cls.begin,
-                            symbols.begin() + cls.end);
-  };
-  ChiSquareContext grouped(
-      seq::MultinomialModel::Make({0.3, 0.2, 0.2, 0.3}).value());
-  ASSERT_EQ(grouped.probability_classes().size(), 2u);
-  EXPECT_EQ(grouped.probability_classes()[0].prob, 0.3);
-  EXPECT_EQ(members(grouped, 0), (std::vector<int>{0, 3}));
-  EXPECT_EQ(grouped.probability_classes()[1].prob, 0.2);
-  EXPECT_EQ(members(grouped, 1), (std::vector<int>{1, 2}));
-
-  ChiSquareContext uniform(seq::MultinomialModel::Uniform(5));
-  ASSERT_EQ(uniform.probability_classes().size(), 1u);
-  EXPECT_EQ(members(uniform, 0), (std::vector<int>{0, 1, 2, 3, 4}));
-
-  ChiSquareContext distinct(seq::MultinomialModel::Harmonic(6));
-  ASSERT_EQ(distinct.probability_classes().size(), 6u);
-  for (size_t j = 0; j < 6; ++j) {
-    EXPECT_EQ(members(distinct, j), (std::vector<int>{static_cast<int>(j)}));
-  }
 }
 
 TEST(ChiSquareContextTest, EvaluateMatchesReferenceImplementation) {
