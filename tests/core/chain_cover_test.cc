@@ -2,44 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "seq/generators.h"
 #include "seq/rng.h"
+#include "testing/skip_reference.h"
 #include "testing/test_util.h"
 
 namespace sigsub {
 namespace core {
 namespace {
 
-// Enumerates all count-vector extensions (compositions of `extra` over k
-// characters) of `base`, returning the maximum resulting X². This is the
-// exhaustive left-hand side of Theorem 1.
-double MaxExtensionChiSquare(const ChiSquareContext& ctx,
-                             std::vector<int64_t> base, int64_t base_len,
-                             int64_t extra) {
-  const int k = ctx.alphabet_size();
-  std::vector<int64_t> add(k, 0);
-  double best = -1.0;
-  // Recursive composition enumeration.
-  std::function<void(int, int64_t)> rec = [&](int index, int64_t remaining) {
-    if (index == k - 1) {
-      add[index] = remaining;
-      std::vector<int64_t> counts(base);
-      for (int c = 0; c < k; ++c) counts[c] += add[c];
-      best = std::max(best, ctx.Evaluate(counts, base_len + extra));
-      return;
-    }
-    for (int64_t y = 0; y <= remaining; ++y) {
-      add[index] = y;
-      rec(index + 1, remaining - y);
-    }
-  };
-  rec(0, extra);
-  return best;
-}
+using ::sigsub::testing::MaxExtensionChiSquare;
 
 TEST(CoverChiSquareTest, MatchesDirectEvaluationOfPaddedCounts) {
   // X²_λ(c, x) computed by the closed form must equal evaluating the
@@ -138,13 +113,29 @@ TEST(Theorem1Test, CoverBoundDominatesAllExtensionsExhaustively) {
 
 TEST(SkipSolverTest, SkipIsSoundExhaustively) {
   // For random bases, every extension by 1..MaxSafeExtension must stay at
-  // or below the budget (checked exhaustively over compositions).
+  // or below the budget (checked exhaustively over compositions). The
+  // first 60 bases use a uniform or harmonic model at k in {2, 3}; the
+  // rest cycle through models whose symbols share probabilities, where
+  // the solver solves one quadratic per probability class, and an
+  // all-distinct k=8.
+  const std::vector<seq::MultinomialModel> more_models = {
+      seq::MultinomialModel::Make({0.25, 0.5, 0.25}).value(),
+      seq::MultinomialModel::Make({0.3, 0.2, 0.2, 0.3}).value(),
+      seq::MultinomialModel::Make(
+          {0.1, 0.15, 0.1, 0.15, 0.1, 0.15, 0.1, 0.15})
+          .value(),
+      seq::MultinomialModel::Harmonic(8)};
   seq::Rng rng(17);
-  for (int iter = 0; iter < 60; ++iter) {
+  int64_t checked = 0;
+  for (int iter = 0; iter < 60 + 100 * 4; ++iter) {
     int k = 2 + static_cast<int>(rng.NextBounded(2));
     seq::MultinomialModel model =
         (iter % 2 == 0) ? seq::MultinomialModel::Uniform(k)
                         : seq::MultinomialModel::Harmonic(k);
+    if (iter >= 60) {
+      model = more_models[iter % more_models.size()];
+      k = model.alphabet_size();
+    }
     ChiSquareContext ctx(model);
     SkipSolver solver(ctx);
     std::vector<int64_t> counts(k);
@@ -158,16 +149,21 @@ TEST(SkipSolverTest, SkipIsSoundExhaustively) {
       l = 1;
     }
     double x2 = ctx.Evaluate(counts, l);
-    double budget = x2 + static_cast<double>(rng.NextBounded(12));
+    // The slack grows with k so that larger alphabets still get skips
+    // long enough to check.
+    double budget =
+        x2 + static_cast<double>(rng.NextBounded(std::max(12, 4 * k)));
     int64_t m = solver.MaxSafeExtension(counts, l, x2, budget);
     ASSERT_GE(m, 0);
     int64_t check_up_to = std::min<int64_t>(m, 7);  // Exhaustive cost cap.
     for (int64_t ext = 1; ext <= check_up_to; ++ext) {
+      ++checked;
       double worst = MaxExtensionChiSquare(ctx, counts, l, ext);
       EXPECT_LE(worst, budget + 1e-9)
           << "iter=" << iter << " ext=" << ext << " m=" << m;
     }
   }
+  EXPECT_GT(checked, 1000);
 }
 
 TEST(SkipSolverTest, ZeroWhenOverBudget) {

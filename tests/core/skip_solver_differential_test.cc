@@ -7,7 +7,6 @@
 // exceeds the 9e18 cap, and budgets at which a root formula switches
 // branch.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -240,43 +239,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelConfig{26, Kind::kGrouped},
                       ModelConfig{26, Kind::kDistinct}),
     ModelName);
-
-TEST(SkipSolverSoundnessTest, MaxExtensionStaysWithinBudget) {
-  // Soundness against brute force on small records: every extension by
-  // 1..min(skip, 7) symbols scores at most the budget, for each model
-  // kind. Extension lengths whose compositions number more than 20000 are
-  // left to the cheaper ones below them.
-  for (const ModelConfig config :
-       {ModelConfig{3, Kind::kGrouped}, ModelConfig{4, Kind::kGrouped},
-        ModelConfig{4, Kind::kUniform}, ModelConfig{8, Kind::kGrouped},
-        ModelConfig{8, Kind::kDistinct}}) {
-    const ChiSquareContext context(MakeModel(config));
-    const SkipSolver solver(context);
-    seq::Rng rng(5 + static_cast<uint64_t>(config.k));
-    int64_t checked = 0;
-    for (int iter = 0; iter < 200; ++iter) {
-      std::vector<int64_t> counts = DrawCounts(
-          context, 1 + static_cast<int64_t>(rng.NextBounded(40)), rng);
-      int64_t l = 0;
-      for (int64_t y : counts) l += y;
-      const double x2 = context.Evaluate(counts, l);
-      const double budget =
-          x2 + static_cast<double>(rng.NextBounded(4 * config.k));
-      const int64_t skip = solver.MaxSafeExtension(counts, l, x2, budget);
-      for (int64_t ext = 1; ext <= std::min<int64_t>(skip, 7) &&
-                            ::sigsub::testing::CompositionCount(
-                                config.k, ext, 20001) <= 20000;
-           ++ext) {
-        ++checked;
-        EXPECT_LE(::sigsub::testing::MaxExtensionChiSquare(context, counts, l,
-                                                           ext),
-                  budget + 1e-9 * (1.0 + budget))
-            << "k=" << config.k << " iter=" << iter << " ext=" << ext;
-      }
-    }
-    EXPECT_GT(checked, 200) << "k=" << config.k;
-  }
-}
 
 }  // namespace
 }  // namespace core

@@ -141,7 +141,8 @@ inline int64_t CompositionCount(int k, int64_t extra, int64_t cap) {
 
 /// The brute-force side of Theorem 1: the largest X² over every way of
 /// extending the count vector `base` (length `base_len`) by exactly
-/// `extra` symbols, enumerated over all compositions of `extra`.
+/// `extra` >= 1 symbols, enumerated over all compositions of `extra`
+/// (tests/core/chain_cover_test.cc, fuzz/skip_solver_fuzz.cc).
 inline double MaxExtensionChiSquare(const core::ChiSquareContext& context,
                                     const std::vector<int64_t>& base,
                                     int64_t base_len, int64_t extra) {
