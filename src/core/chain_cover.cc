@@ -96,7 +96,9 @@ int64_t SkipSolver::MaxSafeExtensionImpl(const CountAt& count_at, int64_t l,
   const int* symbols = class_symbols_.data();
   const int* ends = class_ends_.data();
   // The largest count of each class, kept for the check below (k <= 255,
-  // as MultinomialModel enforces).
+  // as MultinomialModel enforces). The first loop writes entries
+  // [0, num_classes) before the check reads them; zero-filling all 256
+  // instead would cost more than the k=4 skip itself.
   int64_t class_max[256];
   double min_root = std::numeric_limits<double>::infinity();
   for (size_t j = 0, i = 0; j < num_classes; ++j) {
