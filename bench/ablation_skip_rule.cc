@@ -1,4 +1,4 @@
-// Ablation A1 (DESIGN.md §3): how much work does each skip rule save?
+// Ablation A1: how much work does each skip rule save?
 //
 // Compares, on null and skewed strings:
 //   none        — no skipping (trivial iteration count n(n+1)/2)
@@ -94,6 +94,6 @@ int main() {
               "under the uniform model; under skew the single-character "
               "rule can over-skip — fewer iterations but a possible miss — "
               "which is why the library uses the exact min-over-characters "
-              "fixed point; see DESIGN.md §1.1)\n");
+              "fixed point)\n");
   return 0;
 }

@@ -1,7 +1,7 @@
 // sigsubd under load: loopback protocol round trips against the daemon.
 //
 // Workload: a binary corpus with planted runs served by a Server on an
-// ephemeral loopback port (engine_threads = 1, so the numbers isolate
+// ephemeral loopback port (one engine thread, so the numbers isolate
 // protocol + batching overhead, not kernel parallelism). Three phases
 // over the same mixed query list (mss / topt / threshold round-robin
 // across records):

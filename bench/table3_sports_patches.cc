@@ -1,7 +1,7 @@
 // Table 3 (sports application, Section 7.5.1): the five most significant
 // dominance patches of the rivalry series — dates, X², games, wins, win%.
 //
-// Data note (DESIGN.md §2.2): the paper mined the real Yankees–Red Sox
+// Data note: the paper mined the real Yankees–Red Sox
 // results from baseball-reference.com; this repository substitutes a seeded
 // simulator that plants eras mirroring the paper's Table 3. The planted
 // ground truth is printed alongside so recovery can be verified.

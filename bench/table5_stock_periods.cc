@@ -1,7 +1,7 @@
 // Table 5 (stock application, Section 7.5.2): significant good and bad
 // periods for the three securities — dates and price change.
 //
-// Data note (DESIGN.md §2.2): the paper used daily closes from
+// Data note: the paper used daily closes from
 // finance.yahoo.com binarized to up/down; this repository substitutes
 // seeded regime-switching simulators with the paper's series lengths and
 // planted episodes shaped like the ones it reports. The "Change" column is

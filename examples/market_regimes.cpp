@@ -2,8 +2,8 @@
 // significant bull/bear stretches of a daily up/down return series.
 //
 // Uses the synthetic market simulator (stand-in for the paper's Dow/S&P/IBM
-// downloads; see DESIGN.md §2.2) and reports periods the way the paper's
-// Table 5 does: dates, X², and price change.
+// downloads, which the repository does not ship) and reports periods the
+// way the paper's Table 5 does: dates, X², and price change.
 
 #include <cstdio>
 

@@ -27,6 +27,7 @@
 // Checked on every input:
 //
 //   both MaxSafeExtension overloads == the reference, bit for bit
+//   for a NaN budget, that skip is 0
 //   for a finite budget, every extension by 1..min(skip, 7) symbols has
 //   X² <= budget (all compositions, up to 5000 per length)
 //
@@ -148,6 +149,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   SIGSUB_CHECK(solver.MaxSafeExtension(start_block.data(), end_block.data(),
                                        l, x2, budget) == want);
+  SIGSUB_CHECK(!std::isnan(budget) || want == 0);
 
   if (!std::isfinite(budget)) return 0;
   // Evaluate's rounding grows with l; the bound itself holds exactly.

@@ -637,7 +637,6 @@ Result<std::string> RunStream(const CliOptions& options) {
   }
 
   engine::StreamManagerOptions manager_options;
-  manager_options.num_threads = 1;
   manager_options.max_alarms_per_stream = 1024;
   manager_options.x2_dispatch = options.x2_dispatch;
   engine::StreamManager manager(manager_options);
@@ -715,10 +714,7 @@ Result<std::string> RunServe(const CliOptions& options) {
   server::ServerOptions server_options;
   server_options.host = options.host;
   server_options.port = static_cast<int>(options.port);
-  server_options.engine_threads = static_cast<int>(options.threads);
-  server_options.cache_capacity = static_cast<size_t>(options.cache);
-  server_options.shard_min_sequence = options.shard_min;
-  server_options.x2_dispatch = options.x2_dispatch;
+  server_options.engine = EngineOptionsFrom(options);
   server_options.max_connections = static_cast<int>(options.max_clients);
   server_options.max_queue = static_cast<size_t>(options.max_queue);
   server_options.max_inflight_per_client =

@@ -82,7 +82,6 @@ bool ThreadPool::TryRunOneTask(size_t worker_index) {
       if (!victim.queue.empty()) {
         task = std::move(victim.queue.front());
         victim.queue.pop_front();
-        steals_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }

@@ -47,10 +47,6 @@ class ThreadPool {
   /// Blocks until all submitted tasks have completed.
   void Wait();
 
-  /// Total tasks stolen from another worker's deque (instrumentation for
-  /// tests and benchmarks; monotonic).
-  int64_t steal_count() const { return steals_.load(std::memory_order_relaxed); }
-
  private:
   struct Worker {
     Mutex mutex;
@@ -84,7 +80,6 @@ class ThreadPool {
   std::atomic<int64_t> pending_{0};      // Queued, not yet dequeued.
   std::atomic<int64_t> outstanding_{0};  // Submitted, not yet finished.
   std::atomic<uint64_t> next_worker_{0};
-  std::atomic<int64_t> steals_{0};
 };
 
 }  // namespace sigsub

@@ -35,7 +35,7 @@ MssResult FindMssAgmm(const seq::Sequence& sequence,
   // over j = 0..n, plus the running prefix extrema used for the
   // per-endpoint excursion candidates below. All k walks advance in one
   // position-major pass so the flat counts layout is read contiguously
-  // (a per-symbol Row walk would stride by k).
+  // (a walk over one symbol at a time would stride by k).
   struct Walk {
     int64_t argmax = 0, argmin = 0;
     double wmax = 0.0, wmin = 0.0;

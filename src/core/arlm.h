@@ -15,8 +15,8 @@ namespace sigsub {
 namespace core {
 
 /// ARLM baseline — reconstruction of the local-maxima heuristic of Dutta &
-/// Bhattacharya (PAKDD 2010), the paper's reference [9]. See DESIGN.md
-/// §2.1 for the reconstruction rationale.
+/// Bhattacharya (PAKDD 2010), the paper's reference [9], rebuilt from its
+/// published description.
 ///
 /// Candidate boundaries are the extrema of the per-character deviation
 /// walks W_c(j) = count_c(S[0..j)) − j·p_c. W_c changes direction at j

@@ -15,8 +15,8 @@ namespace core {
 
 /// Blocked exact scan — stand-in for the "blocking technique" of Agarwal's
 /// thesis (paper reference [2]), which the paper describes as a
-/// constant-factor (no asymptotic) improvement over the trivial scan. See
-/// DESIGN.md §2.1.
+/// constant-factor (no asymptotic) improvement over the trivial scan; this
+/// is a reconstruction from that description.
 ///
 /// For each start position the ending positions are processed in blocks of
 /// `block_size`. Before descending into a block, a chain-cover bound over

@@ -89,7 +89,8 @@ template <typename CountAt>
 int64_t SkipSolver::MaxSafeExtensionImpl(const CountAt& count_at, int64_t l,
                                          double x2_l, double budget) const {
   SIGSUB_DCHECK(l >= 1);
-  if (x2_l > budget) return 0;
+  // Written so that a NaN budget or X² also skips nothing.
+  if (!(x2_l <= budget)) return 0;
 
   const size_t num_classes = class_probs_.size();
   const double* probs = class_probs_.data();

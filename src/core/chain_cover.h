@@ -69,8 +69,9 @@ class SkipSolver {
   /// Callers may then jump the scan's next examined ending position forward
   /// by m (examining position l + m + 1 next).
   ///
-  /// Requires l >= 1. If X²_l > budget the result is 0 (paper Algorithm 3's
-  /// `max(..., 1)` advance corresponds to skip 0 here).
+  /// Requires l >= 1. If X²_l > budget, or either is NaN, the result is 0
+  /// (paper Algorithm 3's `max(..., 1)` advance corresponds to skip 0
+  /// here).
   ///
   /// Solves one cover quadratic per probability class, for the class's
   /// largest Y_c, and verifies the integer skip against those quadratics
@@ -165,8 +166,9 @@ ScanStats ChainCoverScan(const seq::PrefixCounts& counts,
 /// character t maximizing (2Y_t + x)/p_t with x approximated by the previous
 /// skip (we use x = 0, i.e. argmax Y_t/p_t biased by the cover), solve only
 /// that character's quadratic, and take the ceiling of the root. Kept for
-/// the ablation bench; unsound in degenerate corners (see DESIGN.md), so
-/// not used by the production scans.
+/// the ablation bench; not used by the production scans because it is
+/// unsound under a skewed model: the chosen character's root can exceed
+/// another character's, so the skip can pass over the optimum.
 int64_t PaperSingleCharacterSkip(const ChiSquareContext& context,
                                  std::span<const int64_t> counts, int64_t l,
                                  double x2_l, double budget);

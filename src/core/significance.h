@@ -29,11 +29,6 @@ Result<ScoredSubstring> ScoreSubstring(const seq::Sequence& sequence,
                                        const seq::MultinomialModel& model,
                                        int64_t start, int64_t end);
 
-/// Convenience: annotates an MSS result with its p-value.
-Result<ScoredSubstring> ScoreResult(const seq::Sequence& sequence,
-                                    const seq::MultinomialModel& model,
-                                    const MssResult& result);
-
 }  // namespace core
 }  // namespace sigsub
 

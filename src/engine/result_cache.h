@@ -95,9 +95,6 @@ class ResultCache {
   /// measured after a clear describe only the new cache generation.
   void Clear();
 
-  /// Resets the stats counters without touching the entries.
-  void ResetStats();
-
   /// Copies out every entry, most recently used first, for persistence.
   /// Does not perturb recency or stats.
   std::vector<CacheEntry> Export() const;

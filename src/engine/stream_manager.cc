@@ -1,6 +1,5 @@
 #include "engine/stream_manager.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/str_util.h"
@@ -9,7 +8,7 @@ namespace sigsub {
 namespace engine {
 
 StreamManager::StreamManager(StreamManagerOptions options)
-    : options_(options), pool_(options.num_threads) {
+    : options_(options) {
   if (options_.max_alarms_per_stream < 1) options_.max_alarms_per_stream = 1;
 }
 
@@ -75,26 +74,6 @@ std::shared_ptr<StreamManager::Stream> StreamManager::FindStream(
   return it == streams_.end() ? nullptr : it->second;
 }
 
-Result<std::vector<core::StreamingDetector::Alarm>>
-StreamManager::AppendLocked(Stream& stream,
-                            std::span<const uint8_t> symbols) {
-  MutexLock lock(stream.mutex);
-  auto alarms = stream.detector.TryAppendChunk(symbols);
-  SIGSUB_RETURN_IF_ERROR(alarms.status());
-  for (const core::StreamingDetector::Alarm& alarm : *alarms) {
-    if (stream.alarms.size() >= options_.max_alarms_per_stream) {
-      stream.alarms.pop_front();
-      ++stream.alarms_dropped;
-    }
-    stream.alarms.push_back(alarm);
-  }
-  symbols_ingested_.fetch_add(static_cast<int64_t>(symbols.size()),
-                              std::memory_order_relaxed);
-  alarms_raised_.fetch_add(static_cast<int64_t>(alarms->size()),
-                           std::memory_order_relaxed);
-  return *std::move(alarms);
-}
-
 Result<int64_t> StreamManager::Append(const std::string& name,
                                       std::span<const uint8_t> symbols) {
   SIGSUB_ASSIGN_OR_RETURN(std::vector<core::StreamingDetector::Alarm> alarms,
@@ -109,61 +88,21 @@ StreamManager::AppendCollect(const std::string& name,
   if (stream == nullptr) {
     return Status::NotFound(StrCat("no stream named \"", name, "\""));
   }
-  return AppendLocked(*stream, symbols);
-}
-
-Result<int64_t> StreamManager::AppendBatch(
-    const std::vector<StreamAppend>& appends) {
-  // Group by stream up front (resolving every name before any symbol is
-  // ingested), preserving each stream's batch order. Groups live in a
-  // vector ordered by first appearance in the batch, so error reporting
-  // below is deterministic — never dependent on heap-pointer order.
-  struct Group {
-    std::shared_ptr<Stream> stream;
-    std::vector<const StreamAppend*> list;
-    Status status;
-    int64_t alarms = 0;
-  };
-  std::vector<Group> groups;
-  std::map<const Stream*, size_t> group_index;
-  for (const StreamAppend& append : appends) {
-    std::shared_ptr<Stream> stream = FindStream(append.name);
-    if (stream == nullptr) {
-      return Status::NotFound(
-          StrCat("no stream named \"", append.name, "\""));
+  MutexLock lock(stream->mutex);
+  auto alarms = stream->detector.TryAppendChunk(symbols);
+  SIGSUB_RETURN_IF_ERROR(alarms.status());
+  for (const core::StreamingDetector::Alarm& alarm : *alarms) {
+    if (stream->alarms.size() >= options_.max_alarms_per_stream) {
+      stream->alarms.pop_front();
+      ++stream->alarms_dropped;
     }
-    auto [it, inserted] = group_index.try_emplace(stream.get(), groups.size());
-    if (inserted) {
-      groups.push_back(Group{std::move(stream), {}, Status::OK(), 0});
-    }
-    groups[it->second].list.push_back(&append);
+    stream->alarms.push_back(alarm);
   }
-
-  // One task per distinct stream; tasks are independent, so the batch
-  // scales with the number of streams touched. Each task stops at that
-  // stream's first error (later appends to it are skipped); the batch
-  // reports the error of the earliest-appearing failed stream.
-  for (Group& group : groups) {
-    Group* g = &group;
-    pool_.Submit([this, g] {
-      for (const StreamAppend* append : g->list) {
-        auto result = AppendLocked(*g->stream, append->symbols);
-        if (!result.ok()) {
-          g->status = result.status();
-          return;
-        }
-        g->alarms += static_cast<int64_t>(result->size());
-      }
-    });
-  }
-  pool_.Wait();
-
-  int64_t total_alarms = 0;
-  for (const Group& group : groups) {
-    SIGSUB_RETURN_IF_ERROR(group.status);
-    total_alarms += group.alarms;
-  }
-  return total_alarms;
+  symbols_ingested_.fetch_add(static_cast<int64_t>(symbols.size()),
+                              std::memory_order_relaxed);
+  alarms_raised_.fetch_add(static_cast<int64_t>(alarms->size()),
+                           std::memory_order_relaxed);
+  return *std::move(alarms);
 }
 
 Result<StreamSnapshot> StreamManager::Snapshot(

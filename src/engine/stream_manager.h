@@ -13,7 +13,6 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/streaming.h"
 #include "core/x2_dispatch.h"
 
@@ -21,9 +20,6 @@ namespace sigsub {
 namespace engine {
 
 struct StreamManagerOptions {
-  /// Worker threads for batched ingestion; <= 0 selects the hardware
-  /// concurrency.
-  int num_threads = 1;
   /// Alarms retained per stream (oldest evicted first); snapshots report
   /// how many were dropped. Must be >= 1.
   size_t max_alarms_per_stream = 256;
@@ -52,12 +48,6 @@ struct StreamSnapshot {
   std::vector<double> chi_squares;   // Current per-scale X².
 };
 
-/// One named append for AppendBatch.
-struct StreamAppend {
-  std::string name;
-  std::vector<uint8_t> symbols;
-};
-
 /// Serializable image of one stream — everything RestoreStream needs to
 /// rebuild it bit-identically: the null model and detector options (the
 /// derived state Make() recomputes), the detector's mutable state, and
@@ -74,17 +64,20 @@ struct PersistedStream {
 /// Many concurrent monitored streams over shared infrastructure — the
 /// online counterpart of engine::Engine. Each stream is a named
 /// core::StreamingDetector with a bounded alarm log; ingestion is chunked
-/// (StreamingDetector::AppendChunk) and batched ingestion fans the
-/// affected streams across the shared common::ThreadPool. Mirroring the
-/// Engine's context-reuse design, one core::ChiSquareContext is built per
-/// distinct null model (keyed by the probability vector, under
+/// (StreamingDetector::AppendChunk) and runs on the caller's thread. The
+/// manager starts no threads of its own. Mirroring the Engine's
+/// context-reuse design, one core::ChiSquareContext is built per distinct
+/// null model (keyed by the probability vector, under
 /// StreamManagerOptions::x2_dispatch) and shared by every stream
 /// monitored under that model.
 ///
 /// Thread safety: all public methods are safe to call concurrently.
-/// Appends to one stream are serialized by a per-stream mutex; appends to
-/// distinct streams proceed in parallel. AppendBatch applies a batch's
-/// appends to any one stream in batch order.
+/// Appends to one stream are serialized by a per-stream mutex, so
+/// concurrent appends to it apply one whole chunk at a time, in the
+/// order the callers take the mutex; appends to distinct streams from
+/// distinct threads proceed in parallel. An append that races
+/// CloseStream either succeeds, ordered before the close, or reports
+/// NotFound.
 class StreamManager {
  public:
   explicit StreamManager(StreamManagerOptions options = {});
@@ -110,15 +103,6 @@ class StreamManager {
   /// pushes each alarm's details to subscribed connections.
   Result<std::vector<core::StreamingDetector::Alarm>> AppendCollect(
       const std::string& name, std::span<const uint8_t> symbols);
-
-  /// Batched ingestion: validates every stream name, then fans the
-  /// appends across the worker pool — one task per distinct stream, each
-  /// applying that stream's appends in batch order. Returns the total
-  /// number of alarms raised. On a symbol-range error the remaining
-  /// appends to that stream are skipped (other streams are unaffected)
-  /// and the first error is returned; appends that already completed
-  /// stay applied.
-  Result<int64_t> AppendBatch(const std::vector<StreamAppend>& appends);
 
   /// Snapshot of one stream's state (position, alarm log tail, per-scale
   /// X² and thresholds). NotFound for unknown streams.
@@ -155,7 +139,6 @@ class StreamManager {
 
   StreamManagerStats stats() const;
 
-  int num_threads() const { return pool_.num_threads(); }
   /// Distinct null models the manager has built a shared context for.
   size_t context_count() const;
 
@@ -183,14 +166,7 @@ class StreamManager {
   std::shared_ptr<Stream> FindStream(const std::string& name) const
       SIGSUB_EXCLUDES(mutex_);
 
-  /// Takes the stream's mutex, applies one chunk, and records its alarms.
-  /// Returns the alarms raised, in raise order.
-  Result<std::vector<core::StreamingDetector::Alarm>> AppendLocked(
-      Stream& stream, std::span<const uint8_t> symbols)
-      SIGSUB_EXCLUDES(stream.mutex);
-
   StreamManagerOptions options_ SIGSUB_THREAD_CONFINED(init);
-  ThreadPool pool_;  // Internally synchronized.
 
   // Canonical order: the manager map lock comes before any per-stream
   // lock (lookups resolve the shared_ptr under mutex_, then operate on

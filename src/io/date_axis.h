@@ -34,7 +34,8 @@ int DayOfWeek(const Date& d);
 
 /// Maps sequence positions to calendar dates, so application benchmarks can
 /// report periods the way the paper's tables do. Synthetic stand-in for the
-/// real datasets' timestamps (DESIGN.md §2.2).
+/// timestamps of the paper's sports and stock datasets, which the
+/// repository does not ship.
 class DateAxis {
  public:
   /// A sports schedule: `games_per_year` games per season, evenly spaced

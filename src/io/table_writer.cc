@@ -7,20 +7,6 @@
 
 namespace sigsub {
 namespace io {
-namespace {
-
-std::string CsvEscape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
 
 TableWriter::TableWriter(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
@@ -57,20 +43,6 @@ std::string TableWriter::Render() const {
     total += widths[c] + (c > 0 ? 2 : 0);
   }
   oss << std::string(total, '-') << '\n';
-  for (const auto& row : rows_) emit_row(row);
-  return oss.str();
-}
-
-std::string TableWriter::RenderCsv() const {
-  std::ostringstream oss;
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) oss << ',';
-      oss << CsvEscape(row[c]);
-    }
-    oss << '\n';
-  };
-  emit_row(headers_);
   for (const auto& row : rows_) emit_row(row);
   return oss.str();
 }

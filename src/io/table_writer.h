@@ -9,7 +9,7 @@ namespace sigsub {
 namespace io {
 
 /// Column-aligned plain-text table used by the benchmark harness to print
-/// paper-style tables, with a CSV rendering for machine consumption.
+/// paper-style tables.
 class TableWriter {
  public:
   explicit TableWriter(std::vector<std::string> headers);
@@ -22,9 +22,6 @@ class TableWriter {
 
   /// Monospace-aligned rendering with a header underline.
   std::string Render() const;
-
-  /// RFC-4180-ish CSV (cells containing commas/quotes are quoted).
-  std::string RenderCsv() const;
 
  private:
   std::vector<std::string> headers_;

@@ -35,16 +35,6 @@ Result<FsyncPolicy> ParseFsyncPolicy(std::string_view text) {
              "\""));
 }
 
-std::string_view FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kNone:
-      return "none";
-    case FsyncPolicy::kAlways:
-      return "always";
-  }
-  return "always";
-}
-
 std::string EncodeJournalRecord(const JournalRecord& record) {
   BinaryWriter writer;
   writer.PutU64(record.lsn);

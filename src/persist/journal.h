@@ -37,7 +37,6 @@ enum class FsyncPolicy {
 
 /// "none" | "always" (the CLI `--fsync` vocabulary).
 Result<FsyncPolicy> ParseFsyncPolicy(std::string_view text);
-std::string_view FsyncPolicyName(FsyncPolicy policy);
 
 enum class JournalOp : uint8_t {
   kCreate = 1,

@@ -38,8 +38,6 @@ class Alphabet {
   /// Symbol id of character `c`; NotFound if absent.
   Result<Symbol> SymbolOf(char c) const;
 
-  bool Contains(char c) const { return lookup_[static_cast<uint8_t>(c)] >= 0; }
-
   /// All glyphs in symbol order.
   const std::string& characters() const { return chars_; }
 

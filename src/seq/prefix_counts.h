@@ -25,26 +25,6 @@ namespace seq {
 /// separate rows of n+1 entries — cost k strided cache misses per fill.
 class PrefixCounts {
  public:
-  /// Read-only view of one symbol's count row (size n+1), striding the
-  /// position-major buffer by k. Exposed for kernels that walk a single
-  /// symbol's counts (e.g. the AGMM excursion heuristic).
-  class SymbolRow {
-   public:
-    int64_t operator[](int64_t pos) const {
-      return data_[static_cast<size_t>(pos) * stride_];
-    }
-    size_t size() const { return size_; }
-
-   private:
-    friend class PrefixCounts;
-    SymbolRow(const int64_t* data, size_t stride, size_t size)
-        : data_(data), stride_(stride), size_(size) {}
-
-    const int64_t* data_;
-    size_t stride_;
-    size_t size_;
-  };
-
   explicit PrefixCounts(const Sequence& sequence);
 
   /// Chunk-streamed construction over raw (e.g. memory-mapped) bytes:
@@ -91,13 +71,6 @@ class PrefixCounts {
     SIGSUB_DCHECK(pos >= 0 && pos <= n_);
     return counts_.data() +
            static_cast<size_t>(pos) * static_cast<size_t>(alphabet_size_);
-  }
-
-  /// Strided view of one symbol's counts (size n+1).
-  SymbolRow Row(int symbol) const {
-    return SymbolRow(counts_.data() + symbol,
-                     static_cast<size_t>(alphabet_size_),
-                     static_cast<size_t>(n_) + 1);
   }
 
  private:

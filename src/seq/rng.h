@@ -26,14 +26,8 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool NextBernoulli(double p);
 
-  /// Splits off an independent child stream (distinct seed derivation);
-  /// handy for giving sub-simulations their own reproducible streams.
-  Rng Split();
-
  private:
   uint64_t state_[4];
-  uint64_t split_counter_ = 0;
-  uint64_t seed_;
 };
 
 }  // namespace seq

@@ -60,15 +60,9 @@ struct Server::Connection {
 Server::Server(engine::Corpus corpus, ServerOptions options)
     : corpus_(std::move(corpus)),
       options_(std::move(options)),
-      engine_(engine::EngineOptions{
-          .num_threads = options_.engine_threads,
-          .cache_capacity = options_.cache_capacity,
-          .shard_min_sequence = options_.shard_min_sequence,
-          .x2_dispatch = options_.x2_dispatch,
-      }),
+      engine_(options_.engine),
       streams_(engine::StreamManagerOptions{
-          .num_threads = options_.engine_threads,
-          .x2_dispatch = options_.x2_dispatch,
+          .x2_dispatch = options_.engine.x2_dispatch,
       }) {
   if (options_.batch_max < 1) options_.batch_max = 1;
   if (options_.max_inflight_per_client < 1) {

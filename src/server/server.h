@@ -15,7 +15,6 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "core/x2_dispatch.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"
 #include "engine/stream_manager.h"
@@ -31,11 +30,9 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;
 
-  // Engine construction (mirrors EngineOptions / StreamManagerOptions).
-  int engine_threads = 1;
-  size_t cache_capacity = 4096;
-  int64_t shard_min_sequence = 1 << 20;
-  core::X2Dispatch x2_dispatch = core::X2Dispatch::kAuto;
+  /// The shared engine's construction. Its x2_dispatch also governs the
+  /// stream manager's scoring.
+  engine::EngineOptions engine;
 
   /// Accepted connections beyond this are greeted with `ERR EBUSY server
   /// full` and closed immediately.

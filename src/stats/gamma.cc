@@ -53,9 +53,10 @@ double GammaQContinuedFraction(double a, double x) {
 double LogGamma(double x) {
   SIGSUB_DCHECK(x > 0.0);
   // std::lgamma writes the process-global `signgam` on glibc, which is a
-  // data race when streams calibrate thresholds concurrently (e.g.
-  // StreamManager::AppendBatch fanning out over the thread pool). The
-  // reentrant variant returns the sign through a local instead.
+  // data race whenever two threads evaluate a p-value or a quantile at
+  // once (the engine's pool workers, or StreamManager::CreateStream
+  // calibrating thresholds on concurrent callers). The reentrant variant
+  // returns the sign through a local instead.
 #if defined(__GLIBC__) || defined(__APPLE__)
   int sign = 0;
   return ::lgamma_r(x, &sign);

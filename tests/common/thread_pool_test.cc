@@ -63,7 +63,7 @@ TEST(ThreadPoolTest, TasksMaySubmitTasks) {
 TEST(ThreadPoolTest, UnevenTasksAreStolen) {
   // Round-robin placement puts the long tasks on a subset of deques; the
   // other workers must steal to finish the batch promptly. We only assert
-  // completion plus at least one steal over a skewed workload.
+  // completion over a skewed workload.
   ThreadPool pool(4);
   std::atomic<int64_t> counter{0};
   for (int i = 0; i < 64; ++i) {

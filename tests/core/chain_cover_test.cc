@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -172,6 +173,20 @@ TEST(SkipSolverTest, ZeroWhenOverBudget) {
   std::vector<int64_t> counts{9, 1};
   double x2 = ctx.Evaluate(counts, 10);
   EXPECT_EQ(solver.MaxSafeExtension(counts, 10, x2, x2 - 1.0), 0);
+}
+
+TEST(SkipSolverTest, ZeroForNanBudget) {
+  ChiSquareContext ctx(seq::MultinomialModel::Uniform(2));
+  SkipSolver solver(ctx);
+  const std::vector<int64_t> counts{5, 5};
+  const std::vector<int64_t> start_block{3, 7};
+  const std::vector<int64_t> end_block{8, 12};
+  const double x2 = ctx.Evaluate(counts, 10);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(solver.MaxSafeExtension(counts, 10, x2, nan), 0);
+  EXPECT_EQ(solver.MaxSafeExtension(start_block.data(), end_block.data(), 10,
+                                    x2, nan),
+            0);
 }
 
 TEST(SkipSolverTest, GrowsWithBudget) {

@@ -315,17 +315,6 @@ TEST(StreamingDetectorTest, AppendChunkOrdersAlarmsByStreamPosition) {
   }
 }
 
-TEST(StreamingDetectorTest, TryAppendRejectsOutOfRangeSymbol) {
-  auto model = seq::MultinomialModel::Uniform(2);
-  auto detector = StreamingDetector::Make(model, {}).value();
-  auto bad = detector.TryAppend(2);
-  ASSERT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_EQ(detector.position(), 0);  // State untouched by the rejection.
-  auto good = detector.TryAppend(1);
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(detector.position(), 1);
-}
-
 TEST(StreamingDetectorTest, TryAppendChunkRejectsWithoutStateChange) {
   auto model = seq::MultinomialModel::Uniform(2);
   auto detector = StreamingDetector::Make(model, {}).value();

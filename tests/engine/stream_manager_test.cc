@@ -2,6 +2,7 @@
 
 #include <barrier>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,70 +155,6 @@ TEST(StreamManagerTest, SharesOneContextPerDistinctModel) {
             (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(StreamManagerTest, AppendBatchFansOutAndPreservesPerStreamOrder) {
-  StreamManagerOptions options;
-  options.num_threads = 4;  // Degrades to fewer workers on small hosts.
-  StreamManager manager(options);
-  const int kStreams = 3;
-  std::vector<std::vector<uint8_t>> streams;
-  for (int s = 0; s < kStreams; ++s) {
-    ASSERT_OK(manager.CreateStream("stream-" + std::to_string(s), Uniform(2),
-                                   SmallWindow()));
-    streams.push_back(BurstStream(10 + static_cast<uint64_t>(s), 2000, 250));
-  }
-
-  // Interleave two chunks per stream in one batch; per-stream order is
-  // first half then second half.
-  std::vector<StreamAppend> batch;
-  for (int half = 0; half < 2; ++half) {
-    for (int s = 0; s < kStreams; ++s) {
-      const std::vector<uint8_t>& all = streams[static_cast<size_t>(s)];
-      size_t mid = all.size() / 2;
-      StreamAppend append;
-      append.name = "stream-" + std::to_string(s);
-      append.symbols.assign(
-          all.begin() + (half == 0 ? 0 : static_cast<int64_t>(mid)),
-          half == 0 ? all.begin() + static_cast<int64_t>(mid) : all.end());
-      batch.push_back(std::move(append));
-    }
-  }
-  auto total = manager.AppendBatch(batch);
-  ASSERT_OK(total.status());
-  EXPECT_GT(*total, 0);
-
-  // Every stream must match a standalone detector fed the same symbols
-  // in order (order scrambling across the batch would change the window
-  // trajectories and the alarm count).
-  auto model = seq::MultinomialModel::Uniform(2);
-  int64_t direct_total = 0;
-  for (int s = 0; s < kStreams; ++s) {
-    auto direct = core::StreamingDetector::Make(model, SmallWindow()).value();
-    direct.AppendChunk(streams[static_cast<size_t>(s)]);
-    auto snapshot = manager.Snapshot("stream-" + std::to_string(s));
-    ASSERT_OK(snapshot.status());
-    EXPECT_EQ(snapshot->position,
-              static_cast<int64_t>(streams[static_cast<size_t>(s)].size()));
-    EXPECT_EQ(snapshot->chi_squares, direct.CurrentChiSquares()) << s;
-    direct_total += direct.alarms_raised();
-  }
-  // Chunk boundaries differ from the one-shot direct ingest, but the
-  // detector is chunk-size invariant, so totals must agree exactly.
-  EXPECT_EQ(*total, direct_total);
-}
-
-TEST(StreamManagerTest, AppendBatchRejectsUnknownStreamUpFront) {
-  StreamManager manager;
-  ASSERT_OK(manager.CreateStream("known", Uniform(2)));
-  std::vector<StreamAppend> batch(2);
-  batch[0].name = "known";
-  batch[0].symbols = {0, 1, 0};
-  batch[1].name = "unknown";
-  batch[1].symbols = {1};
-  EXPECT_TRUE(manager.AppendBatch(batch).status().IsNotFound());
-  // Validation happens before any ingestion.
-  EXPECT_EQ(manager.Snapshot("known")->position, 0);
-}
-
 TEST(StreamManagerTest, BoundedAlarmLogEvictsOldestButKeepsTotals) {
   StreamManagerOptions options;
   options.max_alarms_per_stream = 4;
@@ -243,9 +180,9 @@ TEST(StreamManagerTest, BoundedAlarmLogEvictsOldestButKeepsTotals) {
   }
 }
 
-TEST(StreamManagerRaceTest, CloseWhileAppendBatchStaysCoherent) {
+TEST(StreamManagerRaceTest, CloseWhileAppendingStaysCoherent) {
   // Deterministic interleaving: a two-party barrier brackets each round,
-  // so the CloseStream lands inside exactly one AppendBatch round — the
+  // so the CloseStream lands inside exactly one round of appends — the
   // race window is pinned, not left to scheduler luck.
   constexpr int kRounds = 12;
   constexpr int kCloseRound = 5;
@@ -260,29 +197,28 @@ TEST(StreamManagerRaceTest, CloseWhileAppendBatchStaysCoherent) {
   data.resize(static_cast<size_t>(kRounds * kChunk), 0);
 
   std::barrier sync(2);
-  std::vector<Status> round_status(kRounds, Status::OK());
+  std::vector<Status> victim_status(kRounds, Status::OK());
+  std::vector<Status> survivor_status;  // Appender thread only.
 
   std::thread appender([&] {
-    std::vector<std::string> targets = names;
+    bool victim_open = true;
     for (int round = 0; round < kRounds; ++round) {
       sync.arrive_and_wait();
-      std::vector<StreamAppend> batch;
-      for (const auto& name : targets) {
-        StreamAppend append;
-        append.name = name;
-        append.symbols.assign(
-            data.begin() + static_cast<int64_t>(round) * kChunk,
-            data.begin() + static_cast<int64_t>(round + 1) * kChunk);
-        batch.push_back(std::move(append));
+      std::span<const uint8_t> chunk(
+          data.data() + static_cast<int64_t>(round) * kChunk, kChunk);
+      for (const auto& name : names) {
+        if (name == "victim" && !victim_open) continue;
+        Status status = manager.AppendCollect(name, chunk).status();
+        if (name == "victim") {
+          victim_status[static_cast<size_t>(round)] = status;
+        } else {
+          survivor_status.push_back(status);
+        }
       }
-      round_status[static_cast<size_t>(round)] =
-          manager.AppendBatch(batch).status();
       sync.arrive_and_wait();
       // Once the victim is gone, stop addressing it (a real producer
       // reacts to NotFound the same way).
-      if (!manager.HasStream("victim")) {
-        targets = {"a", "b", "d"};
-      }
+      victim_open = manager.HasStream("victim");
     }
   });
   std::thread closer([&] {
@@ -295,11 +231,11 @@ TEST(StreamManagerRaceTest, CloseWhileAppendBatchStaysCoherent) {
   appender.join();
   closer.join();
 
-  // Every round before the close succeeded; the close round itself is
-  // allowed either outcome (append-first or close-first), but nothing
-  // else: ok or NotFound, never a crash or partial write.
+  // Every victim append before the close succeeded; the close round
+  // itself is allowed either outcome (append-first or close-first), but
+  // nothing else: ok or NotFound, never a crash or partial write.
   for (int round = 0; round < kRounds; ++round) {
-    const Status& status = round_status[static_cast<size_t>(round)];
+    const Status& status = victim_status[static_cast<size_t>(round)];
     if (round < kCloseRound) {
       EXPECT_TRUE(status.ok()) << round << ": " << status.message();
     } else {
@@ -308,14 +244,15 @@ TEST(StreamManagerRaceTest, CloseWhileAppendBatchStaysCoherent) {
     }
   }
 
-  // AppendBatch validates names before ingesting anything, so each
-  // surviving stream holds exactly its successful rounds' symbols.
-  int64_t ok_rounds = 0;
-  for (const auto& status : round_status) ok_rounds += status.ok() ? 1 : 0;
+  // The close touches no other stream: each survivor took every round.
+  ASSERT_EQ(survivor_status.size(), static_cast<size_t>(3 * kRounds));
+  for (const Status& status : survivor_status) {
+    EXPECT_TRUE(status.ok()) << status.message();
+  }
   for (const std::string name : {"a", "b", "d"}) {
     auto snapshot = manager.Snapshot(name);
     ASSERT_OK(snapshot.status());
-    EXPECT_EQ(snapshot->position, ok_rounds * kChunk) << name;
+    EXPECT_EQ(snapshot->position, kRounds * kChunk) << name;
   }
   EXPECT_FALSE(manager.HasStream("victim"));
   EXPECT_EQ(manager.open_stream_count(), 3u);

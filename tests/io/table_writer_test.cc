@@ -27,18 +27,6 @@ TEST(TableWriterTest, RowCountTracksRows) {
   EXPECT_EQ(t.row_count(), 2u);
 }
 
-TEST(TableWriterTest, CsvEscapesSpecialCells) {
-  TableWriter t({"name", "value"});
-  t.AddRow({"plain", "1"});
-  t.AddRow({"with,comma", "2"});
-  t.AddRow({"with\"quote", "3"});
-  std::string csv = t.RenderCsv();
-  EXPECT_NE(csv.find("name,value\n"), std::string::npos);
-  EXPECT_NE(csv.find("plain,1\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"with,comma\",2\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"with\"\"quote\",3\n"), std::string::npos);
-}
-
 TEST(TableWriterTest, WideCellGrowsColumn) {
   TableWriter t({"h"});
   t.AddRow({"a-very-long-cell"});

@@ -21,8 +21,6 @@ TEST(AlphabetTest, SymbolLookup) {
   EXPECT_EQ(a.SymbolOf('A').value(), 0);
   EXPECT_EQ(a.SymbolOf('G').value(), 2);
   EXPECT_TRUE(a.SymbolOf('X').status().IsNotFound());
-  EXPECT_TRUE(a.Contains('C'));
-  EXPECT_FALSE(a.Contains('x'));
 }
 
 TEST(AlphabetTest, RejectsTooSmall) {

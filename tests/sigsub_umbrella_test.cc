@@ -74,7 +74,7 @@ TEST(UmbrellaTest, EverySubsystemIsReachable) {
   EXPECT_NE(engine::FingerprintSequence(corpus->sequence(0)), 0u);
   engine::ResultCache cache(2);
   EXPECT_EQ(cache.capacity(), 2u);
-  engine::StreamManager manager({.num_threads = 1});
+  engine::StreamManager manager;
   EXPECT_TRUE(manager.StreamNames().empty());
   engine::EngineStats stats = engine::CollectEngineStats(&engine, &manager);
   EXPECT_EQ(stats.batches_executed, 1);

@@ -33,7 +33,7 @@ class ReferenceSkipSolver {
     std::span<const double> probs = context_->probs();
     SIGSUB_CHECK(counts.size() == probs.size());
     SIGSUB_CHECK(l >= 1);
-    if (x2_l > budget) return 0;
+    if (!(x2_l <= budget)) return 0;
 
     double min_root = std::numeric_limits<double>::infinity();
     for (size_t c = 0; c < probs.size(); ++c) {
