@@ -220,6 +220,31 @@ int main() {
            }));
   }
 
+  // ------------------------------------- the query batch's costly kinds
+  // Top-disjoint, ARLM and blocked at the size of one corpus record of
+  // the end-to-end CLI workload (perfbench cli_mining): ARLM is
+  // quadratic in the run count, so the 2^17 string above is far too long
+  // for it.
+  {
+    const int64_t n = bench::FastMode() ? 4000 : 10000;
+    seq::Sequence s2 = MakeString(2, n);
+    seq::PrefixCounts counts2(s2);
+    core::ChiSquareContext ctx2(seq::MultinomialModel::Uniform(2));
+    seq::Sequence s4 = MakeString(4, 2 * n);
+    seq::PrefixCounts counts4(s4);
+    core::ChiSquareContext ctx4(seq::MultinomialModel::Uniform(4));
+    record("find_top_disjoint_k4", time_ms([&] {
+             core::FindTopDisjoint(counts4, ctx4,
+                                   {.t = 4, .min_length = 8,
+                                    .min_chi_square = 0.0});
+           }));
+    record("find_mss_arlm_k2",
+           time_ms([&] { core::FindMssArlm(s2, counts2, ctx2); }));
+    record("find_mss_blocked_k2", time_ms([&] {
+             core::FindMssBlocked(s2, counts2, ctx2, /*block_size=*/64);
+           }));
+  }
+
   // ------------------------------------------------------- tight kernels
   {
     const int k = 20;

@@ -10,9 +10,18 @@
 //   3. Perf trajectory: the MSS inner-loop microbench (pin a start block,
 //      stream endpoint blocks) fused vs legacy, per k. Target >= 1.5x
 //      for k <= 8. Timings land in BENCH_x2_kernel.json.
+//   4. Batched form (fatal gate): EvaluateEnds must be bit-identical to
+//      the per-end loop it replaces, over ARLM's ends and over the
+//      blocked scan's consecutive ends; its speedups over that loop are
+//      rows (the ARLM one tracked).
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/harness.h"
@@ -251,6 +260,127 @@ int main() {
     table.AddRow({StrCat("evaluate_ends_k4_x", reps),
                   bench::FormatMs(batched_ms), "-"});
     json.AddResult(StrCat("evaluate_ends_k4_x", reps), batched_ms);
+  }
+
+  // The batched form against the per-end loop it replaces, at k = 2:
+  // EvaluateEnds over the ARLM scan's endpoints (every later run boundary
+  // of a null string) and over the blocked scan's dense blocks (runs of
+  // 63 consecutive ends, filled into an ends buffer as FindMssBlocked
+  // does). Gate: bit-identical to the per-end function under the auto
+  // dispatch.
+  {
+    const int k = 2;
+    const int64_t len = bench::FastMode() ? (1 << 13) : (1 << 15);
+    const int64_t stride = 8;
+    seq::Sequence s = MakeString(k, len);
+    seq::PrefixCounts counts(s);
+    core::ChiSquareContext ctx(seq::MultinomialModel::Uniform(k));
+    core::X2Kernel kernel(ctx);
+    const std::vector<int64_t> boundaries = core::ArlmCandidateBoundaries(s);
+    const size_t m = boundaries.size();
+    std::vector<double> per_end(m), batched(m);
+    auto ends_from = [&](size_t bi) {
+      return std::span<const int64_t>(boundaries.data() + bi + 1, m - bi - 1);
+    };
+    auto per_end_ends = [&](size_t bi) {
+      const int64_t start = boundaries[bi];
+      const int64_t* lo = counts.BlockAt(start);
+      std::span<const int64_t> ends = ends_from(bi);
+      for (size_t j = 0; j < ends.size(); ++j) {
+        per_end[j] = kernel.EvaluateBlocks(lo, counts.BlockAt(ends[j]),
+                                           ends[j] - start);
+      }
+    };
+    constexpr int64_t kRun = 63;
+    std::vector<int64_t> run_ends(kRun);
+    auto batched_run = [&](int64_t start, int64_t first_end, int64_t count) {
+      std::iota(run_ends.begin(), run_ends.begin() + count, first_end);
+      kernel.EvaluateEnds(
+          counts, start,
+          std::span<const int64_t>(run_ends.data(), static_cast<size_t>(count)),
+          batched);
+    };
+    auto per_end_run = [&](int64_t start, int64_t first_end, int64_t count) {
+      const int64_t* lo = counts.BlockAt(start);
+      for (int64_t j = 0; j < count; ++j) {
+        per_end[j] = kernel.EvaluateBlocks(
+            lo, counts.BlockAt(first_end + j), first_end + j - start);
+      }
+    };
+    // Calls fn(start, first_end, count) for every dense block of every
+    // stride-th start.
+    auto for_each_run = [&](const auto& fn) {
+      for (int64_t i = 0; i + 2 <= len; i += stride) {
+        for (int64_t e = i + 2; e <= len; e += kRun) {
+          fn(i, e, std::min(kRun, len - e + 1));
+        }
+      }
+    };
+
+    int64_t mismatches = 0;
+    auto count_mismatches = [&](size_t size) {
+      for (size_t j = 0; j < size; ++j) {
+        if (std::bit_cast<uint64_t>(per_end[j]) !=
+            std::bit_cast<uint64_t>(batched[j])) {
+          ++mismatches;
+        }
+      }
+    };
+    for (size_t bi = 0; bi + 1 < m; bi += stride) {
+      per_end_ends(bi);
+      kernel.EvaluateEnds(counts, boundaries[bi], ends_from(bi), batched);
+      count_mismatches(m - bi - 1);
+    }
+    for_each_run([&](int64_t start, int64_t first_end, int64_t count) {
+      per_end_run(start, first_end, count);
+      batched_run(start, first_end, count);
+      count_mismatches(static_cast<size_t>(count));
+    });
+    const bool identical = mismatches == 0;
+    std::printf("batched gate (EvaluateEnds vs per-end, k=2): %s\n",
+                identical ? "bit-identical" : "MISMATCH — BUG");
+    json.AddGate("batched_bit_identical_k2", identical);
+    if (!identical) perf_ok = false;
+
+    double sink = 0.0;
+    const double ends_loop_ms = MinTimeMs([&] {
+      for (size_t bi = 0; bi + 1 < m; bi += stride) {
+        per_end_ends(bi);
+        sink += per_end[0];
+      }
+    });
+    const double ends_ms = MinTimeMs([&] {
+      for (size_t bi = 0; bi + 1 < m; bi += stride) {
+        kernel.EvaluateEnds(counts, boundaries[bi], ends_from(bi), batched);
+        sink += batched[0];
+      }
+    });
+    const double run_loop_ms = MinTimeMs([&] {
+      for_each_run([&](int64_t start, int64_t first_end, int64_t count) {
+        per_end_run(start, first_end, count);
+        sink += per_end[0];
+      });
+    });
+    const double run_ms = MinTimeMs([&] {
+      for_each_run([&](int64_t start, int64_t first_end, int64_t count) {
+        batched_run(start, first_end, count);
+        sink += batched[0];
+      });
+    });
+    if (!(sink >= 0.0)) std::printf("sink %f\n", sink);
+    for (const auto& [name, loop_ms, ms] :
+         {std::tuple{"evaluate_ends_k2", ends_loop_ms, ends_ms},
+          std::tuple{"evaluate_ends_dense_k2", run_loop_ms, run_ms}}) {
+      const double speedup = loop_ms / ms;
+      std::printf("%s: per-end %s, batched %s, %.2fx\n", name,
+                  bench::FormatMs(loop_ms).c_str(),
+                  bench::FormatMs(ms).c_str(), speedup);
+      table.AddRow({StrCat(name, "_per_end"), bench::FormatMs(loop_ms), "-"});
+      table.AddRow(
+          {name, bench::FormatMs(ms), StrFormat("%.2fx", speedup)});
+      json.AddResult(StrCat(name, "_per_end"), loop_ms);
+      json.AddResult(name, ms, speedup);
+    }
   }
 
   std::printf("\n%s", table.Render().c_str());

@@ -1,7 +1,9 @@
 #include "core/blocked_scan.h"
 
 #include <algorithm>
-#include <vector>
+#include <array>
+#include <numeric>
+#include <span>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -23,7 +25,11 @@ MssResult FindMssBlocked(const seq::Sequence& sequence,
   result.best = Substring{0, 0, 0.0};
   SkipSolver solver(context);
   X2Kernel kernel(context);
-  const int k = context.alphabet_size();
+  // Caller-owned ends and X² buffers (see the scratch convention in
+  // x2_kernel.h): a dense block is evaluated kRunChunk ends at a time.
+  constexpr int64_t kRunChunk = 256;
+  std::array<int64_t, kRunChunk> ends;
+  std::array<double, kRunChunk> x2s;
   bool found = false;
 
   for (int64_t i = n - 1; i >= 0; --i) {
@@ -40,7 +46,10 @@ MssResult FindMssBlocked(const seq::Sequence& sequence,
         found = true;
         result.best = Substring{i, end, x2};
       }
-      int64_t block_last = std::min(end + block_size - 1, n);
+      // min(end + block_size − 1, n) without overflow for block_size near
+      // INT64_MAX.
+      const int64_t block_last =
+          n - end >= block_size ? end + block_size - 1 : n;
       int64_t m = block_last - end;  // Remaining ends inside the block.
       if (m > 0) {
         int64_t safe =
@@ -50,15 +59,19 @@ MssResult FindMssBlocked(const seq::Sequence& sequence,
           ++result.stats.skip_events;
           result.stats.positions_skipped += m;
         } else {
-          // Evaluate the rest of the block, streaming consecutive
-          // endpoint blocks (each k entries after the previous) against
-          // the pinned start block.
-          for (int64_t e = end + 1; e <= block_last; ++e) {
-            hi += k;
-            double x2e = kernel.EvaluateBlocks(lo, hi, e - i);
-            ++result.stats.positions_examined;
-            if (x2e > result.best.chi_square) {
-              result.best = Substring{i, e, x2e};
+          // Evaluate the rest of the block in batches of consecutive
+          // ends, then take them in order.
+          for (int64_t e = end + 1; e <= block_last; e += kRunChunk) {
+            const int64_t count = std::min(kRunChunk, block_last - e + 1);
+            std::iota(ends.begin(), ends.begin() + count, e);
+            kernel.EvaluateEnds(counts, i,
+                                std::span<const int64_t>(ends.data(), count),
+                                x2s);
+            result.stats.positions_examined += count;
+            for (int64_t j = 0; j < count; ++j) {
+              if (x2s[j] > result.best.chi_square) {
+                result.best = Substring{i, e + j, x2s[j]};
+              }
             }
           }
         }

@@ -26,8 +26,9 @@ Result<MssResult> FindMss(const seq::Sequence& sequence,
 MssResult FindMss(const seq::PrefixCounts& counts,
                   const ChiSquareContext& context);
 
-/// The chain-cover MSS scan behind FindMss, FindMssMinLength,
-/// FindMssLengthBounded and FindTopDisjoint: the highest-X² substring
+/// The chain-cover MSS scan behind FindMss, FindMssMinLength and
+/// FindMssLengthBounded (FindTopDisjoint runs the same scan through
+/// ChainCoverScan, recording its running best): the highest-X² substring
 /// contained in [range_start, range_end) with min_length <= length <=
 /// max_length. Returns a result with best.length() == 0 if no substring
 /// qualifies.

@@ -24,6 +24,20 @@ namespace core {
 /// length >= min_length and X² > min_chi_square remains. Results come back
 /// in descending X² order; consecutive results never overlap. The
 /// (sequence, model) form rejects a NaN min_chi_square.
+///
+/// Right-child invariant: the MSS of a segment [lo, hi) is the chain-cover
+/// scan's running best over rows hi − min_length down to lo, every row
+/// ending at hi. When the pick [s, e) splits it, the right child [e, hi)
+/// would scan exactly the parent's rows >= e, in the same order, with the
+/// same row ends, skips and visitor state. So its MSS, tie-break
+/// included, is the parent's running best right after row e. Each scan
+/// keeps the rows where its running best changed, and a right child is
+/// answered from that list without a scan; it inherits the list's rows
+/// >= e, so its own right child is free too. Only left children are
+/// scanned, and the final pick's children not at all. A list holds at
+/// most one entry per row of its segment (a right child gets a fitted
+/// copy), and the segments in the heap are disjoint, so all lists
+/// together hold at most n entries (2n counting vector growth).
 struct TopDisjointOptions {
   int64_t t = 5;
   int64_t min_length = 1;

@@ -12,9 +12,13 @@ namespace core {
 ///
 ///   kAuto   — the fastest available path: AVX2 when the binary and CPU
 ///             support it and k >= 4, else the scalar path.
-///   kScalar — the scalar fused path, bit-identical to the legacy
+///   kScalar — the scalar fused order, bit-identical to the legacy
 ///             FillCounts + Evaluate pair. Pin this for reproducibility
 ///             audits that must match archived X² values bit for bit.
+///             The pin fixes the bits, not the instructions: at k = 2 the
+///             batched X2Kernel::EvaluateEnds runs that same order four
+///             ends per AVX2 vector under kAuto and kScalar alike (see
+///             ResolveX2BatchFn).
 ///   kSimd   — the SIMD path when compiled in and supported by the CPU
 ///             (silently falls back to scalar otherwise). X² values can
 ///             differ from scalar in the last bits (different summation
@@ -44,6 +48,16 @@ bool SimdAvailable();
 using X2RangeFn = double (*)(const int64_t* lo, const int64_t* hi,
                              const double* inv_probs, int k, double l);
 
+/// Batched twin of an X2RangeFn, four ends per vector: out[j] =
+/// X²(S[start, ends[j])) for j in [0, count), count a multiple of 4, and
+/// 0.0 where ends[j] == start. `base` is the block of position 0
+/// (counts.BlockAt(0)), so end e's block is base + e·k. Each lane runs the
+/// exact operation sequence of the X2RangeFn it twins, so every out[j] is
+/// bit-identical to it.
+using X2EndsFn = void (*)(const int64_t* base, int64_t start,
+                          const int64_t* ends, int64_t count,
+                          const double* inv_probs, double* out);
+
 namespace internal {
 
 /// Resolves the kernel for alphabet size `k` under `dispatch`: fixed-k
@@ -51,6 +65,13 @@ namespace internal {
 /// generic scalar loop otherwise. Sets *simd_active to whether the chosen
 /// function is the SIMD path. Defined in x2_kernel.cc.
 X2RangeFn ResolveX2RangeFn(int k, X2Dispatch dispatch, bool* simd_active);
+
+/// The batched twin of the function ResolveX2RangeFn chose for `k`, or
+/// nullptr where none exists. There is one: k = 2, where the scalar
+/// specialization and the generic AVX2 function (all tail) share one
+/// order, ((0 + y0²·w0) + y1²·w1)/l − l, so it serves both dispatches.
+/// It needs AVX2 on the CPU, so non-AVX2 builds and CPUs get nullptr.
+X2EndsFn ResolveX2BatchFn(int k);
 
 }  // namespace internal
 

@@ -121,6 +121,15 @@ X2RangeFn ResolveX2RangeFn(int k, X2Dispatch dispatch, bool* simd_active) {
   return ScalarFnForK(k);
 }
 
+X2EndsFn ResolveX2BatchFn(int k) {
+#if defined(SIGSUB_X2_AVX2)
+  if (k == 2 && SimdAvailable()) return &X2EndsAvx2K2;
+#else
+  (void)k;
+#endif
+  return nullptr;
+}
+
 }  // namespace internal
 
 }  // namespace core

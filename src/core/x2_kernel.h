@@ -46,14 +46,16 @@ class X2Kernel {
       : inv_probs_(context.inv_probs().data()),
         k_(context.alphabet_size()),
         simd_active_(context.x2_simd_active()),
-        fn_(context.x2_range_fn()) {}
+        fn_(context.x2_range_fn()),
+        batch_(internal::ResolveX2BatchFn(k_)) {}
 
   /// Re-resolves for an explicit dispatch (tests, benches, audits).
   X2Kernel(const ChiSquareContext& context, X2Dispatch dispatch)
       : inv_probs_(context.inv_probs().data()),
         k_(context.alphabet_size()),
         fn_(internal::ResolveX2RangeFn(context.alphabet_size(), dispatch,
-                                       &simd_active_)) {}
+                                       &simd_active_)),
+        batch_(internal::ResolveX2BatchFn(k_)) {}
 
   /// X² from two raw position-major blocks (counts.BlockAt). The inner-
   /// loop entry point: scanners hoist the start block pointer and stream
@@ -87,17 +89,33 @@ class X2Kernel {
   }
 
   /// Batched form: pins the start block once and streams the endpoint
-  /// blocks — the inner-loop shape of the chain-cover MSS scan and the
-  /// top-t/threshold scans. out[i] = X²(S[start, ends[i])). `out` is a
-  /// caller-owned buffer (see the scratch convention above) with
+  /// blocks — the shape of the ARLM scan (every later run boundary is an
+  /// end) and of the blocked scan's dense blocks (consecutive ends).
+  /// out[i] = X²(S[start, ends[i])), 0.0 where ends[i] == start. `out` is
+  /// a caller-owned buffer (see the scratch convention above) with
   /// out.size() >= ends.size().
+  ///
+  /// Where the resolved function has a batched twin (ResolveX2BatchFn in
+  /// x2_dispatch.h: k = 2 on an AVX2 CPU), four ends share one vector;
+  /// the 0–3 ends past the last full vector, and every end elsewhere, go
+  /// through the per-end function. Each lane runs the per-end function's
+  /// exact operation order, with no FMA contraction, so out[i] is
+  /// bit-identical to EvaluateRange(counts, start, ends[i]) under every
+  /// dispatch.
   void EvaluateEnds(const seq::PrefixCounts& counts, int64_t start,
                     std::span<const int64_t> ends,
                     std::span<double> out) const {
     SIGSUB_DCHECK(counts.alphabet_size() == k_);
     SIGSUB_DCHECK(out.size() >= ends.size());
+    const int64_t size = static_cast<int64_t>(ends.size());
+    int64_t i = 0;
+    if (batch_ != nullptr) {
+      i = size & ~int64_t{3};
+      batch_(counts.BlockAt(0), start, ends.data(), i, inv_probs_,
+             out.data());
+    }
     const int64_t* lo = counts.BlockAt(start);
-    for (size_t i = 0; i < ends.size(); ++i) {
+    for (; i < size; ++i) {
       int64_t l = ends[i] - start;
       out[i] = l == 0 ? 0.0
                       : fn_(lo, counts.BlockAt(ends[i]), inv_probs_, k_,
@@ -163,6 +181,7 @@ class X2Kernel {
   // while fn_'s initializer runs in the explicit-dispatch constructor.
   bool simd_active_ = false;
   X2RangeFn fn_;
+  X2EndsFn batch_;  // After k_: reads it.
 };
 
 namespace internal {
@@ -177,6 +196,10 @@ double X2RangeAvx2K4(const int64_t* lo, const int64_t* hi,
                      const double* inv_probs, int k, double l);
 double X2RangeAvx2K8(const int64_t* lo, const int64_t* hi,
                      const double* inv_probs, int k, double l);
+/// The batched twin (X2EndsFn) of X2RangeScalarFixed<2> and of
+/// X2RangeAvx2 at k = 2.
+void X2EndsAvx2K2(const int64_t* base, int64_t start, const int64_t* ends,
+                  int64_t count, const double* inv_probs, double* out);
 
 }  // namespace internal
 

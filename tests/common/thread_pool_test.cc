@@ -70,7 +70,8 @@ TEST(ThreadPoolTest, UnevenTasksAreStolen) {
     int spin = (i % 4 == 0) ? 200000 : 10;
     pool.Submit([&counter, spin] {
       volatile int64_t sink = 0;
-      for (int j = 0; j < spin; ++j) sink += j;
+      // A plain load and store: C++20 deprecates += on a volatile.
+      for (int j = 0; j < spin; ++j) sink = sink + j;
       counter.fetch_add(1);
     });
   }

@@ -1,8 +1,14 @@
 #include "core/blocked_scan.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 
+#include "core/chain_cover.h"
 #include "core/naive.h"
+#include "core/x2_kernel.h"
 #include "gtest/gtest.h"
 #include "seq/generators.h"
 #include "seq/rng.h"
@@ -72,6 +78,105 @@ TEST(BlockedScanTest, BlockSizeOneDegeneratesToTrivialCount) {
   auto blocked = FindMssBlocked(s, model, 1);
   ASSERT_TRUE(blocked.ok());
   EXPECT_EQ(blocked->stats.positions_examined, TrivialScanPositions(100));
+}
+
+/// The blocked scan with every end scored one at a time: the loop
+/// FindMssBlocked ran before it evaluated a dense block in batches.
+MssResult PerEndBlockedScan(const seq::PrefixCounts& counts,
+                            const ChiSquareContext& context,
+                            int64_t block_size) {
+  const int64_t n = counts.sequence_size();
+  MssResult result;
+  result.best = Substring{0, 0, 0.0};
+  SkipSolver solver(context);
+  X2Kernel kernel(context);
+  bool found = false;
+  for (int64_t i = n - 1; i >= 0; --i) {
+    ++result.stats.start_positions;
+    int64_t end = i + 1;
+    while (end <= n) {
+      const double x2 = kernel.EvaluateRange(counts, i, end);
+      ++result.stats.positions_examined;
+      if (x2 > result.best.chi_square || !found) {
+        found = true;
+        result.best = Substring{i, end, x2};
+      }
+      const int64_t block_last = std::min(end + block_size - 1, n);
+      const int64_t m = block_last - end;
+      if (m > 0) {
+        const int64_t safe = solver.MaxSafeExtension(
+            counts.BlockAt(i), counts.BlockAt(end), end - i, x2,
+            result.best.chi_square);
+        if (safe >= m) {
+          ++result.stats.skip_events;
+          result.stats.positions_skipped += m;
+        } else {
+          for (int64_t e = end + 1; e <= block_last; ++e) {
+            const double x2e = kernel.EvaluateRange(counts, i, e);
+            ++result.stats.positions_examined;
+            if (x2e > result.best.chi_square) {
+              result.best = Substring{i, e, x2e};
+            }
+          }
+        }
+      }
+      end = block_last + 1;
+    }
+  }
+  return result;
+}
+
+// Dense blocks go through the batched EvaluateEnds; the witness, its X²
+// bits and all four counters must equal the per-end scan under both
+// dispatches, for block sizes that leave 0–3 ends past the last vector.
+TEST(BlockedScanTest, MatchesPerEndScanUnderBothDispatches) {
+  for (int k : {2, 3, 4}) {
+    seq::Rng rng(4300 + static_cast<uint64_t>(k));
+    seq::Sequence s = seq::GenerateNull(k, 900, rng);
+    seq::PrefixCounts counts(s);
+    for (X2Dispatch dispatch : {X2Dispatch::kScalar, X2Dispatch::kSimd}) {
+      ChiSquareContext context(seq::MultinomialModel::Harmonic(k), dispatch);
+      for (int64_t block_size : {2, 5, 8, 64, 300, 5000}) {
+        const MssResult want = PerEndBlockedScan(counts, context, block_size);
+        const MssResult got = FindMssBlocked(s, counts, context, block_size);
+        EXPECT_EQ(got.best.start, want.best.start) << k << " " << block_size;
+        EXPECT_EQ(got.best.end, want.best.end) << k << " " << block_size;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.best.chi_square),
+                  std::bit_cast<uint64_t>(want.best.chi_square));
+        EXPECT_EQ(got.stats.positions_examined,
+                  want.stats.positions_examined);
+        EXPECT_EQ(got.stats.start_positions, want.stats.start_positions);
+        EXPECT_EQ(got.stats.skip_events, want.stats.skip_events);
+        EXPECT_EQ(got.stats.positions_skipped, want.stats.positions_skipped);
+      }
+    }
+  }
+}
+
+// A block at least as long as the row makes one block per row, so every
+// block_size from n up to INT64_MAX scans alike. The block end
+// end + block_size − 1 must not overflow on the way.
+TEST(BlockedScanTest, HugeBlockSizeIsOneBlockPerRow) {
+  seq::Rng rng(11);
+  const int64_t n = 300;
+  seq::Sequence s = seq::GenerateNull(2, n, rng);
+  auto model = seq::MultinomialModel::Uniform(2);
+  auto one_block = FindMssBlocked(s, model, n);
+  ASSERT_TRUE(one_block.ok());
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (int64_t block_size : {n + 1, kMax / 2, kMax - 1, kMax}) {
+    auto blocked = FindMssBlocked(s, model, block_size);
+    ASSERT_TRUE(blocked.ok());
+    EXPECT_EQ(blocked->best.start, one_block->best.start) << block_size;
+    EXPECT_EQ(blocked->best.end, one_block->best.end) << block_size;
+    EXPECT_EQ(blocked->best.chi_square, one_block->best.chi_square);
+    EXPECT_EQ(blocked->stats.start_positions, n);
+    EXPECT_EQ(blocked->stats.positions_examined,
+              one_block->stats.positions_examined);
+    EXPECT_EQ(blocked->stats.positions_skipped,
+              one_block->stats.positions_skipped);
+    EXPECT_EQ(blocked->stats.skip_events, one_block->stats.skip_events);
+  }
 }
 
 }  // namespace

@@ -6,12 +6,15 @@
 //     relative and selects the same argmax over exhaustive scans of
 //     adversarial near-tie sequences;
 //   * both agree with a naive O(l) recount of the substring;
-//   * the batched EvaluateEnds and grid EvaluateRect forms match their
-//     one-shot counterparts;
+//   * the batched EvaluateEnds is bit-identical to the per-end function
+//     under every dispatch, and grid EvaluateRect matches its one-shot
+//     counterpart;
 //   * the SkipSolver block overload reproduces the span overload.
 
 #include "core/x2_kernel.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -195,6 +198,48 @@ TEST(X2KernelTest, EvaluateEndsMatchesEvaluateRange) {
       EXPECT_EQ(out[i], kernel.EvaluateRange(counts, 10, ends[i]));
     }
     EXPECT_EQ(out[0], 0.0);  // ends[0] == start.
+  }
+}
+
+// EvaluateEnds runs four ends per AVX2 vector where the resolved function
+// has a twin (k = 2) and the per-end loop elsewhere. Either way every
+// value must equal the per-end function bit for bit, the 0–3 tail ends
+// and the length-0 end included, for scattered and for consecutive ends.
+TEST(X2KernelTest, BatchedFormsAreBitIdenticalToPerEnd) {
+  for (int k : {2, 3, 4, 5, 8, 16}) {
+    seq::Rng rng(6000 + static_cast<uint64_t>(k));
+    seq::Sequence s = seq::GenerateNull(k, 200, rng);
+    seq::PrefixCounts counts(s);
+    ChiSquareContext ctx(MakeModel(k, 7 * static_cast<uint64_t>(k)));
+    for (X2Dispatch dispatch : {X2Dispatch::kScalar, X2Dispatch::kSimd}) {
+      X2Kernel kernel(ctx, dispatch);
+      std::vector<double> out(64);
+      for (int64_t start : {0, 1, 37, 150, 200}) {
+        for (int64_t count = 0; count <= 13; ++count) {
+          // Scattered ends (start itself first), and consecutive ends
+          // from start + 1 and from start + 6 as the blocked scan passes
+          // them.
+          std::vector<std::vector<int64_t>> end_sets(3);
+          for (int64_t j = 0; j < count; ++j) {
+            end_sets[0].push_back(
+                std::min<int64_t>(start + (j * 11) % 47, 200));
+            end_sets[1].push_back(start + 1 + j);
+            end_sets[2].push_back(start + 6 + j);
+          }
+          for (const std::vector<int64_t>& ends : end_sets) {
+            if (!ends.empty() && ends.back() > s.size()) continue;
+            kernel.EvaluateEnds(counts, start, ends, out);
+            for (int64_t j = 0; j < count; ++j) {
+              EXPECT_EQ(std::bit_cast<uint64_t>(out[j]),
+                        std::bit_cast<uint64_t>(
+                            kernel.EvaluateRange(counts, start, ends[j])))
+                  << "k=" << k << " " << X2DispatchName(dispatch)
+                  << " start=" << start << " end=" << ends[j];
+            }
+          }
+        }
+      }
+    }
   }
 }
 

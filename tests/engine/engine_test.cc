@@ -434,6 +434,30 @@ TEST(QueryEngineTest, EveryKernelMatchesDirectCallBitIdentically) {
   }
 }
 
+// block_size is only checked for >= 1, so INT64_MAX reaches the kernel:
+// it must scan one block per row rather than overflow the block end.
+TEST(QueryEngineTest, BlockedWithMaximalBlockSizeIsOneBlockPerRow) {
+  Corpus corpus = MakeCorpus();
+  Engine engine({.num_threads = 2, .cache_capacity = 0});
+  ASSERT_OK_AND_ASSIGN(
+      api::QuerySpec spec,
+      api::ParseQuery("blocked:seq=1,block_size=9223372036854775807"));
+  ASSERT_OK_AND_ASSIGN(std::vector<api::QueryResult> results,
+                       engine.ExecuteQueries(corpus, {spec}));
+  ASSERT_EQ(results.size(), 1u);
+  const seq::Sequence& sequence = corpus.sequence(1);
+  ASSERT_OK_AND_ASSIGN(
+      core::MssResult direct,
+      core::FindMssBlocked(sequence, seq::MultinomialModel::Uniform(2),
+                           sequence.size()));
+  EXPECT_EQ(results[0].best().start, direct.best.start);
+  EXPECT_EQ(results[0].best().end, direct.best.end);
+  EXPECT_EQ(results[0].best().chi_square, direct.best.chi_square);
+  EXPECT_EQ(results[0].stats().positions_examined,
+            direct.stats.positions_examined);
+  EXPECT_EQ(results[0].stats().skip_events, direct.stats.skip_events);
+}
+
 TEST(QueryEngineTest, MarkovModelMssMatchesDirectCall) {
   // A Markov ModelSpec on an mss query runs the Markov-statistic scan.
   Corpus corpus = MakeCorpus();

@@ -100,6 +100,32 @@ TEST(ServerTest, QueryReplyMatchesLocalEngineByte4Byte) {
             StrCat("OK ", protocol::FormatQueryResult(results[0], 64)));
 }
 
+// The block end end + block_size − 1 once overflowed for a block_size
+// near INT64_MAX and crashed the daemon. The query must answer like the
+// local engine, and the server must keep serving.
+TEST(ServerTest, BlockedWithMaximalBlockSizeAnswersAndServes) {
+  Server server(TestCorpus(), ServerOptions{});
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(LineClient client, ConnectTo(server));
+
+  const std::string spec_text = "blocked:seq=3,block_size=9223372036854775807";
+  ASSERT_OK(client.SendLine(StrCat("QUERY ", spec_text)));
+  ASSERT_OK_AND_ASSIGN(std::string reply, client.ReadLine());
+  EXPECT_TRUE(StartsWith(reply, "OK kind=blocked seq=3 ")) << reply;
+
+  engine::Engine local;
+  ASSERT_OK_AND_ASSIGN(api::QuerySpec spec, api::ParseQuery(spec_text));
+  ASSERT_OK_AND_ASSIGN(std::vector<api::QueryResult> results,
+                       local.ExecuteQueries(TestCorpus(), {spec}));
+  EXPECT_EQ(reply,
+            StrCat("OK ", protocol::FormatQueryResult(results[0], 64)));
+
+  ASSERT_OK_AND_ASSIGN(LineClient second, ConnectTo(server));
+  ASSERT_OK(second.SendLine("PING"));
+  ASSERT_OK_AND_ASSIGN(std::string pong, second.ReadLine());
+  EXPECT_EQ(pong, "OK pong");
+}
+
 TEST(ServerTest, SubstringsQueryOverTheWire) {
   Server server(TestCorpus(), ServerOptions{});
   ASSERT_OK(server.Start());
