@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "common/str_util.h"
 #include "stats/descriptive.h"
@@ -37,13 +38,43 @@ double TimeMs(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
+namespace {
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+}  // namespace
+
 double MedianTimeMs(const std::function<void()>& fn, int runs) {
   std::vector<double> times;
   for (int i = 0; i < runs; ++i) times.push_back(TimeMs(fn));
-  std::sort(times.begin(), times.end());
-  const size_t mid = times.size() / 2;
-  return times.size() % 2 == 1 ? times[mid]
-                               : 0.5 * (times[mid - 1] + times[mid]);
+  return Median(std::move(times));
+}
+
+InterleavedTiming InterleavedAB(const std::function<void()>& reference,
+                                const std::function<void()>& candidate,
+                                int batches) {
+  std::vector<double> reference_ms, candidate_ms, ratios;
+  for (int b = 0; b < batches; ++b) {
+    double ref = 0.0, cand = 0.0;
+    if (b % 2 == 0) {
+      ref = TimeMs(reference);
+      cand = TimeMs(candidate);
+    } else {
+      cand = TimeMs(candidate);
+      ref = TimeMs(reference);
+    }
+    reference_ms.push_back(ref);
+    candidate_ms.push_back(cand);
+    ratios.push_back(ref / cand);
+  }
+  return InterleavedTiming{Median(std::move(reference_ms)),
+                           Median(std::move(candidate_ms)),
+                           Median(std::move(ratios))};
 }
 
 std::string FormatMs(double ms) {

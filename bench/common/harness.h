@@ -28,6 +28,24 @@ double TimeMs(const std::function<void()>& fn);
 /// single runs swing with the load of a shared host.
 double MedianTimeMs(const std::function<void()>& fn, int runs);
 
+/// Two variants of one job timed in the same process, batch by batch.
+struct InterleavedTiming {
+  double reference_ms;  // Median time of one run of the reference.
+  double candidate_ms;  // Median time of one run of the candidate.
+  /// Median over the batches of reference/candidate time: > 1 when the
+  /// candidate is faster.
+  double ratio;
+};
+
+/// Runs `reference` and `candidate` once each per batch, `batches` times,
+/// swapping which goes first from one batch to the next, so that drift in
+/// the host's load hits both alike. The per-batch ratio of two runs that
+/// sit next to each other resolves far smaller changes than medians of
+/// two separate run sets.
+InterleavedTiming InterleavedAB(const std::function<void()>& reference,
+                                const std::function<void()>& candidate,
+                                int batches);
+
 /// Milliseconds pretty-printer: "0.53ms" / "1.24s".
 std::string FormatMs(double ms);
 

@@ -11,7 +11,9 @@
 //      the FillCounts-dominated scan where the flat layout's target is
 //      >= 1.5x over the row-major reference. Each row is the median of 5
 //      runs (3 under SIGSUB_BENCH_FAST), since single runs of these
-//      kernels swing by ±8% on a loaded host.
+//      kernels swing by ±8% on a loaded host; the chain_cover rows
+//      instead time the scan against its serial reference batch by batch
+//      (bench::InterleavedAB) and record the median ratio as the speedup.
 
 #include <cstdio>
 #include <functional>
@@ -21,6 +23,7 @@
 #include "core/chain_cover.h"
 #include "io/table_writer.h"
 #include "sigsub.h"
+#include "testing/chain_cover_reference.h"
 
 using namespace sigsub;
 
@@ -218,6 +221,65 @@ int main() {
     record("find_threshold_k4", time_ms([&] {
              core::FindAboveThreshold(counts4, ctx4, /*alpha0=*/20.0);
            }));
+  }
+
+  // ------------------------------------------ chain cover vs serial loop
+  // The lockstep ChainCoverScan against the serial loop it replaced
+  // (tests/testing/chain_cover_reference.h), timed in one process batch
+  // by batch; each row's speedup is the median per-batch ratio. Records
+  // are the size of perfbench cli_mining's long k=4 records. The constant
+  // record raises the MSS floor in every row, the worst case for lockstep
+  // speculation.
+  {
+    const int64_t n = 16000;
+    const int batches = bench::FastMode() ? 7 : 15;
+    seq::Sequence random4 = MakeString(4, n);
+    seq::PrefixCounts counts4(random4);
+    seq::Sequence constant4 =
+        seq::Sequence::FromSymbols(4, std::vector<uint8_t>(n, 0)).value();
+    seq::PrefixCounts constant_counts(constant4);
+    core::ChiSquareContext ctx4(seq::MultinomialModel::Uniform(4));
+    const double alpha0 = stats::ChiSquareThresholdForPValue(1e-6, 4);
+    auto compare = [&](const std::string& name,
+                       const std::function<void()>& reference,
+                       const std::function<void()>& lockstep) {
+      const bench::InterleavedTiming timing =
+          bench::InterleavedAB(reference, lockstep, batches);
+      table.AddRow({StrCat(name, "_reference"),
+                    bench::FormatMs(timing.reference_ms), "-"});
+      table.AddRow({name, bench::FormatMs(timing.candidate_ms),
+                    StrFormat("%.2fx", timing.ratio)});
+      json.AddResult(StrCat(name, "_reference"), timing.reference_ms);
+      json.AddResult(name, timing.candidate_ms, timing.ratio);
+    };
+    compare(
+        "chain_cover_mss_k4",
+        [&] { testing::ReferenceFindMssInRange(counts4, ctx4, 0, n, 1, n); },
+        [&] { core::FindMss(counts4, ctx4); });
+    compare(
+        "chain_cover_topt_k4",
+        [&] { testing::ReferenceFindTopT(counts4, ctx4, 10); },
+        [&] { core::FindTopT(counts4, ctx4, 10); });
+    compare(
+        "chain_cover_threshold_k4",
+        [&] {
+          testing::ReferenceFindAboveThreshold(counts4, ctx4, alpha0, 1000);
+        },
+        [&] {
+          core::FindAboveThreshold(counts4, ctx4, alpha0, {.max_matches = 1000});
+        });
+    compare(
+        "chain_cover_minlen_k4",
+        [&] {
+          testing::ReferenceFindMssInRange(counts4, ctx4, 0, n, 1000, n);
+        },
+        [&] { core::FindMssMinLength(counts4, ctx4, 1000); });
+    compare(
+        "chain_cover_mss_k4_constant",
+        [&] {
+          testing::ReferenceFindMssInRange(constant_counts, ctx4, 0, n, 1, n);
+        },
+        [&] { core::FindMss(constant_counts, ctx4); });
   }
 
   // ------------------------------------- the query batch's costly kinds

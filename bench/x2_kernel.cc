@@ -21,7 +21,7 @@
 #include <cstdio>
 #include <numeric>
 #include <span>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/harness.h"
@@ -342,36 +342,48 @@ int main() {
     json.AddGate("batched_bit_identical_k2", identical);
     if (!identical) perf_ok = false;
 
+    // Each speedup is the median ratio of per-end and batched runs timed
+    // next to each other: the per-end loop's time swings between two
+    // levels from one process to the next, which separate minima turned
+    // into swings of the ratio.
+    const int batches = bench::FastMode() ? 9 : 15;
     double sink = 0.0;
-    const double ends_loop_ms = MinTimeMs([&] {
-      for (size_t bi = 0; bi + 1 < m; bi += stride) {
-        per_end_ends(bi);
-        sink += per_end[0];
-      }
-    });
-    const double ends_ms = MinTimeMs([&] {
-      for (size_t bi = 0; bi + 1 < m; bi += stride) {
-        kernel.EvaluateEnds(counts, boundaries[bi], ends_from(bi), batched);
-        sink += batched[0];
-      }
-    });
-    const double run_loop_ms = MinTimeMs([&] {
-      for_each_run([&](int64_t start, int64_t first_end, int64_t count) {
-        per_end_run(start, first_end, count);
-        sink += per_end[0];
-      });
-    });
-    const double run_ms = MinTimeMs([&] {
-      for_each_run([&](int64_t start, int64_t first_end, int64_t count) {
-        batched_run(start, first_end, count);
-        sink += batched[0];
-      });
-    });
+    const bench::InterleavedTiming ends = bench::InterleavedAB(
+        [&] {
+          for (size_t bi = 0; bi + 1 < m; bi += stride) {
+            per_end_ends(bi);
+            sink += per_end[0];
+          }
+        },
+        [&] {
+          for (size_t bi = 0; bi + 1 < m; bi += stride) {
+            kernel.EvaluateEnds(counts, boundaries[bi], ends_from(bi),
+                                batched);
+            sink += batched[0];
+          }
+        },
+        batches);
+    const bench::InterleavedTiming runs = bench::InterleavedAB(
+        [&] {
+          for_each_run([&](int64_t start, int64_t first_end, int64_t count) {
+            per_end_run(start, first_end, count);
+            sink += per_end[0];
+          });
+        },
+        [&] {
+          for_each_run([&](int64_t start, int64_t first_end, int64_t count) {
+            batched_run(start, first_end, count);
+            sink += batched[0];
+          });
+        },
+        batches);
     if (!(sink >= 0.0)) std::printf("sink %f\n", sink);
-    for (const auto& [name, loop_ms, ms] :
-         {std::tuple{"evaluate_ends_k2", ends_loop_ms, ends_ms},
-          std::tuple{"evaluate_ends_dense_k2", run_loop_ms, run_ms}}) {
-      const double speedup = loop_ms / ms;
+    for (const auto& [name, timing] :
+         {std::pair{"evaluate_ends_k2", ends},
+          std::pair{"evaluate_ends_dense_k2", runs}}) {
+      const double loop_ms = timing.reference_ms;
+      const double ms = timing.candidate_ms;
+      const double speedup = timing.ratio;
       std::printf("%s: per-end %s, batched %s, %.2fx\n", name,
                   bench::FormatMs(loop_ms).c_str(),
                   bench::FormatMs(ms).c_str(), speedup);

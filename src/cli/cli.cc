@@ -27,6 +27,7 @@
 #include "core/significance.h"
 #include "core/streaming.h"
 #include "core/suffix_scan.h"
+#include "core/top_t.h"
 #include "core/x2_dispatch.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"
@@ -173,6 +174,10 @@ Result<api::QuerySpec> QueryFromFlags(const CliOptions& options,
       options.t < 1) {
     return Status::InvalidArgument(
         StrCat("--t must be >= 1, got ", options.t));
+  }
+  if (kind == api::QueryKind::kTopT && options.t > core::kMaxTopT) {
+    return Status::InvalidArgument(
+        StrCat("--t must be <= ", core::kMaxTopT, ", got ", options.t));
   }
   if ((kind == api::QueryKind::kMinLength ||
        kind == api::QueryKind::kTopDisjoint) &&
@@ -992,8 +997,15 @@ using FlagField =
                  core::X2Dispatch CliOptions::*>;
 
 /// Parse-time value ranges, checked once the flag is known to belong to
-/// the command.
-enum class Range { kAny, kNonNegative, kPositive, kUnitInterval };
+/// the command. kThreadCount is [0, engine::kMaxThreads], 0 meaning all
+/// cores: checked before any pool exists.
+enum class Range {
+  kAny,
+  kNonNegative,
+  kPositive,
+  kUnitInterval,
+  kThreadCount
+};
 
 /// One command-line flag: its name, the commands that consume it (space
 /// separated; "*" for every command), and where its value lands.
@@ -1010,7 +1022,8 @@ const Flag kFlags[] = {
     {"alphabet", "*", &CliOptions::alphabet},
     {"probs", "*", &CliOptions::probs},
     {"x2-dispatch", "*", &CliOptions::x2_dispatch},
-    {"threads", "mss batch query serve", &CliOptions::threads},
+    {"threads", "mss batch query serve", &CliOptions::threads,
+     Range::kThreadCount},
     {"t", "topt batch", &CliOptions::t},
     {"disjoint", "topt", &CliOptions::disjoint},
     {"min-length", "topt minlen substrings batch", &CliOptions::min_length},
@@ -1118,6 +1131,12 @@ Status CheckRange(const Flag& flag, const CliOptions& options) {
         StrCat("--", flag.name, " must be in (0, 1), got ", value));
   }
   const int64_t value = options.*std::get<int64_t CliOptions::*>(flag.field);
+  if (flag.range == Range::kThreadCount) {
+    if (value >= 0 && value <= engine::kMaxThreads) return Status::OK();
+    return Status::InvalidArgument(StrCat("--", flag.name, " must be in [0, ",
+                                          engine::kMaxThreads,
+                                          "] (0 = all cores), got ", value));
+  }
   const int64_t min = flag.range == Range::kPositive ? 1 : 0;
   if (value >= min) return Status::OK();
   return Status::InvalidArgument(
@@ -1354,7 +1373,8 @@ std::string UsageText() {
       "batch corpus:\n"
       "  --format=lines|csv             corpus layout (default lines)\n"
       "  --column=N --csv-header        CSV column selection\n"
-      "  --threads=N --cache=N          worker threads / cache entries\n"
+      "  --threads=N --cache=N          worker threads (0..1024, 0 = all\n"
+      "                                 cores) / cache entries\n"
       "  --shard-min=N                  split an MSS job across workers\n"
       "                                 when the record has >= N symbols\n"
       "                                 (default 2^20; 0 disables)\n"

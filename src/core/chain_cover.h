@@ -2,10 +2,15 @@
 #define SIGSUB_CORE_CHAIN_COVER_H_
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "common/check.h"
 #include "core/chi_square.h"
 #include "core/scan_types.h"
 #include "core/x2_kernel.h"
@@ -58,6 +63,43 @@ namespace core {
 double CoverChiSquare(double x2_l, int64_t l, int64_t y_c, double p_c,
                       double x);
 
+namespace internal {
+
+/// The positive root of symbol c's cover quadratic (see above): the
+/// largest real x with the cover constraint satisfied.
+inline double CoverRoot(int64_t y_c, double p_c, int64_t l, double x2_l,
+                        double budget) {
+  double a = 1.0 - p_c;
+  double b = 2.0 * static_cast<double>(y_c) -
+             2.0 * static_cast<double>(l) * p_c - p_c * budget;
+  double c = (x2_l - budget) * static_cast<double>(l) * p_c;
+  if (c > 0.0) return 0.0;  // X²_l already above budget: no safe extension.
+  double disc = b * b - 4.0 * a * c;
+  double sq = std::sqrt(disc);
+  // Positive root of an upward parabola with q(0) = c <= 0. Use the
+  // cancellation-free branch.
+  if (b <= 0.0) return (-b + sq) / (2.0 * a);
+  return (-2.0 * c) / (b + sq);
+}
+
+/// Evaluates the per-character cover quadratic
+///   q(x) = (1 − p_c)x² + (2Y_c − 2lp_c − p_c·B)x + (X²_l − B)·l·p_c
+/// in long double, used to verify integer skip candidates exactly enough
+/// that floating-point error can only cost skip length, never correctness.
+inline long double CoverQuadraticAt(int64_t y_c, double p_c, int64_t l,
+                                    double x2_l, double budget, int64_t x) {
+  long double a = 1.0L - static_cast<long double>(p_c);
+  long double b = 2.0L * static_cast<long double>(y_c) -
+                  2.0L * static_cast<long double>(l) * p_c -
+                  static_cast<long double>(p_c) * budget;
+  long double c = (static_cast<long double>(x2_l) - budget) *
+                  static_cast<long double>(l) * p_c;
+  long double lx = static_cast<long double>(x);
+  return (a * lx + b) * lx + c;
+}
+
+}  // namespace internal
+
 /// Computes safe skip lengths. Holds the model's probability classes,
 /// grouped once at construction (O(k²) comparisons); build one per scan.
 class SkipSolver {
@@ -83,24 +125,82 @@ class SkipSolver {
   /// Fused form: reads Y_c = end_block[c] − start_block[c] straight from
   /// two position-major PrefixCounts blocks (seq::PrefixCounts::BlockAt),
   /// so scanners need no materialized count vector. Identical results to
-  /// the span overload for identical counts. (The 2-D scan instead gathers
-  /// its rectangle counts once via X2Kernel::EvaluateRect's counts_out and
-  /// uses the span overload — a rect gather is 4 plane lookups per symbol,
-  /// too expensive to repeat per consumer.)
+  /// the span overload for identical counts. Defined here so it inlines
+  /// into the scan loops. (The 2-D scan instead gathers its rectangle
+  /// counts once via X2Kernel::EvaluateRect's counts_out and uses the
+  /// span overload — a rect gather is 4 plane lookups per symbol, too
+  /// expensive to repeat per consumer.)
   int64_t MaxSafeExtension(const int64_t* start_block,
                            const int64_t* end_block, int64_t l, double x2_l,
-                           double budget) const;
+                           double budget) const {
+    return MaxSafeExtensionImpl(
+        [&](size_t c) { return end_block[c] - start_block[c]; }, l, x2_l,
+        budget);
+  }
 
   /// The root of the per-character quadratic for symbol c: the (real)
   /// largest x with the cover constraint satisfied for this character.
   /// Exposed for tests and the ablation bench.
   double CharacterRoot(int64_t y_c, double p_c, int64_t l, double x2_l,
-                       double budget) const;
+                       double budget) const {
+    return internal::CoverRoot(y_c, p_c, l, x2_l, budget);
+  }
 
  private:
+  /// Shared core of the MaxSafeExtension overloads. `count_at(c)` yields
+  /// Y_c however the caller stores it (materialized span or two prefix
+  /// blocks); the skip logic is identical, so both overloads return
+  /// identical results for identical counts. Only the largest count of
+  /// each probability class binds (see the note above).
   template <typename CountAt>
   int64_t MaxSafeExtensionImpl(const CountAt& count_at, int64_t l,
-                               double x2_l, double budget) const;
+                               double x2_l, double budget) const {
+    SIGSUB_DCHECK(l >= 1);
+    // Written so that a NaN budget or X² also skips nothing.
+    if (!(x2_l <= budget)) return 0;
+
+    const size_t num_classes = class_probs_.size();
+    const double* probs = class_probs_.data();
+    const int* symbols = class_symbols_.data();
+    const int* ends = class_ends_.data();
+    // The largest count of each class, kept for the check below (k <= 255,
+    // as MultinomialModel enforces). The first loop writes entries
+    // [0, num_classes) before the check reads them; zero-filling all 256
+    // instead would cost more than the k=4 skip itself.
+    int64_t class_max[256];
+    double min_root = std::numeric_limits<double>::infinity();
+    for (size_t j = 0, i = 0; j < num_classes; ++j) {
+      int64_t y = count_at(symbols[i]);
+      for (++i; i < static_cast<size_t>(ends[j]); ++i) {
+        y = std::max(y, count_at(symbols[i]));
+      }
+      class_max[j] = y;
+      double root = internal::CoverRoot(y, probs[j], l, x2_l, budget);
+      if (root < min_root) min_root = root;
+    }
+    if (!(min_root > 0.0)) return 0;
+    // Guard against pathological overflow of the cast below.
+    if (min_root > 9.0e18) min_root = 9.0e18;
+    // min_root > 0 here, so truncation is the floor (and needs no libm
+    // call on a target without roundsd).
+    int64_t m = static_cast<int64_t>(min_root);
+    if (m <= 0) return 0;
+
+    // Verify the integer candidate against every class's binding quadratic
+    // in extended precision; floating-point error in the root can otherwise
+    // overshoot by one position. Each decrement is at most a rounding step,
+    // so this loop runs O(1) times in practice.
+    for (size_t j = 0; j < num_classes && m > 0;) {
+      if (internal::CoverQuadraticAt(class_max[j], probs[j], l, x2_l, budget,
+                                     m) > 0.0L) {
+        --m;
+        j = 0;  // Re-verify all classes at the smaller candidate.
+        continue;
+      }
+      ++j;
+    }
+    return m;
+  }
 
   /// The probability classes, in order of each class's first symbol:
   /// class j has probability class_probs_[j] and the members
@@ -113,50 +213,164 @@ class SkipSolver {
 
 /// Paper Algorithm 1, the scan loop every chain-cover interval kernel runs:
 /// for each start i (from the right end down), walk the ending positions
-/// of the row, evaluate X² of S[i, end) from two prefix blocks, call
-/// `visit(i, end, x2)`, and jump past every ending position that
-/// MaxSafeExtension proves cannot score above the budget B `visit`
-/// returned. The variants differ only in B:
+/// of the row, evaluate X² of S[i, end) from two prefix blocks, and jump
+/// past every ending position that MaxSafeExtension proves cannot score
+/// above the budget B. The variants differ only in B:
 ///
 ///   MSS, min-length and length-bounded MSS (Problems 1 and 4)
 ///                                      — the running maximum;
 ///   top-t (Problem 2, Algorithm 2)     — the t-th best so far;
 ///   threshold (Problem 3, Algorithm 3) — the fixed cutoff α₀;
+///   top-disjoint segment scans         — the segment's running maximum;
 ///   parallel MSS shard                 — the maximum shared by all shards.
 ///
 /// Scans the substrings of [lo, hi) with min_length <= length <=
 /// max_length, taking start positions hi − min_length − shard, then every
-/// num_shards-th one below it, down to lo. `Visit` is a template
-/// parameter so the call inlines into the loop. Returns the scan's
-/// counters.
-template <typename Visit>
+/// num_shards-th one below it, down to lo. Returns the scan's counters.
+///
+/// The visitor contract. `visit(i, end, x2)` returns the visitor's floor.
+/// The scan calls it only for a candidate with x2 > floor, where the floor
+/// is the value `visit` last returned (−∞ before the first call), so a
+/// visitor must leave its state alone, and would return the same value,
+/// for every candidate with !(x2 > floor). Without `budget_of`, the floor
+/// is also the budget B of the skips: MSS, min-length, length-bounded,
+/// top-t, threshold and top-disjoint all work that way, each leaving its
+/// state unchanged whenever !(x2 > B). `budget_of()`, when given, supplies
+/// B instead, read after each visit and whenever a row is committed: the
+/// parallel shard's floor is its own best, while its B is the maximum
+/// shared by all shards. `Visit` and `Budget` are template parameters so
+/// the calls inline into the loop.
+///
+/// Lockstep rows. The skip of each examined position gives the address of
+/// the next one, so a row is one chain of dependent loads, X² evaluations
+/// and root solves. The scan keeps a window of up to kRows = 4
+/// consecutive rows and steps each of them once per round, so their
+/// chains overlap. The first row of the window leads: every row before it
+/// is committed, so it visits a candidate above the floor where it meets
+/// it. A later row that meets one waits there until it leads. When a
+/// visit moves the floor or the budget, the rows behind the leader, which
+/// were stepped at the old values, restart from their first position.
+/// Rows are committed, counters and all, in serial order as each finished
+/// one reaches the front. This is exact: every position a row has stepped
+/// since it last restarted was stepped at the floor and budget that the
+/// serial loop would hold there, since only the rows before it visit in
+/// between and none of those visits moved either value; so each visit,
+/// skip and counter is the serial one (a copy of the serial loop in
+/// tests/testing/chain_cover_reference.h checks this bit for bit). The
+/// window halves when a visit moves the floor or the budget, or a row has
+/// to wait, and doubles when a row is committed with neither since the
+/// last commit. So on records where the floor rises in almost every row
+/// little stepped work is thrown away, and where most candidates are above
+/// the floor the rows do not sit idle behind the leader.
+template <typename Visit, typename Budget = std::nullptr_t>
 ScanStats ChainCoverScan(const seq::PrefixCounts& counts,
                          const ChiSquareContext& context, int64_t lo,
                          int64_t hi, int64_t min_length, int64_t max_length,
-                         int shard, int num_shards, Visit&& visit) {
+                         int shard, int num_shards, Visit&& visit,
+                         Budget&& budget_of = nullptr) {
+  constexpr bool kFloorIsBudget = std::is_null_pointer_v<Budget>;
+  // Rows stepped in lockstep at most. On 16k-symbol k = 4 records,
+  // windows of 2 to 8 rows measured the same speed; more rows only throw
+  // away more work when the floor moves.
+  constexpr int kRows = 4;
+  // One row of the window: its start, the next ending position to step,
+  // and the counters of the positions stepped since it last restarted.
+  struct Row {
+    int64_t start;
+    const int64_t* start_block;
+    int64_t end;
+    int64_t row_end;
+    int64_t examined;
+    int64_t skip_events;
+    int64_t skipped;
+    bool waiting;  // Met a candidate above the floor; visits it on leading.
+  };
+  const SkipSolver solver(context);
+  const X2Kernel kernel(context);
   ScanStats stats;
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-  for (int64_t i = hi - min_length - shard; i >= lo; i -= num_shards) {
-    ++stats.start_positions;
-    const int64_t* start_block = counts.BlockAt(i);
+  const int64_t first_start = hi - min_length - shard;
+  stats.start_positions =
+      first_start >= lo ? (first_start - lo) / num_shards + 1 : 0;
+  double visit_floor = -std::numeric_limits<double>::infinity();
+  double budget = visit_floor;
+
+  Row rows[kRows];
+  int size = 0;   // Rows in the window, in serial order: rows[0] leads.
+  int width = 1;  // Rows the window may hold.
+  // Since the last commit, a visit moved the floor or budget, or a row
+  // had to wait. Either halves the window.
+  bool stalled = false;
+  auto narrow = [&] {
+    stalled = true;
+    width = std::max(width / 2, 1);
+  };
+  int64_t next_start = first_start;
+  auto open_row = [&](int64_t i) {
     // min(hi, i + max_length) without overflow for max_length near
     // INT64_MAX.
     const int64_t row_end = hi - i > max_length ? i + max_length : hi;
-    int64_t end = i + min_length;
-    while (end <= row_end) {
-      const int64_t* end_block = counts.BlockAt(end);
-      const int64_t l = end - i;
-      const double x2 = kernel.EvaluateBlocks(start_block, end_block, l);
-      ++stats.positions_examined;
-      const double budget = visit(i, end, x2);
-      const int64_t skip =
-          solver.MaxSafeExtension(start_block, end_block, l, x2, budget);
-      if (skip > 0) {
-        ++stats.skip_events;
-        stats.positions_skipped += std::min(end + skip, row_end) - end;
+    return Row{i, counts.BlockAt(i), i + min_length, row_end, 0, 0, 0, false};
+  };
+  for (;;) {
+    // Commit the finished rows at the front of the window.
+    if (size > 0 && rows[0].end > rows[0].row_end) {
+      int done = 0;
+      do {
+        stats.positions_examined += rows[done].examined;
+        stats.skip_events += rows[done].skip_events;
+        stats.positions_skipped += rows[done].skipped;
+        ++done;
+      } while (done < size && rows[done].end > rows[done].row_end);
+      std::copy(rows + done, rows + size, rows);
+      size -= done;
+      if (!stalled) width = std::min(2 * width, kRows);
+      stalled = false;
+      if constexpr (!kFloorIsBudget) budget = budget_of();
+    }
+    while (size < width && next_start >= lo) {
+      rows[size++] = open_row(next_start);
+      next_start -= num_shards;
+    }
+    if (size == 0) break;
+
+    for (int r = 0; r < size; ++r) {
+      Row& row = rows[r];
+      if (row.end > row.row_end || (r > 0 && row.waiting)) continue;
+      const int64_t* end_block = counts.BlockAt(row.end);
+      const int64_t l = row.end - row.start;
+      const double x2 = kernel.EvaluateBlocks(row.start_block, end_block, l);
+      if (x2 > visit_floor) {
+        if (r > 0) {
+          row.waiting = true;
+          narrow();
+          continue;
+        }
+        row.waiting = false;
+        const double old_floor = visit_floor;
+        const double old_budget = budget;
+        visit_floor = visit(row.start, row.end, x2);
+        if constexpr (kFloorIsBudget) {
+          budget = visit_floor;
+        } else {
+          budget = budget_of();
+        }
+        if (visit_floor != old_floor || budget != old_budget) {
+          narrow();
+          if (size > width) {
+            next_start = rows[width].start;
+            size = width;
+          }
+          for (int q = 1; q < size; ++q) rows[q] = open_row(rows[q].start);
+        }
       }
-      end += skip + 1;
+      ++row.examined;
+      const int64_t skip =
+          solver.MaxSafeExtension(row.start_block, end_block, l, x2, budget);
+      if (skip > 0) {
+        ++row.skip_events;
+        row.skipped += std::min(row.end + skip, row.row_end) - row.end;
+      }
+      row.end += skip + 1;
     }
   }
   return stats;

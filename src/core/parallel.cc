@@ -19,6 +19,8 @@ MssResult MssShardScan(const seq::PrefixCounts& counts,
   MssResult local;
   local.best = Substring{0, 0, 0.0};
   bool found = false;
+  // The floor is the shard's own best; the skips use the maximum shared
+  // by all shards, which is never below it.
   local.stats = ChainCoverScan(
       counts, context, 0, n, /*min_length=*/1, n, shard, num_shards,
       [&](int64_t i, int64_t end, double x2) {
@@ -27,8 +29,9 @@ MssResult MssShardScan(const seq::PrefixCounts& counts,
           local.best = Substring{i, end, x2};
           shared_best->Update(x2);
         }
-        return shared_best->load();
-      });
+        return local.best.chi_square;
+      },
+      [&] { return shared_best->load(); });
   return local;
 }
 

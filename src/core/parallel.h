@@ -40,8 +40,9 @@ MssResult FindMssParallel(const seq::PrefixCounts& counts,
 
 /// One strided shard of the parallel scan: ChainCoverScan over start
 /// positions n-1-shard, n-1-shard-num_shards, ..., publishing each new
-/// shard-local best to `shared_best` and taking every skip against its
-/// current value. Exposed so external executors — engine::Engine
+/// shard-local best to `shared_best` and taking its skips against that
+/// shared maximum, read after each new local best and whenever a row of
+/// the scan is committed. Exposed so external executors — engine::Engine
 /// splitting one oversized record across its ThreadPool — can schedule
 /// shards themselves; FindMssParallel is the packaged composition. Pure
 /// apart from `shared_best`; shards of one scan may run concurrently in

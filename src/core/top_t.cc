@@ -21,7 +21,7 @@ struct MinByChiSquare {
 
 TopTCollector::TopTCollector(int64_t t) : t_(t) {
   SIGSUB_CHECK(t >= 1);
-  heap_.reserve(static_cast<size_t>(std::min<int64_t>(t, 1 << 20)));
+  heap_.reserve(static_cast<size_t>(std::min(t, kMaxTopT)));
 }
 
 double TopTCollector::budget() const {
@@ -78,8 +78,9 @@ TopTResult FindTopT(const seq::PrefixCounts& counts,
 Result<TopTResult> FindTopT(const seq::Sequence& sequence,
                             const seq::MultinomialModel& model, int64_t t) {
   SIGSUB_RETURN_IF_ERROR(ValidateSequenceModel(sequence, model));
-  if (t < 1) {
-    return Status::InvalidArgument(StrCat("t must be >= 1, got ", t));
+  if (t < 1 || t > kMaxTopT) {
+    return Status::InvalidArgument(
+        StrCat("t must be in [1, ", kMaxTopT, "], got ", t));
   }
   seq::PrefixCounts counts(sequence);
   ChiSquareContext context(model);

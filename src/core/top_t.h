@@ -14,6 +14,12 @@
 namespace sigsub {
 namespace core {
 
+/// The largest t a top-t search accepts (2^20), which is also the most
+/// heap entries TopTCollector reserves. Below capacity the skip budget is
+/// −∞, so a t at or above the n(n+1)/2 substrings of a record would scan
+/// and keep every one of them: O(n²) time and memory from one query.
+inline constexpr int64_t kMaxTopT = int64_t{1} << 20;
+
 /// Min-heap of the best t substrings seen so far, mirroring the heap of
 /// Algorithm 2. While the heap is below capacity every candidate is
 /// accepted regardless of score — on a perfectly balanced sequence
@@ -47,7 +53,7 @@ class TopTCollector {
 
 /// Problem 2 (Top-t substrings): the t substrings with the highest X²
 /// values, in descending order. Paper Algorithm 2; O((k + log t)·n^{3/2})
-/// with high probability.
+/// with high probability. Requires 1 <= t <= kMaxTopT.
 Result<TopTResult> FindTopT(const seq::Sequence& sequence,
                             const seq::MultinomialModel& model, int64_t t);
 

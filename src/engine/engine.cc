@@ -197,7 +197,10 @@ Status ValidateRequest(const api::QuerySpec& spec, const Corpus& corpus) {
     }
   }
   if (const auto* q = std::get_if<api::TopTQuery>(&spec.request)) {
-    if (q->t < 1) return fail(StrCat("field t must be >= 1, got ", q->t));
+    if (q->t < 1 || q->t > core::kMaxTopT) {
+      return fail(
+          StrCat("field t must be in [1, ", core::kMaxTopT, "], got ", q->t));
+    }
   } else if (const auto* q =
                  std::get_if<api::TopDisjointQuery>(&spec.request)) {
     if (q->t < 1) return fail(StrCat("field t must be >= 1, got ", q->t));
@@ -510,9 +513,29 @@ void FillPayload(api::QueryKind kind, const CachedResult& computed,
 
 }  // namespace
 
+Status ValidateEngineOptions(const EngineOptions& options) {
+  if (options.num_threads < 0 || options.num_threads > kMaxThreads) {
+    return Status::InvalidArgument(
+        StrCat("num_threads must be in [0, ", kMaxThreads,
+               "] (0 = all cores), got ", options.num_threads));
+  }
+  return Status::OK();
+}
+
+namespace {
+
+/// options.num_threads, checked before the pool starts any thread.
+int CheckedThreadCount(const EngineOptions& options) {
+  const Status status = ValidateEngineOptions(options);
+  SIGSUB_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
+  return options.num_threads;
+}
+
+}  // namespace
+
 Engine::Engine(EngineOptions options)
     : cache_(options.cache_capacity),
-      pool_(options.num_threads),
+      pool_(CheckedThreadCount(options)),
       shard_min_sequence_(options.shard_min_sequence),
       x2_dispatch_(options.x2_dispatch) {}
 

@@ -24,9 +24,14 @@ class SuffixScan;
 
 namespace engine {
 
+/// The most worker threads an engine takes (EngineOptions::num_threads,
+/// CLI --threads): far above any core count this runs on, and low enough
+/// that a mistyped value cannot ask the OS for millions of threads.
+inline constexpr int kMaxThreads = 1024;
+
 struct EngineOptions {
-  /// Worker threads for batch execution; <= 0 selects the hardware
-  /// concurrency.
+  /// Worker threads for batch execution, in [0, kMaxThreads]; 0 selects
+  /// the hardware concurrency.
   int num_threads = 1;
   /// Result-cache capacity in entries; 0 disables caching.
   size_t cache_capacity = 4096;
@@ -43,6 +48,11 @@ struct EngineOptions {
   /// for audits; kAuto picks the fastest available kernel.
   core::X2Dispatch x2_dispatch = core::X2Dispatch::kAuto;
 };
+
+/// InvalidArgument naming the field when `options` is out of range:
+/// num_threads outside [0, kMaxThreads]. Engine's constructor CHECKs it;
+/// callers that take the options from users validate first.
+Status ValidateEngineOptions(const EngineOptions& options);
 
 /// Concurrent batch-mining engine: executes heterogeneous mining queries
 /// (every sequence kernel — mss, topt, disjoint, threshold, minlen,

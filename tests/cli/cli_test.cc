@@ -179,6 +179,34 @@ TEST(ParseArgsTest, PValueOutsideUnitIntervalIsANamedError) {
   }
 }
 
+TEST(ParseArgsTest, ThreadsOutsideItsRangeIsANamedError) {
+  // Checked while parsing, before any pool exists: --threads=4294967297
+  // once wrapped to 1 thread through an int cast, --threads=-3 silently
+  // ran on all cores, and --threads=100000000 asked for that many threads.
+  const std::vector<std::vector<std::string>> commands = {
+      {"mss", "--string=0101"},
+      {"batch", "--input=x"},
+      {"query", "--input=x", "--query=mss:seq=0"},
+      {"serve", "--input=x"}};
+  for (std::vector<std::string> args : commands) {
+    for (const char* value : {"-3", "1025", "4294967297", "100000000"}) {
+      args.push_back(std::string("--threads=") + value);
+      auto status = ParseArgs(args).status();
+      ASSERT_TRUE(status.IsInvalidArgument()) << args[0] << " " << value;
+      EXPECT_NE(status.message().find(
+                    "--threads must be in [0, 1024] (0 = all cores), got"),
+                std::string::npos)
+          << status.message();
+      args.pop_back();
+    }
+    for (const char* value : {"0", "1024"}) {
+      args.push_back(std::string("--threads=") + value);
+      EXPECT_TRUE(ParseArgs(args).ok()) << args[0] << " " << value;
+      args.pop_back();
+    }
+  }
+}
+
 TEST(ParseArgsTest, ParsesShardMin) {
   auto options =
       ParseArgs({"batch", "--input=x", "--threads=4", "--shard-min=5000"});
@@ -340,6 +368,26 @@ TEST(RunTest, ToptDisjointReturnsRankedRows) {
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report->find("rank"), std::string::npos);
   EXPECT_NE(report->find("1 "), std::string::npos);
+}
+
+TEST(RunTest, ToptRejectsTAboveTheCap) {
+  // Below capacity the top-t budget is −∞, so a t of n(n+1)/2 or more
+  // scans and keeps every substring; t is capped at 2^20.
+  const std::string path = ::testing::TempDir() + "/sigsub_cli_topt_cap.txt";
+  ASSERT_TRUE(io::WriteTextFile(path, "0110\n").ok());
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"topt", "--string=0110", "--t=1048577"},
+           {"batch", "--input=" + path, "--job=topt", "--t=4294967297"}}) {
+    auto options = ParseArgs(args);
+    ASSERT_TRUE(options.ok());
+    auto status = cli::Run(options.value()).status();
+    ASSERT_TRUE(status.IsInvalidArgument()) << args[0];
+    EXPECT_NE(status.message().find("--t must be <= 1048576"),
+              std::string::npos)
+        << status.message();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(RunTest, MinlenRespectsFloor) {

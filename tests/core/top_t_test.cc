@@ -59,6 +59,11 @@ TEST(FindTopTTest, ValidatesInput) {
   seq::Sequence s = seq::GenerateNull(2, 10, rng);
   auto model = seq::MultinomialModel::Uniform(2);
   EXPECT_TRUE(FindTopT(s, model, 0).status().IsInvalidArgument());
+  const Status too_many = FindTopT(s, model, kMaxTopT + 1).status();
+  EXPECT_TRUE(too_many.IsInvalidArgument());
+  EXPECT_NE(too_many.message().find("t must be in [1, 1048576]"),
+            std::string::npos)
+      << too_many.message();
   seq::Sequence empty(2);
   EXPECT_TRUE(FindTopT(empty, model, 3).status().IsInvalidArgument());
 }

@@ -506,6 +506,30 @@ TEST(QueryEngineTest, AlphaPConvertsViaCriticalValue) {
   EXPECT_EQ(results[2].match_count(), results[0].match_count());
 }
 
+TEST(EngineTest, ThreadCountIsBounded) {
+  EXPECT_TRUE(ValidateEngineOptions({.num_threads = 0}).ok());
+  EXPECT_TRUE(ValidateEngineOptions({.num_threads = kMaxThreads}).ok());
+  for (int bad : {-3, kMaxThreads + 1}) {
+    const Status status = ValidateEngineOptions({.num_threads = bad});
+    ASSERT_TRUE(status.IsInvalidArgument()) << bad;
+    EXPECT_NE(status.message().find("num_threads must be in [0, 1024]"),
+              std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(QueryEngineTest, TopTAboveTheCapNamesField) {
+  Corpus corpus = MakeCorpus();
+  Engine engine;
+  api::QuerySpec spec;
+  spec.request = api::TopTQuery{core::kMaxTopT + 1};
+  auto status = engine.ExecuteQueries(corpus, {spec}).status();
+  ASSERT_TRUE(status.IsInvalidArgument());
+  EXPECT_NE(status.message().find("field t must be in [1, 1048576]"),
+            std::string::npos)
+      << status.message();
+}
+
 TEST(QueryEngineTest, ValidationNamesQueryAndField) {
   Corpus corpus = MakeCorpus();
   Engine engine;

@@ -220,6 +220,22 @@ TEST(ServerTest, ProtocolAndValidationErrors) {
   EXPECT_GE(server.stats().protocol_errors, 1);
 }
 
+TEST(ServerTest, TopTAboveTheCapIsInvalid) {
+  // One wire QUERY with a huge t would otherwise scan and keep every
+  // substring of the record.
+  Server server(TestCorpus(), ServerOptions{});
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(LineClient client, ConnectTo(server));
+  ASSERT_OK(client.SendLine("QUERY topt:seq=0,t=1048577"));
+  ASSERT_OK_AND_ASSIGN(std::string bad, client.ReadLine());
+  EXPECT_TRUE(StartsWith(bad, "ERR EINVALID ")) << bad;
+  EXPECT_NE(bad.find("field t must be in [1, 1048576]"), std::string::npos)
+      << bad;
+  ASSERT_OK(client.SendLine("QUERY topt:seq=0,t=3"));
+  ASSERT_OK_AND_ASSIGN(std::string good, client.ReadLine());
+  EXPECT_TRUE(StartsWith(good, "OK kind=topt seq=0 ")) << good;
+}
+
 TEST(ServerTest, BadQueryInSliceDoesNotFailNeighbors) {
   // Both queries land in one executor slice; batch validation fails the
   // whole batch by engine contract, so the server must fall back to

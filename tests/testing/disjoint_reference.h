@@ -19,10 +19,16 @@ namespace testing {
 /// answered right children from the parent's scan: every leftover segment,
 /// right ones included, gets its own FindMssInRange. Kept verbatim as the
 /// reference the production kernel must reproduce bit for bit, ties and
-/// their order included (tests/core/top_disjoint_test.cc).
+/// their order included (tests/core/top_disjoint_test.cc). `mss_in_range`
+/// answers each segment; the chain-cover differential suite passes the
+/// serial reference loop's (tests/testing/chain_cover_reference.h).
 inline std::vector<core::Substring> ReferenceFindTopDisjoint(
     const seq::PrefixCounts& counts, const core::ChiSquareContext& context,
-    core::TopDisjointOptions options) {
+    core::TopDisjointOptions options,
+    core::MssResult (*mss_in_range)(const seq::PrefixCounts&,
+                                    const core::ChiSquareContext&, int64_t,
+                                    int64_t, int64_t,
+                                    int64_t) = &core::FindMssInRange) {
   struct SegmentBest {
     int64_t seg_start;
     int64_t seg_end;
@@ -42,8 +48,8 @@ inline std::vector<core::Substring> ReferenceFindTopDisjoint(
 
   auto push_segment = [&](int64_t lo, int64_t hi) {
     if (hi - lo < options.min_length) return;
-    core::MssResult mss = core::FindMssInRange(counts, context, lo, hi,
-                                               options.min_length, hi - lo);
+    core::MssResult mss =
+        mss_in_range(counts, context, lo, hi, options.min_length, hi - lo);
     if (mss.best.length() < options.min_length) return;
     if (!(mss.best.chi_square > options.min_chi_square)) return;
     heap.push(SegmentBest{lo, hi, mss.best});
