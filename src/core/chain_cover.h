@@ -98,6 +98,32 @@ inline long double CoverQuadraticAt(int64_t y_c, double p_c, int64_t l,
   return (a * lx + b) * lx + c;
 }
 
+/// True only if CoverQuadraticAt(y_c, p_c, l, x2_l, budget, x) <= 0 for
+/// x2_l <= budget, decided from `root`, CoverRoot's value for the same
+/// arguments; false when it cannot tell. Inside the bounds it checks
+/// (0 <= Y_c, l <= 2³⁰, 0 < p_c <= 15/16, |B| <= 2²⁰, 0 <= x, root <= 2³⁰),
+/// the linear coefficient's terms W = 2Y_c + 2lp_c + p_c|B| stay at most
+/// 2³² + 2²⁰ and 1/a at most 2⁴. CoverRoot's coefficients carry at most
+/// three roundings each and its formulas add no cancellation, so its root
+/// lies within 2⁻⁴⁸·root + 2⁻⁴⁹·W/a < 0.54·2⁻¹² of the exact root r. The
+/// long double evaluation lies within 2⁻⁶¹·S of the exact quadratic, S
+/// being the sum of the magnitudes of its terms. For 0 <= x < r the exact
+/// quadratic is −a(r − x)(x + |r₂|) (r₂ <= 0 the other root), which
+/// exceeds that error in magnitude once r − x > 2⁻⁶⁰·r + 2⁻⁶¹·W/a, less
+/// than 2⁻²⁴ here. So root − x > 2⁻¹² leaves the long double value below
+/// zero. The check is a subtraction and a few compares; the long double
+/// evaluation is a chain of some twenty x87 operations, and when the
+/// shared host contends for the core those operations set the lockstep
+/// scan's speed.
+inline bool RootClearsCandidate(int64_t y_c, double p_c, int64_t l,
+                                double budget, double root, int64_t x) {
+  constexpr int64_t kMax = int64_t{1} << 30;
+  return static_cast<uint64_t>(y_c) <= static_cast<uint64_t>(kMax) &&
+         l <= kMax && x >= 0 && p_c > 0.0 && p_c <= 0.9375 &&
+         std::fabs(budget) <= 0x1p20 && root <= 0x1p30 &&
+         root - static_cast<double>(x) > 0x1p-12;
+}
+
 }  // namespace internal
 
 /// Computes safe skip lengths. Holds the model's probability classes,
@@ -161,13 +187,31 @@ class SkipSolver {
 
     const size_t num_classes = class_probs_.size();
     const double* probs = class_probs_.data();
+    if (num_classes == 1) {
+      // One class, as under a uniform null: its members are all k symbols
+      // in order, so the largest count and its root need no class arrays.
+      const int k = class_ends_[0];
+      int64_t y = count_at(0);
+      for (int c = 1; c < k; ++c) y = std::max(y, count_at(c));
+      const double root = internal::CoverRoot(y, probs[0], l, x2_l, budget);
+      int64_t m = FloorOfRoot(root);
+      // The check below, for the one class.
+      while (m > 0 &&
+             !internal::RootClearsCandidate(y, probs[0], l, budget, root, m) &&
+             internal::CoverQuadraticAt(y, probs[0], l, x2_l, budget, m) >
+                 0.0L) {
+        --m;
+      }
+      return m;
+    }
     const int* symbols = class_symbols_.data();
     const int* ends = class_ends_.data();
-    // The largest count of each class, kept for the check below (k <= 255,
-    // as MultinomialModel enforces). The first loop writes entries
-    // [0, num_classes) before the check reads them; zero-filling all 256
-    // instead would cost more than the k=4 skip itself.
+    // The largest count and the root of each class, kept for the check
+    // below (k <= 255, as MultinomialModel enforces). The first loop writes
+    // entries [0, num_classes) before the check reads them; zero-filling
+    // all 256 instead would cost more than the k=4 skip itself.
     int64_t class_max[256];
+    double class_root[256];
     double min_root = std::numeric_limits<double>::infinity();
     for (size_t j = 0, i = 0; j < num_classes; ++j) {
       int64_t y = count_at(symbols[i]);
@@ -176,22 +220,20 @@ class SkipSolver {
       }
       class_max[j] = y;
       double root = internal::CoverRoot(y, probs[j], l, x2_l, budget);
+      class_root[j] = root;
       if (root < min_root) min_root = root;
     }
-    if (!(min_root > 0.0)) return 0;
-    // Guard against pathological overflow of the cast below.
-    if (min_root > 9.0e18) min_root = 9.0e18;
-    // min_root > 0 here, so truncation is the floor (and needs no libm
-    // call on a target without roundsd).
-    int64_t m = static_cast<int64_t>(min_root);
-    if (m <= 0) return 0;
+    int64_t m = FloorOfRoot(min_root);
 
     // Verify the integer candidate against every class's binding quadratic
     // in extended precision; floating-point error in the root can otherwise
     // overshoot by one position. Each decrement is at most a rounding step,
-    // so this loop runs O(1) times in practice.
+    // so this loop runs O(1) times in practice. A root clear of the
+    // candidate settles the check without the long double evaluation.
     for (size_t j = 0; j < num_classes && m > 0;) {
-      if (internal::CoverQuadraticAt(class_max[j], probs[j], l, x2_l, budget,
+      if (!internal::RootClearsCandidate(class_max[j], probs[j], l, budget,
+                                         class_root[j], m) &&
+          internal::CoverQuadraticAt(class_max[j], probs[j], l, x2_l, budget,
                                      m) > 0.0L) {
         --m;
         j = 0;  // Re-verify all classes at the smaller candidate.
@@ -200,6 +242,17 @@ class SkipSolver {
       ++j;
     }
     return m;
+  }
+
+  /// The skip candidate for the smallest root: its floor, or 0 unless it
+  /// is positive.
+  static int64_t FloorOfRoot(double root) {
+    if (!(root > 0.0)) return 0;
+    // Guard against pathological overflow of the cast below.
+    if (root > 9.0e18) root = 9.0e18;
+    // root > 0 here, so truncation is the floor (and needs no libm call on
+    // a target without roundsd).
+    return static_cast<int64_t>(root);
   }
 
   /// The probability classes, in order of each class's first symbol:
@@ -243,7 +296,7 @@ class SkipSolver {
 ///
 /// Lockstep rows. The skip of each examined position gives the address of
 /// the next one, so a row is one chain of dependent loads, X² evaluations
-/// and root solves. The scan keeps a window of up to kRows = 4
+/// and root solves. The scan keeps a window of up to kRows = 2
 /// consecutive rows and steps each of them once per round, so their
 /// chains overlap. The first row of the window leads: every row before it
 /// is committed, so it visits a candidate above the floor where it meets
@@ -269,10 +322,13 @@ ScanStats ChainCoverScan(const seq::PrefixCounts& counts,
                          int shard, int num_shards, Visit&& visit,
                          Budget&& budget_of = nullptr) {
   constexpr bool kFloorIsBudget = std::is_null_pointer_v<Budget>;
-  // Rows stepped in lockstep at most. On 16k-symbol k = 4 records,
-  // windows of 2 to 8 rows measured the same speed; more rows only throw
-  // away more work when the floor moves.
-  constexpr int kRows = 4;
+  // Rows stepped in lockstep at most. Overlapping rows needs the core's
+  // spare issue slots, which a shared host sometimes takes away: MSS on a
+  // 16k-symbol k = 4 record took 26 ms with four rows and 33-35 ms with
+  // two while the core was free, 43-47 ms with either while it was
+  // contended (the serial loop: 60-64 and 63-68 ms). Two rows keep most
+  // of the gain and vary far less with the host's load.
+  constexpr int kRows = 2;
   // One row of the window: its start, the next ending position to step,
   // and the counters of the positions stepped since it last restarted.
   struct Row {

@@ -220,6 +220,77 @@ TEST(SkipSolverTest, SkipScalesLikeSqrtLForNullCounts) {
   EXPECT_LT(s10000 / s100, 25.0);
 }
 
+TEST(RootClearsCandidateTest, NeverContradictsLongDoubleCheck) {
+  // Whenever the root settles a candidate, the long double evaluation must
+  // put it at or below zero too. Half the budgets put the root on an
+  // integer (nudged by a few ulps), where the candidate sits at the root
+  // and the check must give up; the other half are generic, and there the
+  // root must settle its own floor almost always.
+  seq::Rng rng(23);
+  const double probs[] = {0.25, 0.2, 0.3, 0.5, 1.0 / 3.0, 1.0 / 7.0, 0.9375};
+  int64_t claimed = 0, generic = 0, generic_settled = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const double p = probs[iter % 7];
+    const int64_t l = 1 + static_cast<int64_t>(rng.NextBounded(
+                              iter % 3 == 0 ? uint64_t{1} << 30 : 5000));
+    const int64_t y = static_cast<int64_t>(rng.NextBounded(l + 1));
+    const double x2 = rng.NextDouble() * 40.0;
+    const bool on_integer = iter % 2 == 0;
+    const int64_t m0 = 1 + static_cast<int64_t>(rng.NextBounded(3000));
+    const double budget =
+        on_integer ? ::sigsub::testing::NudgeUlps(
+                         ::sigsub::testing::BudgetWithRootAt(y, p, l, x2, m0),
+                         static_cast<int>(rng.NextBounded(9)) - 4)
+                   : x2 + rng.NextDouble() * 60.0;
+    if (!(x2 <= budget)) continue;
+    const double root = internal::CoverRoot(y, p, l, x2, budget);
+    if (!(root >= 1.0) || root > 0x1p31) continue;
+    const int64_t floor_root = static_cast<int64_t>(root);
+    for (int64_t x : {floor_root - 1, floor_root, floor_root + 1}) {
+      if (x < 1) continue;
+      if (internal::RootClearsCandidate(y, p, l, budget, root, x)) {
+        ++claimed;
+        ASSERT_LE(internal::CoverQuadraticAt(y, p, l, x2, budget, x), 0.0L)
+            << "y=" << y << " p=" << p << " l=" << l << " x2=" << x2
+            << " budget=" << budget << " x=" << x;
+      }
+    }
+    if (!on_integer) {
+      ++generic;
+      generic_settled +=
+          internal::RootClearsCandidate(y, p, l, budget, root, floor_root);
+    }
+  }
+  EXPECT_GT(claimed, 10000);
+  EXPECT_GT(generic, 5000);
+  EXPECT_GT(generic_settled, generic * 99 / 100);
+}
+
+TEST(RootClearsCandidateTest, GivesUpOutsideItsBounds) {
+  // y=50, p=0.25, l=100, X²=1, B=30: the root is about 13.73.
+  const double root = internal::CoverRoot(50, 0.25, 100, 1.0, 30.0);
+  ASSERT_GT(root, 13.0);
+  ASSERT_LT(root, 14.0);
+  EXPECT_TRUE(internal::RootClearsCandidate(50, 0.25, 100, 30.0, root, 13));
+  EXPECT_TRUE(internal::RootClearsCandidate(50, 0.25, 100, 30.0, root, 1));
+  // A candidate at or past the root, or within 2⁻¹² below it.
+  EXPECT_FALSE(internal::RootClearsCandidate(50, 0.25, 100, 30.0, root, 14));
+  EXPECT_FALSE(
+      internal::RootClearsCandidate(50, 0.25, 100, 30.0, 13.0 + 0x1p-13, 13));
+  // Operands past the bounds the error analysis covers.
+  const int64_t big = (int64_t{1} << 30) + 1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(internal::RootClearsCandidate(big, 0.25, big, 30.0, root, 13));
+  EXPECT_FALSE(internal::RootClearsCandidate(-1, 0.25, 100, 30.0, root, 13));
+  EXPECT_FALSE(internal::RootClearsCandidate(50, 0.25, big, 30.0, root, 13));
+  EXPECT_FALSE(internal::RootClearsCandidate(50, 0.95, 100, 30.0, root, 13));
+  EXPECT_FALSE(internal::RootClearsCandidate(50, 0.25, 100, 0x1p21, root, 13));
+  EXPECT_FALSE(internal::RootClearsCandidate(50, 0.25, 100, nan, root, 13));
+  EXPECT_FALSE(internal::RootClearsCandidate(50, 0.25, 100, 30.0, 0x1p31, 13));
+  EXPECT_FALSE(internal::RootClearsCandidate(50, 0.25, 100, 30.0, nan, 13));
+  EXPECT_FALSE(internal::RootClearsCandidate(50, 0.25, 100, 30.0, root, -1));
+}
+
 TEST(PaperSingleCharacterSkipTest, NeverExceedsExactSolver) {
   // The paper's one-character rule with x≈0 must be no more aggressive
   // than the exact min-over-characters skip on uniform models (where the
