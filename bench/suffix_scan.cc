@@ -462,7 +462,8 @@ int main() {
       api::QuerySpec spec;
       spec.request = query;
       return bench::TimeMs([&] {
-        if (!engine.ExecuteQueries(corpus.value(), {spec}).ok()) std::abort();
+        auto results = engine.ExecuteQueries(corpus.value(), {spec});
+        if (!results.ok() || !results->front().status.ok()) std::abort();
       });
     };
     const double first_ms = run(api::SubstringsQuery{20, 1, 0, 2});

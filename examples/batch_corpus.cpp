@@ -48,8 +48,10 @@ int main() {
   }
 
   auto results = engine.ExecuteQueries(*corpus, queries);
-  if (!results.ok()) {
-    std::printf("batch error: %s\n", results.status().ToString().c_str());
+  const Status status =
+      results.ok() ? engine::FirstQueryError(*results) : results.status();
+  if (!status.ok()) {
+    std::printf("batch error: %s\n", status.ToString().c_str());
     return 1;
   }
   for (const api::QueryResult& result : *results) {

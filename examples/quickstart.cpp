@@ -52,9 +52,12 @@ int main() {
   }
 
   auto results = engine.ExecuteQueries(*corpus, {mss, *top3});
-  if (!results.ok()) {
-    std::fprintf(stderr, "query failed: %s\n",
-                 results.status().ToString().c_str());
+  // Each query carries its own status; FirstQueryError names the first
+  // one that failed.
+  const Status status =
+      results.ok() ? engine::FirstQueryError(*results) : results.status();
+  if (!status.ok()) {
+    std::fprintf(stderr, "query failed: %s\n", status.ToString().c_str());
     return 1;
   }
 

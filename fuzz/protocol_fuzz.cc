@@ -2,7 +2,8 @@
 // untrusted network surface. Every byte string a TCP client could send
 // as a request line goes through here, so the parser must never crash,
 // overflow, or leak whatever the bytes are; when it does accept a line,
-// the accepted request must survive the protocol's own round trips.
+// the accepted request must survive the protocol's own round trips, and
+// an accepted STREAM.CREATE must build (or refuse) its detector cleanly.
 //
 // Built behind -DSIGSUB_FUZZERS=ON: with clang this links libFuzzer
 // (-fsanitize=fuzzer); elsewhere fuzz/standalone_driver.cc replays the
@@ -10,11 +11,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "api/serde.h"
 #include "common/check.h"
+#include "core/chi_square.h"
+#include "core/streaming.h"
 #include "server/protocol.h"
 
 namespace protocol = sigsub::server::protocol;
@@ -44,6 +49,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
           sigsub::api::FormatQuery(parsed->query));
       SIGSUB_CHECK(reparsed.ok());
       SIGSUB_CHECK(*reparsed == parsed->query);
+      break;
+    }
+    case protocol::CommandKind::kStreamCreate: {
+      // Build the detector the way the server would. Hostile options
+      // (a window past core::kMaxWindow) must come back as a Status,
+      // never a hang, an abort or an allocation of the whole ring.
+      auto context = sigsub::core::ChiSquareContext::Make(parsed->probs);
+      if (!context.ok()) break;
+      (void)sigsub::core::StreamingDetector::Make(
+          std::make_shared<const sigsub::core::ChiSquareContext>(
+              std::move(context).value()),
+          parsed->detector);
       break;
     }
     case protocol::CommandKind::kStreamAppend: {

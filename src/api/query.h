@@ -233,11 +233,13 @@ struct SubstringsPayload {
 
 /// Outcome of one query. The payload alternative is determined by the
 /// query's kind; `best()`/`substrings()`/`stats()` give shape-independent
-/// access for tabular consumers.
+/// access for tabular consumers. A query that failed validation has the
+/// error in `status` and an empty payload.
 struct QueryResult {
   int64_t query_index = 0;     // Position in the submitted batch.
   int64_t sequence_index = 0;  // Echo of the spec.
   QueryKind kind = QueryKind::kMss;
+  Status status;
   bool cache_hit = false;
   std::variant<BestPayload, RankedPayload, ThresholdPayload,
                SubstringsPayload>

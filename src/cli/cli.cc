@@ -257,6 +257,7 @@ Result<std::string> RunBatch(const CliOptions& options) {
   }
   SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> results,
                           engine.ExecuteQueries(corpus, queries));
+  SIGSUB_RETURN_IF_ERROR(engine::FirstQueryError(results));
 
   out << "corpus: " << corpus.size() << " records, k = " << k
       << ", job = " << api::QueryKindToString(kind)
@@ -386,6 +387,7 @@ Result<std::string> RunQuery(const CliOptions& options) {
   engine::Engine engine(EngineOptionsFrom(options));
   SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> results,
                           engine.ExecuteQueries(corpus, specs));
+  SIGSUB_RETURN_IF_ERROR(engine::FirstQueryError(results));
 
   const int k = corpus.alphabet().size();
   std::ostringstream out;
@@ -561,6 +563,7 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
   engine::Engine engine(EngineOptionsFrom(options));
   SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> results,
                           engine.ExecuteQueries(corpus, {spec}));
+  SIGSUB_RETURN_IF_ERROR(engine::FirstQueryError(results));
   const auto& payload =
       std::get<api::SubstringsPayload>(results[0].payload);
   out << payload.match_count << " matching substrings";
@@ -618,10 +621,6 @@ Result<std::string> RunStream(const CliOptions& options) {
   if (options.alpha <= 0.0 || options.alpha >= 1.0) {
     return Status::InvalidArgument(
         StrCat("--alpha must be in (0, 1), got ", options.alpha));
-  }
-  if (options.max_window < 1) {
-    return Status::InvalidArgument(
-        StrCat("--max-window must be >= 1, got ", options.max_window));
   }
   if (options.chunk < 1) {
     return Status::InvalidArgument(
@@ -922,6 +921,7 @@ Result<std::string> RunRecord(const CliOptions& options) {
   engine::Engine engine(engine_options);
   SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> results,
                           engine.ExecuteQueries(corpus, {spec}));
+  SIGSUB_RETURN_IF_ERROR(engine::FirstQueryError(results));
   const api::QueryResult& result = results.front();
 
   if (kind == api::QueryKind::kMss || kind == api::QueryKind::kMinLength) {

@@ -85,9 +85,10 @@ Result<StreamingDetector> StreamingDetector::Make(
   if (context == nullptr) {
     return Status::InvalidArgument("context must not be null");
   }
-  if (options.max_window < 1) {
-    return Status::InvalidArgument(
-        StrCat("max_window must be >= 1, got ", options.max_window));
+  if (options.max_window < 1 || options.max_window > kMaxWindow) {
+    return Status::InvalidArgument(StrCat("max_window must be in [1, ",
+                                          kMaxWindow, "], got ",
+                                          options.max_window));
   }
   if (options.x2_threshold < 0.0 &&
       !(options.alpha > 0.0 && options.alpha < 1.0)) {

@@ -16,6 +16,10 @@
 namespace sigsub {
 namespace core {
 
+/// The widest Options::max_window, a 16 MiB ring: Make() allocates
+/// max_window + 1 bytes, so a hostile window cannot exhaust the process.
+inline constexpr int64_t kMaxWindow = int64_t{1} << 24;
+
 /// Online anomaly monitor for the intrusion-detection / monitoring
 /// applications the paper motivates (Section 1): symbols arrive in chunks
 /// (or one at a time) and the detector flags suffix windows whose X²
@@ -76,7 +80,7 @@ namespace core {
 class StreamingDetector {
  public:
   struct Options {
-    int64_t max_window = 4096;  // Longest suffix window monitored.
+    int64_t max_window = 4096;  // Longest window monitored, <= kMaxWindow.
     /// Per-position family-wise significance level across all monitored
     /// scales; converted to per-scale X² thresholds at Make() time. The
     /// default is deliberately deep: a production stream appends millions
@@ -122,8 +126,8 @@ class StreamingDetector {
     std::vector<uint8_t> recent;    // Symbol ring, max_window + 1 wide.
   };
 
-  /// Fails if max_window < 1, alpha outside (0, 1) (when the calibrated
-  /// path is active), or rearm_fraction < 0 / NaN.
+  /// Fails if max_window is outside [1, kMaxWindow], alpha outside (0, 1)
+  /// (when the calibrated path is active), or rearm_fraction < 0 / NaN.
   static Result<StreamingDetector> Make(const seq::MultinomialModel& model,
                                         Options options);
 

@@ -126,13 +126,6 @@ struct QueryPlan {
   double min_x2 = -std::numeric_limits<double>::infinity();
 };
 
-Status QueryError(size_t index, api::QueryKind kind,
-                  const std::string& detail) {
-  return Status::InvalidArgument(StrCat("query ", index, " (",
-                                        api::QueryKindToString(kind),
-                                        "): ", detail));
-}
-
 /// The length window shared by the floored kinds; max_length = 0 means
 /// unbounded.
 Status ValidateLengths(int64_t min_length, int64_t max_length) {
@@ -513,6 +506,19 @@ void FillPayload(api::QueryKind kind, const CachedResult& computed,
 
 }  // namespace
 
+Status FirstQueryError(std::span<const api::QueryResult> results) {
+  for (size_t i = 0; i < results.size(); ++i) {
+    const Status& status = results[i].status;
+    if (!status.ok()) {
+      return Status(status.code(),
+                    StrCat("query ", i, " (",
+                           api::QueryKindToString(results[i].kind),
+                           "): ", status.message()));
+    }
+  }
+  return Status::OK();
+}
+
 Status ValidateEngineOptions(const EngineOptions& options) {
   if (options.num_threads < 0 || options.num_threads > kMaxThreads) {
     return Status::InvalidArgument(
@@ -604,26 +610,18 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
   // multinomial models resolve to one shared ChiSquareContext each
   // (ChiSquareContext::Make re-validates values ValidateModel cannot
   // judge cheaply — normalization, positivity); Markov-model MSS queries
-  // get a seq::MarkovModel. Any failure names the query and field and
-  // fails the batch before a kernel runs.
+  // get a seq::MarkovModel. A failure names the field in the query's own
+  // status, and the query takes no further part in the batch.
   const std::vector<double> uniform(static_cast<size_t>(k), 1.0 / k);
-  struct ModelState {
-    core::ChiSquareContext context;
-  };
-  std::map<std::vector<double>, std::unique_ptr<ModelState>> models;
+  std::map<std::vector<double>, std::unique_ptr<core::ChiSquareContext>>
+      models;
   std::vector<std::unique_ptr<seq::MarkovModel>> markov_models;
-  std::vector<QueryPlan> plans(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const api::QuerySpec& spec = queries[i];
-    QueryPlan& plan = plans[i];
+  auto plan_query = [&](const api::QuerySpec& spec,
+                        QueryPlan& plan) -> Status {
     plan.spec = &spec;
     plan.kind = spec.kind();
-    auto wrap = [&](const Status& status) {
-      return status.ok() ? status
-                         : QueryError(i, plan.kind, status.message());
-    };
-    SIGSUB_RETURN_IF_ERROR(wrap(ValidateRequest(spec, corpus)));
-    SIGSUB_RETURN_IF_ERROR(wrap(ValidateModel(spec.model, plan.kind, k)));
+    SIGSUB_RETURN_IF_ERROR(ValidateRequest(spec, corpus));
+    SIGSUB_RETURN_IF_ERROR(ValidateModel(spec.model, plan.kind, k));
 
     if (spec.model.kind == api::ModelKind::kMarkov) {
       std::vector<double> initial = spec.model.initial;
@@ -633,8 +631,8 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
       auto markov = seq::MarkovModel::Make(k, spec.model.transitions,
                                            std::move(initial));
       if (!markov.ok()) {
-        return QueryError(i, plan.kind,
-                          StrCat("field model: ", markov.status().message()));
+        return Status::InvalidArgument(
+            StrCat("field model: ", markov.status().message()));
       }
       markov_models.push_back(
           std::make_unique<seq::MarkovModel>(std::move(markov).value()));
@@ -652,14 +650,13 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
       auto context = core::ChiSquareContext::Make(probs, x2_dispatch_);
       if (!context.ok()) {
         models.erase(it);
-        return QueryError(
-            i, plan.kind,
+        return Status::InvalidArgument(
             StrCat("field model: ", context.status().message()));
       }
-      it->second = std::make_unique<ModelState>(
-          ModelState{std::move(context).value()});
+      it->second = std::make_unique<core::ChiSquareContext>(
+          std::move(context).value());
     }
-    plan.context = &it->second->context;
+    plan.context = it->second.get();
 
     // alpha_p converts once per batch, not once per candidate, at the
     // statistic's own degrees of freedom.
@@ -670,42 +667,45 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
                    std::get_if<api::SubstringsQuery>(&spec.request)) {
       plan.min_x2 = stats::ResolveX2Cutoff(q->alpha0, q->alpha_p, dof);
     }
-  }
-
-  // Fingerprint every referenced record (cheap, O(n)) so the cache can be
-  // consulted before any PrefixCounts exist: a fully-warm batch must not
-  // pay the O(k·n) builds that context reuse is meant to amortize.
-  std::vector<std::unique_ptr<SequenceState>> states(
-      static_cast<size_t>(corpus.size()));
-  for (const api::QuerySpec& spec : queries) {
-    auto& state = states[static_cast<size_t>(spec.sequence_index)];
-    if (state) continue;
-    state = std::make_unique<SequenceState>();
-    // Mapped records carry a precomputed streaming fingerprint with the
-    // same byte semantics, so cache identity is loader-independent.
-    state->fingerprint =
-        corpus.is_mapped()
-            ? corpus.mapped_fingerprint()
-            : FingerprintSequence(corpus.sequence(spec.sequence_index));
+    return Status::OK();
+  };
+  std::vector<QueryPlan> plans(queries.size());
+  std::vector<api::QueryResult> results(queries.size());
+  std::vector<size_t> valid;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    api::QueryResult& result = results[i];
+    result.query_index = static_cast<int64_t>(i);
+    result.sequence_index = queries[i].sequence_index;
+    result.kind = queries[i].kind();
+    result.status = plan_query(queries[i], plans[i]);
+    if (result.status.ok()) valid.push_back(i);
   }
 
   // Resolve cache hits; group the misses by cache key so identical
   // queries (duplicate specs, or distinct records with identical content)
   // run their kernel exactly once per distinct computation. The query
   // half of the key is the FNV-1a of the canonical serialization bytes —
-  // the same bytes FormatQuery prints, minus the record index.
-  std::vector<api::QueryResult> results(queries.size());
+  // the same bytes FormatQuery prints, minus the record index. Records
+  // are fingerprinted (cheap, O(n)) before any PrefixCounts exist: a
+  // fully-warm batch must not pay the O(k·n) builds that context reuse is
+  // meant to amortize.
+  std::vector<std::unique_ptr<SequenceState>> states(
+      static_cast<size_t>(corpus.size()));
   std::unordered_map<CacheKey, std::vector<size_t>, CacheKeyHash> miss_groups;
-  for (size_t i = 0; i < queries.size(); ++i) {
+  for (size_t i : valid) {
     const api::QuerySpec& spec = queries[i];
     api::QueryResult& result = results[i];
-    result.query_index = static_cast<int64_t>(i);
-    result.sequence_index = spec.sequence_index;
-    result.kind = plans[i].kind;
-
-    const CacheKey key{
-        states[static_cast<size_t>(spec.sequence_index)]->fingerprint,
-        api::FingerprintQuery(spec)};
+    auto& state = states[static_cast<size_t>(spec.sequence_index)];
+    if (!state) {
+      state = std::make_unique<SequenceState>();
+      // Mapped records carry a precomputed streaming fingerprint with the
+      // same byte semantics, so cache identity is loader-independent.
+      state->fingerprint =
+          corpus.is_mapped()
+              ? corpus.mapped_fingerprint()
+              : FingerprintSequence(corpus.sequence(spec.sequence_index));
+    }
+    const CacheKey key{state->fingerprint, api::FingerprintQuery(spec)};
     if (std::optional<CachedResult> cached = cache_.Lookup(key)) {
       FillPayload(result.kind, *cached, core::ScanStats{}, &result);
       result.cache_hit = true;
@@ -839,9 +839,11 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
     publish(*group->indices, *group->key, MssCachedResult(merged.best),
             merged.stats);
   }
-  queries_executed_.fetch_add(static_cast<int64_t>(queries.size()),
-                              std::memory_order_relaxed);
-  batches_executed_.fetch_add(1, std::memory_order_relaxed);
+  if (!valid.empty()) {
+    queries_executed_.fetch_add(static_cast<int64_t>(valid.size()),
+                                std::memory_order_relaxed);
+    batches_executed_.fetch_add(1, std::memory_order_relaxed);
+  }
   return results;
 }
 

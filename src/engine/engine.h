@@ -54,6 +54,11 @@ struct EngineOptions {
 /// callers that take the options from users validate first.
 Status ValidateEngineOptions(const EngineOptions& options);
 
+/// OK when every result succeeded, else the first failed one's status
+/// as "query <i> (<kind>): <detail>", i its position in `results`: how
+/// the CLI reports a batch, and the daemon each QUERY line.
+Status FirstQueryError(std::span<const api::QueryResult> results);
+
 /// Concurrent batch-mining engine: executes heterogeneous mining queries
 /// (every sequence kernel — mss, topt, disjoint, threshold, minlen,
 /// lenbound, arlm, agmm, blocked; multinomial or Markov null models) over
@@ -106,12 +111,14 @@ class Engine {
   explicit Engine(EngineOptions options = {});
 
   /// Validates every query (sequence index in range, model compatible
-  /// with the corpus alphabet, kind-specific parameter ranges — failures
-  /// name the offending query and field), then executes the batch.
-  /// `results[i]` corresponds to `queries[i]`. Validation failures fail
-  /// the whole batch before any kernel runs. Queries with identical cache
-  /// keys run their kernel once; the duplicates receive the same payload
-  /// and are reported as cache hits.
+  /// with the corpus alphabet, kind-specific parameter ranges), then
+  /// executes the valid ones as one batch; `results[i]` answers
+  /// `queries[i]`. An invalid query gets an InvalidArgument naming the
+  /// field in its `status` and is skipped: no fingerprint, cache lookup or
+  /// insert, no kernel. Queries with identical cache keys run their kernel
+  /// once; the duplicates get the same payload and count as cache hits.
+  /// The outer Result would fail the batch as a whole; no such failure
+  /// exists today, so it is always OK.
   Result<std::vector<api::QueryResult>> ExecuteQueries(
       const Corpus& corpus, const std::vector<api::QuerySpec>& queries);
 
@@ -127,9 +134,9 @@ class Engine {
   ResultCache& result_cache() { return cache_; }
   const ResultCache& result_cache() const { return cache_; }
 
-  /// Lifetime execution counters (successful batches only; a batch that
-  /// fails validation counts nothing). Atomic reads — safe from any
-  /// thread, including concurrently with an executing batch.
+  /// Lifetime execution counters: valid queries, and batches holding at
+  /// least one. Atomic reads — safe from any thread, including
+  /// concurrently with an executing batch.
   int64_t queries_executed() const {
     return queries_executed_.load(std::memory_order_relaxed);
   }

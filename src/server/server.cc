@@ -40,6 +40,12 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
+/// The reply line of a failed executor op: `status` under its wire code.
+std::string ErrorReply(const Status& status) {
+  return protocol::FormatError(protocol::ErrorCodeForStatus(status),
+                               status.message());
+}
+
 }  // namespace
 
 /// Per-connection state. Touched ONLY by the I/O thread (the executor
@@ -263,7 +269,9 @@ void Server::ExecuteSlice(std::vector<Work> slice) {
 
   // Hoist every QUERY in the slice into one engine batch: concurrent
   // clients querying the same records share PrefixCounts builds and cache
-  // entries within the call — the shared-daemon payoff.
+  // entries within the call — the shared-daemon payoff. Each QUERY line
+  // answers from its own status, as its client's batch of one: an invalid
+  // query fails only itself, with the same text wherever it sits.
   std::vector<size_t> query_pos;
   std::vector<api::QuerySpec> specs;
   for (size_t i = 0; i < slice.size(); ++i) {
@@ -274,29 +282,31 @@ void Server::ExecuteSlice(std::vector<Work> slice) {
   }
   if (!specs.empty()) {
     auto batch = engine_.ExecuteQueries(corpus_, specs);
-    if (batch.ok()) {
-      for (size_t j = 0; j < query_pos.size(); ++j) {
-        replies[query_pos[j]] =
-            StrCat("OK ", protocol::FormatQueryResult(
-                              (*batch)[j], options_.max_result_rows));
-      }
-    } else {
-      // Batch validation fails whole-batch by contract; one client's bad
-      // query must not fail its neighbors', so re-run one by one.
-      for (size_t j = 0; j < query_pos.size(); ++j) {
-        auto single = engine_.ExecuteQueries(corpus_, {specs[j]});
-        if (single.ok()) {
-          replies[query_pos[j]] =
-              StrCat("OK ", protocol::FormatQueryResult(
-                                single->front(), options_.max_result_rows));
-        } else {
-          replies[query_pos[j]] = protocol::FormatError(
-              protocol::ErrorCodeForStatus(single.status()),
-              single.status().message());
-        }
-      }
+    for (size_t j = 0; j < query_pos.size(); ++j) {
+      Status status = batch.status();
+      if (status.ok()) status = engine::FirstQueryError({&(*batch)[j], 1});
+      replies[query_pos[j]] =
+          status.ok() ? StrCat("OK ", protocol::FormatQueryResult(
+                                          (*batch)[j],
+                                          options_.max_result_rows))
+                      : ErrorReply(status);
     }
   }
+
+  // Journal-before-apply for CREATE, APPEND and CLOSE: once a client
+  // reads "OK", the op is durable per the fsync policy. On a journal
+  // failure the op is NOT applied — the client sees EPERSIST and
+  // in-memory state still matches what recovery would rebuild from disk,
+  // and this returns false.
+  auto journal = [&](size_t i, auto&& record) {
+    if (state_ == nullptr) return true;
+    const Status journaled = record();
+    if (journaled.ok()) return true;
+    persist_errors_.fetch_add(1, std::memory_order_relaxed);
+    replies[i] = protocol::FormatError(protocol::ErrorCode::kPersist,
+                                       journaled.message());
+    return false;
+  };
 
   for (size_t i = 0; i < slice.size(); ++i) {
     const protocol::Request& request = slice[i].request;
@@ -304,46 +314,27 @@ void Server::ExecuteSlice(std::vector<Work> slice) {
       case protocol::CommandKind::kQuery:
         break;  // Replied above.
       case protocol::CommandKind::kStreamCreate: {
-        // Journal-before-apply (also for APPEND/CLOSE below): once a
-        // client reads "OK", the op is durable per the fsync policy.
-        // On a journal failure the op is NOT applied — the client sees
-        // EPERSIST and in-memory state still matches what recovery
-        // would rebuild from disk.
-        if (state_ != nullptr) {
-          Status journaled = state_->RecordCreate(
-              request.stream, request.probs, request.detector);
-          if (!journaled.ok()) {
-            persist_errors_.fetch_add(1, std::memory_order_relaxed);
-            replies[i] = protocol::FormatError(
-                protocol::ErrorCode::kPersist, journaled.message());
-            break;
-          }
+        if (!journal(i, [&] {
+              return state_->RecordCreate(request.stream, request.probs,
+                                          request.detector);
+            })) {
+          break;
         }
         Status status = streams_.CreateStream(request.stream, request.probs,
                                               request.detector);
-        replies[i] = status.ok()
-                         ? StrCat("OK created ", request.stream)
-                         : protocol::FormatError(
-                               protocol::ErrorCodeForStatus(status),
-                               status.message());
+        replies[i] = status.ok() ? StrCat("OK created ", request.stream)
+                                 : ErrorReply(status);
         break;
       }
       case protocol::CommandKind::kStreamAppend: {
-        if (state_ != nullptr) {
-          Status journaled =
-              state_->RecordAppend(request.stream, request.symbols);
-          if (!journaled.ok()) {
-            persist_errors_.fetch_add(1, std::memory_order_relaxed);
-            replies[i] = protocol::FormatError(
-                protocol::ErrorCode::kPersist, journaled.message());
-            break;
-          }
+        if (!journal(i, [&] {
+              return state_->RecordAppend(request.stream, request.symbols);
+            })) {
+          break;
         }
         auto alarms = streams_.AppendCollect(request.stream, request.symbols);
         if (!alarms.ok()) {
-          replies[i] = protocol::FormatError(
-              protocol::ErrorCodeForStatus(alarms.status()),
-              alarms.status().message());
+          replies[i] = ErrorReply(alarms.status());
           break;
         }
         replies[i] = StrCat("OK alarms=", alarms->size());
@@ -360,27 +351,16 @@ void Server::ExecuteSlice(std::vector<Work> slice) {
         auto snapshot = streams_.Snapshot(request.stream);
         replies[i] = snapshot.ok()
                          ? StrCat("OK ", protocol::FormatSnapshot(*snapshot))
-                         : protocol::FormatError(
-                               protocol::ErrorCodeForStatus(snapshot.status()),
-                               snapshot.status().message());
+                         : ErrorReply(snapshot.status());
         break;
       }
       case protocol::CommandKind::kStreamClose: {
-        if (state_ != nullptr) {
-          Status journaled = state_->RecordClose(request.stream);
-          if (!journaled.ok()) {
-            persist_errors_.fetch_add(1, std::memory_order_relaxed);
-            replies[i] = protocol::FormatError(
-                protocol::ErrorCode::kPersist, journaled.message());
-            break;
-          }
+        if (!journal(i, [&] { return state_->RecordClose(request.stream); })) {
+          break;
         }
         Status status = streams_.CloseStream(request.stream);
-        replies[i] = status.ok()
-                         ? StrCat("OK closed ", request.stream)
-                         : protocol::FormatError(
-                               protocol::ErrorCodeForStatus(status),
-                               status.message());
+        replies[i] = status.ok() ? StrCat("OK closed ", request.stream)
+                                 : ErrorReply(status);
         break;
       }
       default:

@@ -109,6 +109,8 @@ struct ServerStats {
 /// clients; one executor thread owns the engine (whose contract is one
 /// batch at a time) and executes admitted work in slices, batching
 /// concurrent clients' QUERYs into single Engine::ExecuteQueries calls.
+/// Each QUERY answers from its own result's status, so one client's
+/// invalid query fails only itself and the slice stays one engine batch.
 /// Stream commands run against an engine::StreamManager; alarms raised by
 /// STREAM.APPEND fan out to every connection SUBSCRIBEd to that stream.
 ///

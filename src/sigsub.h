@@ -23,6 +23,7 @@
 ///   sigsub::engine::Engine engine({.num_threads = 8});
 ///   auto spec = sigsub::api::ParseQuery("topt:seq=0,t=5,model=uniform");
 ///   auto results = engine.ExecuteQueries(*corpus, {*spec});
+///   // (*results)[i].status is query i's own outcome.
 ///
 /// Serving (server/): sigsubd, a concurrent mining daemon speaking a
 /// newline-delimited protocol over TCP — QUERY lines carry serialized

@@ -686,6 +686,17 @@ TEST(StreamTest, FlagsAreValidated) {
                            .value())
                   .status()
                   .IsInvalidArgument());
+  // Past kMaxWindow: refused by name before the detector's ring is
+  // allocated.
+  const Status too_wide =
+      cli::Run(ParseArgs({"stream", "--string=0101",
+                          "--max-window=68719476736"})
+                   .value())
+          .status();
+  EXPECT_TRUE(too_wide.IsInvalidArgument());
+  EXPECT_NE(too_wide.message().find("max_window must be in [1, 16777216]"),
+            std::string::npos)
+      << too_wide.message();
   EXPECT_TRUE(cli::Run(ParseArgs({"stream", "--string=0101", "--chunk=0"})
                            .value())
                   .status()
@@ -849,6 +860,19 @@ TEST(QueryTest, MalformedQueryNamesTheQuery) {
   EXPECT_NE(report.status().message().find("query 1"), std::string::npos);
   EXPECT_NE(report.status().message().find("unknown query kind"),
             std::string::npos);
+}
+
+TEST(QueryTest, InvalidSecondQueryFailsTheCommandNamingIt) {
+  // The first query is valid and runs, but the command reports one
+  // status: the invalid query's, and no table.
+  auto report = cli::Run(ParseArgs({"query", "--string=0101",
+                                    "--query=mss", "--query=topt:t=0"})
+                             .value());
+  ASSERT_TRUE(report.status().IsInvalidArgument());
+  EXPECT_EQ(report.status().message().rfind(
+                "query 1 (topt): field t must be in [1, ", 0),
+            0u)
+      << report.status().message();
 }
 
 TEST(QueryTest, OutOfRangeSequenceIndexNamesField) {

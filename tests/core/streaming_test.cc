@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/str_util.h"
 #include "gtest/gtest.h"
 #include "seq/generators.h"
 #include "seq/rng.h"
@@ -35,6 +36,21 @@ TEST(StreamingDetectorTest, MakeValidates) {
   bad_window.max_window = 0;
   EXPECT_TRUE(
       StreamingDetector::Make(model, bad_window).status().IsInvalidArgument());
+  // The cap is inclusive; one past it fails before the ring is allocated.
+  StreamingDetector::Options widest;
+  widest.max_window = kMaxWindow;
+  auto at_cap = StreamingDetector::Make(model, widest);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().message();
+  EXPECT_EQ(at_cap->scales().back(), kMaxWindow);
+  for (int64_t hostile : {kMaxWindow + 1, int64_t{1} << 36,
+                          std::numeric_limits<int64_t>::max()}) {
+    StreamingDetector::Options too_wide;
+    too_wide.max_window = hostile;
+    const Status status = StreamingDetector::Make(model, too_wide).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << hostile;
+    EXPECT_EQ(status.message(),
+              StrCat("max_window must be in [1, 16777216], got ", hostile));
+  }
   StreamingDetector::Options bad_alpha;
   bad_alpha.alpha = 0.0;  // Calibrated path needs alpha in (0, 1).
   EXPECT_TRUE(

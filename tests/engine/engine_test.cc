@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "api/serde.h"
+#include "common/str_util.h"
 #include "core/agmm.h"
 #include "core/arlm.h"
 #include "core/blocked_scan.h"
@@ -45,6 +46,14 @@ Corpus MakeCorpus() {
   auto corpus = Corpus::FromStrings(records, "01");
   EXPECT_TRUE(corpus.ok());
   return std::move(corpus).value();
+}
+
+/// A batch's outcome as one status: the batch's own, else its first
+/// failed query's (the way the CLI reports a batch).
+Status BatchStatus(Engine& engine, const Corpus& corpus,
+                   const std::vector<api::QuerySpec>& queries) {
+  auto results = engine.ExecuteQueries(corpus, queries);
+  return results.ok() ? FirstQueryError(*results) : results.status();
 }
 
 /// One query per record of `request`, under the uniform model.
@@ -206,7 +215,7 @@ TEST(EngineTest, ValidatesSpecs) {
     api::QuerySpec spec;
     spec.model = std::move(model);
     spec.request = std::move(request);
-    return engine.ExecuteQueries(corpus, {spec}).status().IsInvalidArgument();
+    return BatchStatus(engine, corpus, {spec}).IsInvalidArgument();
   };
   // Wrong arity for a binary corpus; a vector that does not sum to 1.
   EXPECT_TRUE(rejected(api::ModelSpec::Multinomial({0.2, 0.3, 0.5}),
@@ -523,7 +532,7 @@ TEST(QueryEngineTest, TopTAboveTheCapNamesField) {
   Engine engine;
   api::QuerySpec spec;
   spec.request = api::TopTQuery{core::kMaxTopT + 1};
-  auto status = engine.ExecuteQueries(corpus, {spec}).status();
+  auto status = BatchStatus(engine, corpus, {spec});
   ASSERT_TRUE(status.IsInvalidArgument());
   EXPECT_NE(status.message().find("field t must be in [1, 1048576]"),
             std::string::npos)
@@ -536,7 +545,7 @@ TEST(QueryEngineTest, ValidationNamesQueryAndField) {
   {
     api::QuerySpec spec;
     spec.sequence_index = corpus.size();
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("query 0"), std::string::npos)
         << status.message();
@@ -545,7 +554,7 @@ TEST(QueryEngineTest, ValidationNamesQueryAndField) {
   {
     api::QuerySpec spec;
     spec.request = api::LengthBoundedQuery{10, 5};
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("lenbound"), std::string::npos);
     EXPECT_NE(status.message().find("field max_length"), std::string::npos);
@@ -553,7 +562,7 @@ TEST(QueryEngineTest, ValidationNamesQueryAndField) {
   {
     api::QuerySpec spec;
     spec.request = api::ThresholdQuery{};  // Neither cutoff set.
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("alpha0"), std::string::npos);
     EXPECT_NE(status.message().find("alpha_p"), std::string::npos);
@@ -562,7 +571,7 @@ TEST(QueryEngineTest, ValidationNamesQueryAndField) {
     api::QuerySpec spec;
     spec.request = api::ThresholdQuery{-1.0, 2.0,
                                        std::numeric_limits<int64_t>::max()};
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("field alpha_p"), std::string::npos);
   }
@@ -577,20 +586,20 @@ TEST(QueryEngineTest, ValidationNamesQueryAndField) {
                               100}}) {
       api::QuerySpec spec;
       spec.request = bad;
-      auto status = engine.ExecuteQueries(corpus, {spec}).status();
+      auto status = BatchStatus(engine, corpus, {spec});
       ASSERT_TRUE(status.IsInvalidArgument());
       EXPECT_NE(status.message().find("alpha0"), std::string::npos);
     }
     api::QuerySpec spec;
     spec.request = api::TopDisjointQuery{2, 1, nan};
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("field min_x2"), std::string::npos);
   }
   {
     api::QuerySpec spec;
     spec.request = api::BlockedQuery{0};
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("field block_size"), std::string::npos);
   }
@@ -599,7 +608,7 @@ TEST(QueryEngineTest, ValidationNamesQueryAndField) {
     api::QuerySpec spec;
     spec.model = api::ModelSpec::Markov({0.5, 0.5, 0.5, 0.5});
     spec.request = api::TopTQuery{3};
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("field model"), std::string::npos);
   }
@@ -607,7 +616,7 @@ TEST(QueryEngineTest, ValidationNamesQueryAndField) {
     // Markov validation catches bad transition matrices.
     api::QuerySpec spec;
     spec.model = api::ModelSpec::Markov({0.5, 0.5, 0.5});  // Not k*k.
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("field model.transitions"),
               std::string::npos);
@@ -691,7 +700,7 @@ TEST(QueryEngineTest, SubstringsValidationNamesField) {
   for (const Case& c : cases) {
     api::QuerySpec spec;
     spec.request = c.query;
-    auto status = engine.ExecuteQueries(corpus, {spec}).status();
+    auto status = BatchStatus(engine, corpus, {spec});
     ASSERT_TRUE(status.IsInvalidArgument()) << c.needle;
     EXPECT_NE(status.message().find("substrings"), std::string::npos)
         << status.message();
@@ -702,7 +711,7 @@ TEST(QueryEngineTest, SubstringsValidationNamesField) {
   // candidate set.
   api::QuerySpec bounded;
   bounded.request = api::SubstringsQuery{10, 1, 6, 2, false, -1.0, -1.0};
-  EXPECT_TRUE(engine.ExecuteQueries(corpus, {bounded}).ok());
+  EXPECT_TRUE(BatchStatus(engine, corpus, {bounded}).ok());
 }
 
 TEST(QueryEngineTest, MappedCorpusMatchesTextLoaderAndRejectsWalkers) {
@@ -753,14 +762,14 @@ TEST(QueryEngineTest, MappedCorpusMatchesTextLoaderAndRejectsWalkers) {
         api::QueryRequest{api::BlockedQuery{16}}}) {
     api::QuerySpec spec;
     spec.request = std::move(walker);
-    auto status = engine.ExecuteQueries(mapped, {spec}).status();
+    auto status = BatchStatus(engine, mapped, {spec});
     ASSERT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("memory-mapped"), std::string::npos)
         << status.message();
   }
   api::QuerySpec markov_mss;
   markov_mss.model = api::ModelSpec::Markov({0.5, 0.5, 0.5, 0.5});
-  auto status = engine.ExecuteQueries(mapped, {markov_mss}).status();
+  auto status = BatchStatus(engine, mapped, {markov_mss});
   ASSERT_TRUE(status.IsInvalidArgument());
   EXPECT_NE(status.message().find("Markov"), std::string::npos)
       << status.message();
@@ -1039,6 +1048,121 @@ TEST(EngineSuffixIndexTest, ClearCacheDropsTheRetainedIndex) {
       core::SuffixScan scan,
       core::SuffixScan::Build(corpus.sequence(0).symbols(), 2));
   ExpectSamePayload(results[0], DirectSubstrings(scan, kFirstSubstrings));
+}
+
+/// Every field of two results, doubles compared exactly.
+void ExpectSameResult(const api::QueryResult& a, const api::QueryResult& b) {
+  EXPECT_EQ(a.sequence_index, b.sequence_index);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_TRUE(a.status.ok());
+  EXPECT_TRUE(b.status.ok());
+  EXPECT_EQ(a.cache_hit, b.cache_hit);
+  EXPECT_EQ(a.payload.index(), b.payload.index());
+  EXPECT_EQ(a.match_count(), b.match_count());
+  const auto same = [](const core::Substring& x, const core::Substring& y) {
+    EXPECT_EQ(x.start, y.start);
+    EXPECT_EQ(x.end, y.end);
+    EXPECT_EQ(x.chi_square, y.chi_square);
+  };
+  same(a.best(), b.best());
+  ASSERT_EQ(a.substrings().size(), b.substrings().size());
+  for (size_t r = 0; r < a.substrings().size(); ++r) {
+    same(a.substrings()[r], b.substrings()[r]);
+  }
+  EXPECT_EQ(a.stats().positions_examined, b.stats().positions_examined);
+  EXPECT_EQ(a.stats().start_positions, b.stats().start_positions);
+  EXPECT_EQ(a.stats().skip_events, b.stats().skip_events);
+  EXPECT_EQ(a.stats().positions_skipped, b.stats().positions_skipped);
+  if (const auto* pa = std::get_if<api::SubstringsPayload>(&a.payload)) {
+    const auto& pb = std::get<api::SubstringsPayload>(b.payload);
+    EXPECT_EQ(pa->counts, pb.counts);
+    EXPECT_EQ(pa->p_values, pb.p_values);
+  }
+}
+
+TEST(QueryEngineTest, InvalidQueriesFailOnlyThemselves) {
+  Corpus corpus = MakeCorpus();
+  std::vector<api::QuerySpec> valid = MakeAllKindQueries(1);
+  valid.push_back(valid[1]);  // A duplicate: served by the first's run.
+
+  api::QuerySpec zero_t;  // Invalid parameter.
+  zero_t.sequence_index = 1;
+  zero_t.request = api::TopTQuery{0};
+  api::QuerySpec no_record;  // Sequence index out of range.
+  no_record.sequence_index = corpus.size();
+  api::QuerySpec bad_model;  // Rejected when its context is built.
+  bad_model.sequence_index = 1;
+  bad_model.model = api::ModelSpec::Multinomial({0.9, 0.3});
+  api::QuerySpec bad_window;  // Last position.
+  bad_window.sequence_index = 1;
+  bad_window.request = api::LengthBoundedQuery{10, 5};
+
+  // Invalid queries first, in the middle and last.
+  std::vector<api::QuerySpec> mixed = {zero_t};
+  std::vector<size_t> valid_at;
+  for (size_t v = 0; v < valid.size(); ++v) {
+    if (v == valid.size() / 2) {
+      mixed.push_back(no_record);
+      mixed.push_back(bad_model);
+    }
+    valid_at.push_back(mixed.size());
+    mixed.push_back(valid[v]);
+  }
+  mixed.push_back(bad_window);
+
+  Engine reference({.num_threads = 2, .cache_capacity = 64});
+  ASSERT_OK_AND_ASSIGN(std::vector<api::QueryResult> expected,
+                       reference.ExecuteQueries(corpus, valid));
+  Engine engine({.num_threads = 2, .cache_capacity = 64});
+  ASSERT_OK_AND_ASSIGN(std::vector<api::QueryResult> results,
+                       engine.ExecuteQueries(corpus, mixed));
+  ASSERT_EQ(results.size(), mixed.size());
+  for (size_t v = 0; v < valid.size(); ++v) {
+    SCOPED_TRACE(StrCat("valid query ", v));
+    EXPECT_EQ(results[valid_at[v]].query_index,
+              static_cast<int64_t>(valid_at[v]));
+    ExpectSameResult(results[valid_at[v]], expected[v]);
+  }
+  EXPECT_TRUE(results[valid_at.back()].cache_hit);
+
+  const std::vector<std::pair<size_t, std::string>> failures = {
+      {0, "field t must be in [1, "},
+      {valid_at[valid.size() / 2] - 2, "field seq: index 6 out of range"},
+      {valid_at[valid.size() / 2] - 1, "field model: "},
+      {mixed.size() - 1, "field max_length (5)"}};
+  for (const auto& [at, field] : failures) {
+    const api::QueryResult& failed = results[at];
+    EXPECT_TRUE(failed.status.IsInvalidArgument()) << at;
+    EXPECT_EQ(failed.status.message().rfind(field, 0), 0u)
+        << failed.status.message();
+    EXPECT_EQ(failed.query_index, static_cast<int64_t>(at));
+    EXPECT_EQ(failed.kind, mixed[at].kind());
+    EXPECT_FALSE(failed.cache_hit);
+  }
+  EXPECT_EQ(FirstQueryError(results).message(),
+            StrCat("query 0 (topt): ", results[0].status.message()));
+
+  // Only the valid queries counted, looked up the cache or filled it.
+  EXPECT_EQ(engine.queries_executed(), static_cast<int64_t>(valid.size()));
+  EXPECT_EQ(engine.batches_executed(), 1);
+  EXPECT_EQ(engine.cache_stats().lookups(),
+            static_cast<int64_t>(valid.size()));
+  EXPECT_EQ(engine.cache_size(), valid.size() - 1);
+  const uint64_t record = FingerprintSequence(corpus.sequence(1));
+  for (const api::QuerySpec* spec : {&zero_t, &bad_model, &bad_window}) {
+    EXPECT_FALSE(engine.result_cache()
+                     .Lookup({record, api::FingerprintQuery(*spec)})
+                     .has_value())
+        << api::FormatQuery(*spec);
+  }
+
+  // A batch whose every query fails counts nothing.
+  ASSERT_OK_AND_ASSIGN(results,
+                       engine.ExecuteQueries(corpus, {zero_t, bad_window}));
+  EXPECT_FALSE(results[0].status.ok());
+  EXPECT_FALSE(results[1].status.ok());
+  EXPECT_EQ(engine.queries_executed(), static_cast<int64_t>(valid.size()));
+  EXPECT_EQ(engine.batches_executed(), 1);
 }
 
 TEST(QueryEngineTest, CacheKeysOnCanonicalBytes) {

@@ -145,6 +145,44 @@ TEST_F(ServerPersistTest, KilledServerReplaysItsJournal) {
   EXPECT_TRUE(StartsWith(snapshot, "OK stream=s1 position=4 ")) << snapshot;
 }
 
+TEST_F(ServerPersistTest, JournaledHostileWindowReplaysAsFailed) {
+  // The server journals a CREATE before applying it, so a hostile window
+  // that the detector refuses stays in the journal and is replayed on
+  // every restart. The replay must fail it by name, not allocate it.
+  {
+    engine::StreamManager streams;
+    persist::RecoveryStats recovery;
+    ASSERT_OK_AND_ASSIGN(
+        persist::StateStore store,
+        persist::StateStore::Open(
+            dir_, {.fsync_policy = persist::FsyncPolicy::kNone}, &streams,
+            nullptr, &recovery));
+    core::StreamingDetector::Options hostile;
+    hostile.max_window = int64_t{1} << 36;
+    ASSERT_OK(store.RecordCreate("huge", {0.5, 0.5}, hostile));
+    core::StreamingDetector::Options sane;
+    sane.max_window = 32;
+    ASSERT_OK(store.RecordCreate("s1", {0.5, 0.5}, sane));
+    ASSERT_OK(store.RecordAppend("s1", std::vector<uint8_t>{0, 1, 1}));
+  }
+
+  Server server(TestCorpus(), options_);
+  ASSERT_OK(server.Start());
+  EXPECT_EQ(server.recovery().journal_records_failed, 1);
+  EXPECT_EQ(server.recovery().journal_records_applied, 2);
+
+  ASSERT_OK_AND_ASSIGN(LineClient client, ConnectTo(server));
+  ASSERT_OK(client.SendLine("PING"));
+  ASSERT_OK_AND_ASSIGN(std::string pong, client.ReadLine());
+  EXPECT_EQ(pong, "OK pong");
+  ASSERT_OK(client.SendLine("STREAM.SNAPSHOT huge"));
+  ASSERT_OK_AND_ASSIGN(std::string missing, client.ReadLine());
+  EXPECT_TRUE(StartsWith(missing, "ERR ENOTFOUND ")) << missing;
+  ASSERT_OK(client.SendLine("STREAM.SNAPSHOT s1"));
+  ASSERT_OK_AND_ASSIGN(std::string snapshot, client.ReadLine());
+  EXPECT_TRUE(StartsWith(snapshot, "OK stream=s1 position=3 ")) << snapshot;
+}
+
 TEST_F(ServerPersistTest, JournalFailureYieldsEpersistAndNoStateChange) {
   options_.fsync_policy = persist::FsyncPolicy::kAlways;
   Server server(TestCorpus(), options_);

@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -236,10 +237,17 @@ TEST(ServerTest, TopTAboveTheCapIsInvalid) {
   EXPECT_TRUE(StartsWith(good, "OK kind=topt seq=0 ")) << good;
 }
 
+/// The integer after " <key>=" in a STATS line, or -1 when absent.
+int64_t StatValue(const std::string& line, const std::string& key) {
+  const size_t at = line.find(StrCat(" ", key, "="));
+  if (at == std::string::npos) return -1;
+  return std::stoll(line.substr(at + key.size() + 2));
+}
+
 TEST(ServerTest, BadQueryInSliceDoesNotFailNeighbors) {
-  // Both queries land in one executor slice; batch validation fails the
-  // whole batch by engine contract, so the server must fall back to
-  // per-query execution and fail only the bad one.
+  // Three queries land in one executor slice. They run as one engine
+  // batch in which only the invalid one fails: each valid query runs
+  // once, and the slice counts as one batch.
   Gate gate;
   ServerOptions options;
   options.executor_hook = [&gate] { gate.Wait(); };
@@ -247,16 +255,46 @@ TEST(ServerTest, BadQueryInSliceDoesNotFailNeighbors) {
   ASSERT_OK(server.Start());
   ASSERT_OK_AND_ASSIGN(LineClient client, ConnectTo(server));
 
+  ASSERT_OK(client.SendLine("STATS"));
+  ASSERT_OK_AND_ASSIGN(std::string before, client.ReadLine());
+
   gate.Close();
   Gate::OpenOnExit reopen(gate);
+  const int64_t admitted = server.stats().requests_admitted;
   ASSERT_OK(client.SendLine("QUERY mss:seq=0"));
   ASSERT_OK(client.SendLine("QUERY mss:seq=99"));
+  ASSERT_OK(client.SendLine("QUERY topt:seq=1,t=3"));
+  // Open the gate only once all three wait in the queue, so the executor
+  // takes them as one slice.
+  for (int spin = 0; spin < 5000 && server.stats().requests_admitted <
+                                        admitted + 3;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().requests_admitted, admitted + 3);
   gate.Open();
 
   ASSERT_OK_AND_ASSIGN(std::string good, client.ReadLine());
   EXPECT_TRUE(StartsWith(good, "OK kind=mss seq=0 ")) << good;
   ASSERT_OK_AND_ASSIGN(std::string bad, client.ReadLine());
   EXPECT_TRUE(StartsWith(bad, "ERR EINVALID ")) << bad;
+  ASSERT_OK_AND_ASSIGN(std::string ranked, client.ReadLine());
+  EXPECT_TRUE(StartsWith(ranked, "OK kind=topt seq=1 ")) << ranked;
+
+  ASSERT_OK(client.SendLine("STATS"));
+  ASSERT_OK_AND_ASSIGN(std::string after, client.ReadLine());
+  EXPECT_EQ(StatValue(after, "batches"), StatValue(before, "batches") + 1)
+      << before << "\n" << after;
+  EXPECT_EQ(StatValue(after, "queries"), StatValue(before, "queries") + 2)
+      << before << "\n" << after;
+
+  // The same invalid query alone gets the same reply text: each QUERY
+  // line is its client's batch of one, wherever it sits in a slice.
+  ASSERT_OK(client.SendLine("QUERY mss:seq=99"));
+  ASSERT_OK_AND_ASSIGN(std::string alone, client.ReadLine());
+  EXPECT_EQ(alone, bad);
+  EXPECT_TRUE(StartsWith(bad, "ERR EINVALID query 0 (mss): field seq"))
+      << bad;
 }
 
 TEST(ServerTest, StreamLifecycleWithSubscriberPushes) {
@@ -302,6 +340,27 @@ TEST(ServerTest, StreamLifecycleWithSubscriberPushes) {
   EXPECT_EQ(closed, "OK closed s1");
 
   EXPECT_EQ(server.stats().alarms_pushed, alarms);
+}
+
+TEST(ServerTest, HostileStreamWindowIsInvalidAndTheDaemonServes) {
+  // A 2^36-symbol window would ask for a 64 GiB ring; the detector
+  // refuses it by name before allocating anything.
+  Server server(TestCorpus(), ServerOptions{});
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(LineClient client, ConnectTo(server));
+  ASSERT_OK(client.SendLine(
+      "STREAM.CREATE s probs=0.5;0.5 max_window=68719476736"));
+  ASSERT_OK_AND_ASSIGN(std::string refused, client.ReadLine());
+  EXPECT_TRUE(StartsWith(refused, "ERR EINVALID ")) << refused;
+  EXPECT_NE(refused.find("max_window must be in [1, 16777216]"),
+            std::string::npos)
+      << refused;
+  ASSERT_OK(client.SendLine("PING"));
+  ASSERT_OK_AND_ASSIGN(std::string pong, client.ReadLine());
+  EXPECT_EQ(pong, "OK pong");
+  ASSERT_OK(client.SendLine("STREAM.SNAPSHOT s"));
+  ASSERT_OK_AND_ASSIGN(std::string missing, client.ReadLine());
+  EXPECT_TRUE(StartsWith(missing, "ERR ENOTFOUND ")) << missing;
 }
 
 TEST(ServerTest, ShedsLoadWithBusyWhenAdmissionQueueFull) {
