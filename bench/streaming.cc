@@ -16,10 +16,10 @@
 //                       (fused kernel + scale-major blocked pass +
 //                       amortized ring maintenance).
 //
-// Before timing, the bench gates correctness: with the scalar dispatch
-// pinned, the chunked ingest must be bit-identical to the legacy replica
-// (same alarm count, same final per-scale X²), and chunked vs per-symbol
-// Append must be bit-identical under the default dispatch. The tracked
+// Before timing, the bench gates correctness: per-symbol Append must be
+// bit-identical to the legacy replica (same alarm count, same final
+// per-scale X²), and chunked vs per-symbol Append must end in the same
+// alarm count and bit-identical final state. The tracked
 // speedup (chunked over legacy per-symbol) lands in BENCH_streaming.json
 // with the chunked throughput in Msymbols/s.
 
@@ -110,11 +110,10 @@ class LegacyPerSymbolDetector {
   int64_t alarms_raised_ = 0;
 };
 
-core::StreamingDetector::Options DetectorOptions(core::X2Dispatch dispatch) {
+core::StreamingDetector::Options DetectorOptions() {
   core::StreamingDetector::Options options;
   options.max_window = 1024;
   options.alpha = 1e-6;
-  options.x2_dispatch = dispatch;
   return options;
 }
 
@@ -163,14 +162,11 @@ int main() {
 
   // ------------------------------------------------------------------
   // Correctness gates before any timing.
-  // (1) Per-symbol Append (default dispatch = the scalar fixed-k fused
-  //     kernel) vs the legacy replica: the fused scalar kernel is
+  // (1) Per-symbol Append vs the legacy replica: the fused kernel is
   //     bit-identical to ChiSquareContext::Evaluate, so alarm counts and
   //     final per-scale X² must match exactly.
   auto append_detector =
-      core::StreamingDetector::Make(model,
-                                    DetectorOptions(core::X2Dispatch::kAuto))
-          .value();
+      core::StreamingDetector::Make(model, DetectorOptions()).value();
   LegacyPerSymbolDetector legacy_check(model, 1024,
                                        append_detector.scale_thresholds(),
                                        0.5);
@@ -191,9 +187,7 @@ int main() {
   //     sliding running sum only changes the last bits of the per-
   //     position X² values, never the counters.
   auto chunk_detector =
-      core::StreamingDetector::Make(model,
-                                    DetectorOptions(core::X2Dispatch::kAuto))
-          .value();
+      core::StreamingDetector::Make(model, DetectorOptions()).value();
   ingest_chunked(chunk_detector);
   bool chunk_identical =
       chunk_detector.alarms_raised() == append_detector.alarms_raised() &&
@@ -234,9 +228,7 @@ int main() {
 
   double append_ms = best_of([&] {
     auto append_timed =
-        core::StreamingDetector::Make(model,
-                                      DetectorOptions(core::X2Dispatch::kAuto))
-            .value();
+        core::StreamingDetector::Make(model, DetectorOptions()).value();
     return bench::TimeMs([&] {
       for (size_t i = 0; i < symbols.size(); ++i)
         append_timed.Append(symbols[i]);
@@ -245,9 +237,7 @@ int main() {
 
   double chunk_ms = best_of([&] {
     auto chunk_timed =
-        core::StreamingDetector::Make(model,
-                                      DetectorOptions(core::X2Dispatch::kAuto))
-            .value();
+        core::StreamingDetector::Make(model, DetectorOptions()).value();
     return bench::TimeMs([&] { ingest_chunked(chunk_timed); });
   });
 

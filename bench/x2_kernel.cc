@@ -1,23 +1,19 @@
 // Fused X² kernel bench + correctness gates (mirrors how micro_core
 // gated the PR-2 layout change):
 //
-//   1. Scalar gate (fatal): the fused scalar path must be BIT-identical
-//      to the legacy FillCounts + Evaluate scratch round-trip on the
-//      gating corpus — every range, every k, every model.
-//   2. SIMD gate (fatal when SIMD is available): exhaustive scans must
-//      select the identical best substring, with X² within 1e-12
-//      relative of scalar on every evaluated range.
-//   3. Perf trajectory: the MSS inner-loop microbench (pin a start block,
+//   1. Scalar gate (fatal): the fused kernel must be BIT-identical to the
+//      legacy FillCounts + Evaluate scratch round-trip on the gating
+//      corpus — every range, every k, every model.
+//   2. Perf trajectory: the MSS inner-loop microbench (pin a start block,
 //      stream endpoint blocks) fused vs legacy, per k. Target >= 1.5x
 //      for k <= 8. Timings land in BENCH_x2_kernel.json.
-//   4. Batched form (fatal gate): EvaluateEnds must be bit-identical to
+//   3. Batched form (fatal gate): EvaluateEnds must be bit-identical to
 //      the per-end loop it replaces, over ARLM's ends and over the
 //      blocked scan's consecutive ends; its speedups over that loop are
 //      rows (the ARLM one tracked).
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <span>
@@ -96,9 +92,8 @@ bool RunScalarIdentityGate() {
     seq::PrefixCounts counts(s);
     for (bool skewed : {false, true}) {
       core::ChiSquareContext ctx(skewed ? MakeSkewedModel(k)
-                                        : seq::MultinomialModel::Uniform(k),
-                                 core::X2Dispatch::kScalar);
-      core::X2Kernel kernel(ctx, core::X2Dispatch::kScalar);
+                                        : seq::MultinomialModel::Uniform(k));
+      core::X2Kernel kernel(ctx);
       std::vector<int64_t> scratch(static_cast<size_t>(k));
       for (const auto& [start, end] : MakeRanges(n, 20000)) {
         counts.FillCounts(start, end, scratch);
@@ -113,65 +108,20 @@ bool RunScalarIdentityGate() {
   return mismatches == 0;
 }
 
-/// Gate 2: SIMD selects the identical best substring under an exhaustive
-/// first-wins argmax scan, and every range agrees to 1e-12 relative.
-bool RunSimdGate() {
-  if (!core::SimdAvailable()) {
-    std::printf("simd gate: skipped (SIMD unavailable on this build/CPU)\n");
-    return true;
-  }
-  bool ok = true;
-  const int64_t n = 384;
-  for (int k : {2, 4, 8, 26}) {
-    seq::Sequence s = MakeString(k, n);
-    seq::PrefixCounts counts(s);
-    core::ChiSquareContext ctx(MakeSkewedModel(k));
-    core::X2Kernel scalar(ctx, core::X2Dispatch::kScalar);
-    core::X2Kernel simd(ctx, core::X2Dispatch::kSimd);
-    int64_t bs_a = 0, be_a = 0, bs_b = 0, be_b = 0;
-    double best_a = -1.0, best_b = -1.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t* lo = counts.BlockAt(i);
-      for (int64_t end = i + 1; end <= n; ++end) {
-        const int64_t* hi = counts.BlockAt(end);
-        double a = scalar.EvaluateBlocks(lo, hi, end - i);
-        double b = simd.EvaluateBlocks(lo, hi, end - i);
-        if (std::fabs(a - b) > 1e-12 * (1.0 + std::fabs(a))) ok = false;
-        if (a > best_a) {
-          best_a = a;
-          bs_a = i;
-          be_a = end;
-        }
-        if (b > best_b) {
-          best_b = b;
-          bs_b = i;
-          be_b = end;
-        }
-      }
-    }
-    if (bs_a != bs_b || be_a != be_b) ok = false;
-  }
-  std::printf("simd gate (argmax identity + 1e-12 relative): %s\n",
-              ok ? "pass" : "MISMATCH — BUG");
-  return ok;
-}
-
 }  // namespace
 
 int main() {
   bench::PrintHeader(
-      "fused X² range kernel — scalar/SIMD gates + MSS inner-loop speedup",
+      "fused X² range kernel — bit-identity gates + MSS inner-loop speedup",
       "EvaluateBlocks (x2_kernel.h) vs the legacy FillCounts+Evaluate "
       "scratch round-trip; timings land in BENCH_x2_kernel.json");
   bench::JsonBench json("x2_kernel");
 
   const bool scalar_ok = RunScalarIdentityGate();
   json.AddGate("scalar_bit_identical", scalar_ok);
-  const bool simd_ok = RunSimdGate();
-  json.AddGate("simd_argmax_identical_1e12", simd_ok);
-  std::printf("simd kernel: %s\n",
+  std::printf("batched k=2 twin: %s\n",
               core::SimdAvailable() ? "available (avx2)" : "unavailable");
-  if (!scalar_ok || !simd_ok) {
+  if (!scalar_ok) {
     json.Write();
     return 1;
   }
@@ -189,7 +139,7 @@ int main() {
     seq::Sequence s = MakeString(k, n);
     seq::PrefixCounts counts(s);
     core::ChiSquareContext ctx(seq::MultinomialModel::Uniform(k));
-    core::X2Kernel kernel(ctx);  // Auto dispatch: SIMD for k >= 4.
+    core::X2Kernel kernel(ctx);
     std::vector<int64_t> scratch(static_cast<size_t>(k));
 
     double sink_legacy = 0.0, sink_fused = 0.0;
@@ -213,18 +163,16 @@ int main() {
         }
       }
     });
-    // The two sweeps cover the same candidates; their sums must agree
-    // (scalar: bit-identical, SIMD: 1e-12) — also keeps the sinks alive.
-    if (std::fabs(sink_legacy - sink_fused) >
-        1e-9 * (1.0 + std::fabs(sink_legacy))) {
+    // The two sweeps cover the same candidates in the same order, so
+    // their sums are bit-identical — also keeps the sinks alive.
+    if (sink_legacy != sink_fused) {
       std::printf("sink mismatch at k=%d — BUG\n", k);
       perf_ok = false;
     }
 
     double speedup = legacy_ms / fused_ms;
     std::printf(
-        "mss inner loop k=%-2d (%s): legacy %s, fused %s, %.2fx\n", k,
-        kernel.simd_active() ? "simd" : "scalar",
+        "mss inner loop k=%-2d: legacy %s, fused %s, %.2fx\n", k,
         bench::FormatMs(legacy_ms).c_str(), bench::FormatMs(fused_ms).c_str(),
         speedup);
     table.AddRow({StrCat("mss_inner_k", k, "_legacy"),
@@ -266,8 +214,7 @@ int main() {
   // EvaluateEnds over the ARLM scan's endpoints (every later run boundary
   // of a null string) and over the blocked scan's dense blocks (runs of
   // 63 consecutive ends, filled into an ends buffer as FindMssBlocked
-  // does). Gate: bit-identical to the per-end function under the auto
-  // dispatch.
+  // does). Gate: bit-identical to the per-end function.
   {
     const int k = 2;
     const int64_t len = bench::FastMode() ? (1 << 13) : (1 << 15);

@@ -28,7 +28,6 @@
 #include "core/streaming.h"
 #include "core/suffix_scan.h"
 #include "core/top_t.h"
-#include "core/x2_dispatch.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"
 #include "engine/engine_stats.h"
@@ -136,7 +135,6 @@ engine::EngineOptions EngineOptionsFrom(const CliOptions& options) {
   engine_options.num_threads = static_cast<int>(options.threads);
   engine_options.cache_capacity = static_cast<size_t>(options.cache);
   engine_options.shard_min_sequence = options.shard_min;
-  engine_options.x2_dispatch = options.x2_dispatch;
   return engine_options;
 }
 
@@ -504,7 +502,7 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
     if (probs.empty()) probs.assign(k, 1.0 / k);
     SIGSUB_ASSIGN_OR_RETURN(
         core::ChiSquareContext context,
-        core::ChiSquareContext::Make(std::move(probs), options.x2_dispatch));
+        core::ChiSquareContext::Make(std::move(probs)));
     core::SuffixScanOptions scan_options;
     scan_options.top_n = options.top;
     scan_options.min_length = options.min_length;
@@ -579,26 +577,6 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
   return out.str();
 }
 
-/// The effective fused-kernel selection, reported when the user passed
-/// --x2-dispatch explicitly. A `simd` request on a host without AVX2
-/// would otherwise degrade to scalar silently (x2_dispatch.h documents
-/// the fallback); the report says so in so many words.
-std::string DispatchReport(core::X2Dispatch requested) {
-  const bool simd = core::SimdAvailable();
-  switch (requested) {
-    case core::X2Dispatch::kScalar:
-      return "x2 dispatch: scalar (bit-reproducible)\n";
-    case core::X2Dispatch::kSimd:
-      if (simd) return "x2 dispatch: simd (AVX2 active)\n";
-      return "x2 dispatch: scalar — WARNING: simd requested but AVX2 is "
-             "unavailable on this host; using the scalar kernel\n";
-    case core::X2Dispatch::kAuto:
-      return simd ? "x2 dispatch: auto (simd, AVX2 available)\n"
-                  : "x2 dispatch: auto (scalar; AVX2 unavailable)\n";
-  }
-  return "";
-}
-
 /// Executes the `stream` command: treat the input as one symbol stream,
 /// ingest it in --chunk-sized AppendChunk calls through an
 /// engine::StreamManager, and render the alarm log plus the calibration
@@ -642,7 +620,6 @@ Result<std::string> RunStream(const CliOptions& options) {
 
   engine::StreamManagerOptions manager_options;
   manager_options.max_alarms_per_stream = 1024;
-  manager_options.x2_dispatch = options.x2_dispatch;
   engine::StreamManager manager(manager_options);
 
   core::StreamingDetector::Options detector_options;
@@ -993,8 +970,7 @@ using FlagField =
                  std::optional<std::string> CliOptions::*,
                  std::vector<std::string> CliOptions::*,
                  std::vector<double> CliOptions::*, int64_t CliOptions::*,
-                 double CliOptions::*, bool CliOptions::*,
-                 core::X2Dispatch CliOptions::*>;
+                 double CliOptions::*, bool CliOptions::*>;
 
 /// Parse-time value ranges, checked once the flag is known to belong to
 /// the command. kThreadCount is [0, engine::kMaxThreads], 0 meaning all
@@ -1021,7 +997,6 @@ const Flag kFlags[] = {
     {"input", "*", &CliOptions::input_path},
     {"alphabet", "*", &CliOptions::alphabet},
     {"probs", "*", &CliOptions::probs},
-    {"x2-dispatch", "*", &CliOptions::x2_dispatch},
     {"threads", "mss batch query serve", &CliOptions::threads,
      Range::kThreadCount},
     {"t", "topt batch", &CliOptions::t},
@@ -1107,14 +1082,6 @@ Status SetFlag(const Flag& flag, const std::string& value,
                  std::get_if<std::optional<std::string> CliOptions::*>(
                      &flag.field)) {
     options->**field = value;
-  } else if (const auto* field =
-                 std::get_if<core::X2Dispatch CliOptions::*>(&flag.field)) {
-    if (!core::ParseX2Dispatch(value, &(options->**field))) {
-      return Status::InvalidArgument(
-          StrCat("flag --x2-dispatch expects auto, scalar, or simd, got \"",
-                 value, "\""));
-    }
-    options->x2_dispatch_explicit = true;
   } else {
     options->*std::get<std::string CliOptions::*>(flag.field) = value;
   }
@@ -1207,7 +1174,7 @@ Status ValidateCommand(const CliOptions& options,
     return Status::OK();
   }
   if (command == "client") {
-    for (const char* flag : {"string", "alphabet", "probs", "x2-dispatch"}) {
+    for (const char* flag : {"string", "alphabet", "probs"}) {
       if (given(flag)) {
         return Status::InvalidArgument(
             StrCat("flag --", flag, " is not consumed by client"));
@@ -1366,9 +1333,6 @@ std::string UsageText() {
       "                                 batch accepts only --input)\n"
       "  --alphabet=CHARS               default: distinct input characters\n"
       "  --probs=p1,p2,...              default: uniform\n"
-      "  --x2-dispatch=auto|scalar|simd fused X2 kernel selection\n"
-      "                                 (scalar = bit-reproducible audit\n"
-      "                                 path; default auto)\n"
       "\n"
       "batch corpus:\n"
       "  --format=lines|csv             corpus layout (default lines)\n"
@@ -1449,14 +1413,7 @@ Result<std::string> Run(const CliOptions& options) {
     return Status::InvalidArgument(
         StrCat("unknown command \"", options.command, "\""));
   }
-  SIGSUB_ASSIGN_OR_RETURN(std::string report, command->run(options));
-  // An explicit --x2-dispatch earns a report of what actually resolved:
-  // `simd` on a host without AVX2 silently degrades to scalar inside the
-  // kernel dispatch, and an audit must be able to see that happened.
-  if (options.x2_dispatch_explicit) {
-    return DispatchReport(options.x2_dispatch) + report;
-  }
-  return report;
+  return command->run(options);
 }
 
 }  // namespace cli

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/x2_dispatch.h"
 
 namespace sigsub {
 namespace cli {
@@ -32,15 +31,6 @@ namespace cli {
 ///   --alphabet=CHARS     symbol set (default: distinct input characters)
 ///   --probs=p1,p2,...    null-model probabilities (default: uniform;
 ///                        query: models live inside each query string)
-///   --x2-dispatch=MODE   auto|scalar|simd — fused X² kernel selection.
-///                        `scalar` pins the bit-reproducible path for
-///                        audits; `simd` requests the vector path (falls
-///                        back to scalar when unavailable — the report
-///                        then carries an explicit warning). Every
-///                        engine, stream manager and context the command
-///                        builds uses the mode; when the flag was passed
-///                        explicitly, Run() reports the effective
-///                        dispatch.
 /// Per-command flags:
 ///   --t=N                top-t size (topt, batch; default 10)
 ///   --disjoint           non-overlapping top-t (topt)
@@ -132,10 +122,6 @@ struct CliOptions {
   int64_t start = -1;
   int64_t end = -1;
   int64_t threads = 1;
-  core::X2Dispatch x2_dispatch = core::X2Dispatch::kAuto;
-  // True when --x2-dispatch was passed explicitly: Run() then reports the
-  // effective dispatch (and warns when a SIMD request fell back).
-  bool x2_dispatch_explicit = false;
   // Substrings command.
   int64_t top = 10;
   int64_t max_length = 0;

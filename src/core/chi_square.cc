@@ -9,28 +9,21 @@
 namespace sigsub {
 namespace core {
 
-ChiSquareContext::ChiSquareContext(std::vector<double> probs,
-                                   X2Dispatch dispatch)
-    : probs_(std::move(probs)),
-      inv_probs_(probs_.size()),
-      x2_range_fn_(internal::ResolveX2RangeFn(
-          static_cast<int>(probs_.size()), dispatch, &x2_simd_active_)) {
+ChiSquareContext::ChiSquareContext(std::vector<double> probs)
+    : probs_(std::move(probs)), inv_probs_(probs_.size()) {
   for (size_t i = 0; i < probs_.size(); ++i) {
     inv_probs_[i] = 1.0 / probs_[i];
   }
 }
 
-ChiSquareContext::ChiSquareContext(const seq::MultinomialModel& model,
-                                   X2Dispatch dispatch)
+ChiSquareContext::ChiSquareContext(const seq::MultinomialModel& model)
     : ChiSquareContext(
-          std::vector<double>(model.probs().begin(), model.probs().end()),
-          dispatch) {}
+          std::vector<double>(model.probs().begin(), model.probs().end())) {}
 
-Result<ChiSquareContext> ChiSquareContext::Make(std::vector<double> probs,
-                                                X2Dispatch dispatch) {
+Result<ChiSquareContext> ChiSquareContext::Make(std::vector<double> probs) {
   SIGSUB_ASSIGN_OR_RETURN(seq::MultinomialModel model,
                           seq::MultinomialModel::Make(std::move(probs)));
-  return ChiSquareContext(model, dispatch);
+  return ChiSquareContext(model);
 }
 
 double ChiSquareContext::Evaluate(std::span<const int64_t> counts,

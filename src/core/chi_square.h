@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/x2_dispatch.h"
 #include "seq/model.h"
 #include "seq/prefix_counts.h"
 #include "seq/sequence.h"
@@ -16,29 +15,21 @@ namespace core {
 
 /// Precomputed evaluation context for the Pearson X² statistic of
 /// substrings under a fixed multinomial null model P. Holds 1/p_i so the
-/// hot loop is multiply-only, and resolves the fused X² range kernel
-/// (fixed-k / SIMD / scalar; see x2_kernel.h) once at build time.
+/// hot loop is multiply-only. Scanners evaluate through core::X2Kernel
+/// (x2_kernel.h), which runs this class's summation order bit for bit.
 ///
 /// X²(S[i..j)) = Σ_c Y_c² / (l·p_c) − l,  l = j − i  (paper Eq. 5).
 class ChiSquareContext {
  public:
-  /// Builds from a validated model. `dispatch` selects the fused-kernel
-  /// implementation (default: the fastest available kernel).
-  explicit ChiSquareContext(const seq::MultinomialModel& model,
-                            X2Dispatch dispatch = X2Dispatch::kAuto);
+  /// Builds from a validated model.
+  explicit ChiSquareContext(const seq::MultinomialModel& model);
 
   /// Builds from raw probabilities (validated).
-  static Result<ChiSquareContext> Make(
-      std::vector<double> probs, X2Dispatch dispatch = X2Dispatch::kAuto);
+  static Result<ChiSquareContext> Make(std::vector<double> probs);
 
   int alphabet_size() const { return static_cast<int>(probs_.size()); }
   std::span<const double> probs() const { return probs_; }
   std::span<const double> inv_probs() const { return inv_probs_; }
-
-  /// The fused X² range kernel resolved at build time. Scanners consume it
-  /// through core::X2Kernel rather than calling it directly.
-  X2RangeFn x2_range_fn() const { return x2_range_fn_; }
-  bool x2_simd_active() const { return x2_simd_active_; }
 
   /// X² of a count vector with total length l = Σ counts. Requires
   /// counts.size() == alphabet_size(). Returns 0 when l == 0.
@@ -87,14 +78,10 @@ class ChiSquareContext {
   };
 
  private:
-  ChiSquareContext(std::vector<double> probs, X2Dispatch dispatch);
+  explicit ChiSquareContext(std::vector<double> probs);
 
   std::vector<double> probs_;
   std::vector<double> inv_probs_;
-  // Initialized before x2_range_fn_ (declaration order): ResolveX2RangeFn
-  // writes it while x2_range_fn_'s initializer runs.
-  bool x2_simd_active_ = false;
-  X2RangeFn x2_range_fn_;
 };
 
 /// The check every (sequence, model) entry point runs first: the sequence

@@ -23,19 +23,13 @@ double SidakPerScaleAlpha(double alpha, size_t scales) {
   return -std::expm1(std::log1p(-alpha) / static_cast<double>(scales));
 }
 
-/// The detector's kAuto is the scalar fixed-k path (single L1-resident
-/// counter blocks; see the class comment in streaming.h).
-X2Dispatch StreamingDispatch(X2Dispatch requested) {
-  return requested == X2Dispatch::kAuto ? X2Dispatch::kScalar : requested;
-}
-
 }  // namespace
 
 StreamingDetector::StreamingDetector(
     std::shared_ptr<const ChiSquareContext> context, Options options)
     : context_(std::move(context)),
       options_(options),
-      kernel_(*context_, StreamingDispatch(options.x2_dispatch)) {
+      kernel_(*context_) {
   for (int64_t scale = 1; scale < options_.max_window; scale *= 2) {
     scales_.push_back(scale);
   }
@@ -75,9 +69,7 @@ StreamingDetector::StreamingDetector(
 
 Result<StreamingDetector> StreamingDetector::Make(
     const seq::MultinomialModel& model, Options options) {
-  return Make(std::make_shared<const ChiSquareContext>(model,
-                                                       options.x2_dispatch),
-              options);
+  return Make(std::make_shared<const ChiSquareContext>(model), options);
 }
 
 Result<StreamingDetector> StreamingDetector::Make(

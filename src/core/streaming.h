@@ -9,7 +9,6 @@
 
 #include "common/result.h"
 #include "core/chi_square.h"
-#include "core/x2_dispatch.h"
 #include "core/x2_kernel.h"
 #include "seq/model.h"
 
@@ -53,19 +52,9 @@ inline constexpr int64_t kMaxWindow = int64_t{1} << 24;
 /// false-positive-rate measurement wants.
 ///
 /// Hot path: each scale's window counts live in one position-major k-block
-/// of a flat buffer and are scored through a fused X² range kernel
-/// (core::X2Kernel::EvaluateCounts, resolved via
-/// core::internal::ResolveX2RangeFn like the offline scanners). One
-/// deliberate difference from the offline default: under kAuto the
-/// detector pins the fixed-k *scalar* kernel. A streaming evaluation
-/// reads one L1-resident counter block per call, so the AVX2 path's
-/// int64→double conversion and horizontal-sum latency dominate — measured
-/// 4–6x slower than the unrolled scalar specialization on this shape
-/// (bench/streaming.cc); the SIMD kernels earn their keep streaming
-/// *prefix* blocks, which streaming windows never do. An explicit kSimd
-/// request is still honored. A bonus of scalar-by-default: per-symbol
-/// scoring is bit-identical to the legacy span-based
-/// ChiSquareContext::Evaluate path.
+/// of a flat buffer and are scored through the fused X² kernel the
+/// offline scanners use (core::X2Kernel::EvaluateCounts), so per-symbol
+/// scoring is bit-identical to ChiSquareContext::Evaluate.
 ///
 /// AppendChunk() amortizes ring maintenance and walks the chunk one scale
 /// at a time. Within a chunk each scale maintains its weighted sum
@@ -96,11 +85,6 @@ class StreamingDetector {
     /// the class comment. Must be >= 0 (may exceed 1, or be +infinity to
     /// alarm on every above-threshold position).
     double rearm_fraction = 0.5;
-    /// Fused-kernel selection for per-position window scoring. kAuto
-    /// resolves to the fixed-k scalar specialization (see the class
-    /// comment for why SIMD loses on single counter blocks); kSimd
-    /// forces the vector path where available.
-    X2Dispatch x2_dispatch = X2Dispatch::kAuto;
   };
 
   /// An alarm raised at stream position `end` (exclusive; i.e. after
@@ -199,9 +183,7 @@ class StreamingDetector {
 
   std::shared_ptr<const ChiSquareContext> context_;
   Options options_;
-  // Per-position scoring kernel: resolved once via ResolveX2RangeFn with
-  // kAuto mapped to the scalar fixed-k path (see the class comment).
-  X2Kernel kernel_;
+  X2Kernel kernel_;  // Per-position window scoring.
   std::vector<int64_t> scales_;
   std::vector<double> thresholds_;  // Per-scale alarm level.
   std::vector<double> rearm_;       // Per-scale hysteresis rearm level.

@@ -587,7 +587,7 @@ Status SuffixScan::BuildIndex() {
 namespace {
 
 /// Scores the current prefix under the multinomial null with the fused X²
-/// kernel — the same resolved dispatch every interval scanner uses, so
+/// kernel — the same function every interval scanner uses, so
 /// the value is bit-identical to scoring the substring's count vector out
 /// of a PrefixCounts layout (the naive reference).
 class MultinomialScorer {

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "core/chi_square.h"
-#include "core/x2_dispatch.h"
 #include "seq/grid.h"
 #include "seq/prefix_counts.h"
 
@@ -23,13 +22,10 @@ namespace core {
 /// the subtraction and reduction into one pass over the two position-major
 /// blocks: no scratch vector exists anywhere in the scan.
 ///
-/// The implementation is selected at ChiSquareContext build time (see
-/// X2Dispatch in x2_dispatch.h): fixed-k scalar specializations for
-/// k ∈ {2, 4, 8} (binary stock/sports encodings, DNA, bytes-in-octal),
-/// an AVX2 path behind compile-time feature detection plus a runtime CPU
-/// check, and a generic scalar fallback. The scalar paths are bit-identical
-/// to the legacy pair; the SIMD path reorders the summation and agrees to
-/// <= 1e-12 relative (gated in bench/x2_kernel.cc).
+/// There is one summation order, the scalar left-to-right one of
+/// ChiSquareContext::Evaluate (see Reduce), so every X² value is
+/// bit-identical on every host. The only vector code is the batched
+/// k = 2 form of EvaluateEnds, whose lanes run that same order.
 ///
 /// Scratch-buffer convention: scanner kernels must not allocate per-call
 /// heap scratch on their hot paths. Count vectors are never materialized —
@@ -40,22 +36,8 @@ namespace core {
 /// across the scan, sized once up front — never reallocated per position.
 class X2Kernel {
  public:
-  /// Uses the dispatch the context resolved at build time. Cheap: copies a
-  /// function pointer and the inv-probs view, no allocation.
-  explicit X2Kernel(const ChiSquareContext& context)
-      : inv_probs_(context.inv_probs().data()),
-        k_(context.alphabet_size()),
-        simd_active_(context.x2_simd_active()),
-        fn_(context.x2_range_fn()),
-        batch_(internal::ResolveX2BatchFn(k_)) {}
-
-  /// Re-resolves for an explicit dispatch (tests, benches, audits).
-  X2Kernel(const ChiSquareContext& context, X2Dispatch dispatch)
-      : inv_probs_(context.inv_probs().data()),
-        k_(context.alphabet_size()),
-        fn_(internal::ResolveX2RangeFn(context.alphabet_size(), dispatch,
-                                       &simd_active_)),
-        batch_(internal::ResolveX2BatchFn(k_)) {}
+  /// Picks the batched k = 2 twin on an AVX2 CPU. Cheap: no allocation.
+  explicit X2Kernel(const ChiSquareContext& context);
 
   /// X² from two raw position-major blocks (counts.BlockAt). The inner-
   /// loop entry point: scanners hoist the start block pointer and stream
@@ -63,17 +45,15 @@ class X2Kernel {
   double EvaluateBlocks(const int64_t* start_block, const int64_t* end_block,
                         int64_t l) const {
     if (l == 0) return 0.0;
-    return fn_(start_block, end_block, inv_probs_, k_,
-               static_cast<double>(l));
+    return Reduce(start_block, end_block, static_cast<double>(l));
   }
 
   /// X² of a raw window-count block (counts[c] = occurrences of symbol c
   /// in a window of length l) — the streaming-detector entry point, where
   /// windows are maintained as live counters rather than prefix
   /// differences. Implemented as EvaluateBlocks against a shared all-zero
-  /// start block, so it runs the same resolved dispatch (fixed-k / AVX2 /
-  /// scalar) as the offline scanners and is bit-identical to the legacy
-  /// ChiSquareContext::Evaluate(counts, l) on the scalar paths. Symbol
+  /// start block, so it runs the same function as the offline scanners
+  /// and is bit-identical to ChiSquareContext::Evaluate(counts, l). Symbol
   /// alphabets are byte-coded, so k <= 256 by construction (DCHECKed).
   double EvaluateCounts(const int64_t* counts, int64_t l) const {
     SIGSUB_DCHECK(k_ <= kMaxAlphabet);
@@ -95,13 +75,12 @@ class X2Kernel {
   /// a caller-owned buffer (see the scratch convention above) with
   /// out.size() >= ends.size().
   ///
-  /// Where the resolved function has a batched twin (ResolveX2BatchFn in
-  /// x2_dispatch.h: k = 2 on an AVX2 CPU), four ends share one vector;
+  /// At k = 2 on an AVX2 CPU four ends share one vector (X2EndsAvx2K2);
   /// the 0–3 ends past the last full vector, and every end elsewhere, go
   /// through the per-end function. Each lane runs the per-end function's
   /// exact operation order, with no FMA contraction, so out[i] is
-  /// bit-identical to EvaluateRange(counts, start, ends[i]) under every
-  /// dispatch.
+  /// bit-identical to EvaluateRange(counts, start, ends[i]) on every
+  /// host.
   void EvaluateEnds(const seq::PrefixCounts& counts, int64_t start,
                     std::span<const int64_t> ends,
                     std::span<double> out) const {
@@ -118,8 +97,8 @@ class X2Kernel {
     for (; i < size; ++i) {
       int64_t l = ends[i] - start;
       out[i] = l == 0 ? 0.0
-                      : fn_(lo, counts.BlockAt(ends[i]), inv_probs_, k_,
-                            static_cast<double>(l));
+                      : Reduce(lo, counts.BlockAt(ends[i]),
+                               static_cast<double>(l));
     }
   }
 
@@ -164,40 +143,72 @@ class X2Kernel {
     return sum / dl - dl;
   }
 
-  /// True when the resolved implementation is the SIMD path.
-  bool simd_active() const { return simd_active_; }
-
   int alphabet_size() const { return k_; }
 
  private:
   static constexpr int kMaxAlphabet = 256;  // Byte-coded symbols.
+
+  /// (Σ_c (hi[c] − lo[c])² · inv_probs[c]) / l − l over two
+  /// position-major k-blocks, for l = end − start >= 1. The accumulation
+  /// order (c = 0..k−1, one multiply-add per symbol) is
+  /// ChiSquareContext::Evaluate's, so the result is bit-identical to it:
+  /// the int64 subtraction commutes with the double cast, and IEEE
+  /// arithmetic is deterministic for a fixed operation sequence. K > 0
+  /// fixes the trip count, so the compiler unrolls the loop and keeps the
+  /// chain in registers (k ∈ {2, 4, 8}: binary stock/sports encodings,
+  /// DNA, bytes-in-octal); K = 0 reads k_. Every K runs the same order.
+  template <int K>
+  double ReduceFixed(const int64_t* lo, const int64_t* hi, double l) const {
+    const int k = K > 0 ? K : k_;
+    double sum = 0.0;
+    for (int c = 0; c < k; ++c) {
+      double y = static_cast<double>(hi[c] - lo[c]);
+      sum += y * y * inv_probs_[c];
+    }
+    return sum / l - l;
+  }
+
+  double Reduce(const int64_t* lo, const int64_t* hi, double l) const {
+    switch (k_) {
+      case 2:
+        return ReduceFixed<2>(lo, hi, l);
+      case 4:
+        return ReduceFixed<4>(lo, hi, l);
+      case 8:
+        return ReduceFixed<8>(lo, hi, l);
+      default:
+        return ReduceFixed<0>(lo, hi, l);
+    }
+  }
+
+  /// Four ends per vector: out[j] = X²(S[start, ends[j])) for j in
+  /// [0, count), count a multiple of 4, and 0.0 where ends[j] == start.
+  /// `base` is counts.BlockAt(0), so end e's block is base + e·k.
+  using EndsFn = void (*)(const int64_t* base, int64_t start,
+                          const int64_t* ends, int64_t count,
+                          const double* inv_probs, double* out);
 
   /// Shared k-wide (<= 256) block of zeros backing EvaluateCounts.
   static const int64_t* ZeroBlock();
 
   const double* inv_probs_;
   int k_;
-  // Initialized before fn_ (declaration order): ResolveX2RangeFn writes it
-  // while fn_'s initializer runs in the explicit-dispatch constructor.
-  bool simd_active_ = false;
-  X2RangeFn fn_;
-  X2EndsFn batch_;  // After k_: reads it.
+  EndsFn batch_ = nullptr;  // Set only where a batched twin runs.
 };
+
+/// True when the batched k = 2 twin is compiled into this binary AND the
+/// CPU supports it (AVX2 on x86-64). It changes speed, never bits.
+bool SimdAvailable();
 
 namespace internal {
 
-/// AVX2 entry points, defined in x2_kernel_avx2.cc — only when the build
-/// enables SIGSUB_X2_AVX2 (CMake probes the compiler for -mavx2). Callers
-/// must first check SimdAvailable(): the TU is compiled for AVX2, so the
-/// functions may only execute on a CPU that reports the feature.
-double X2RangeAvx2(const int64_t* lo, const int64_t* hi,
-                   const double* inv_probs, int k, double l);
-double X2RangeAvx2K4(const int64_t* lo, const int64_t* hi,
-                     const double* inv_probs, int k, double l);
-double X2RangeAvx2K8(const int64_t* lo, const int64_t* hi,
-                     const double* inv_probs, int k, double l);
-/// The batched twin (X2EndsFn) of X2RangeScalarFixed<2> and of
-/// X2RangeAvx2 at k = 2.
+/// The batched twin of X2Kernel::ReduceFixed<2> (an X2Kernel::EndsFn),
+/// defined in x2_kernel_avx2.cc only when the build enables
+/// SIGSUB_X2_AVX2 (CMake probes the compiler for -mavx2). Callers must
+/// first check SimdAvailable(): the TU is compiled for AVX2, so it may
+/// only execute on a CPU that reports the feature. Counts must be < 2^52
+/// (the int64 → double conversion uses the 2^52 bias trick; counts are
+/// bounded by the sequence length).
 void X2EndsAvx2K2(const int64_t* base, int64_t start, const int64_t* ends,
                   int64_t count, const double* inv_probs, double* out);
 

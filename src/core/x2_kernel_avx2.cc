@@ -1,20 +1,18 @@
-// AVX2 implementation of the fused X² range kernel. This translation unit
-// is the only one in the library compiled with -mavx2 (see CMakeLists.txt),
-// so AVX2 instructions cannot leak into code that runs before the runtime
-// CPU check: callers reach these functions only through
-// internal::ResolveX2RangeFn and internal::ResolveX2BatchFn, which gate
-// on SimdAvailable(). The batched k = 2 twin is handed out under a scalar
-// pin too: its lanes reproduce the scalar order, so the pin fixes the
-// bits, not the instructions (see X2Dispatch). The TU gets -mavx2 and no
-// -mfma: a fused multiply-add would round y·y·w once instead of twice,
-// and the batched twin must reproduce the per-end function bit for bit.
+// AVX2 implementation of the batched k = 2 X² twin. This translation
+// unit is the only one in the library compiled with -mavx2 (see
+// CMakeLists.txt), so AVX2 instructions cannot leak into code that runs
+// before the runtime CPU check: the X2Kernel constructor hands the twin
+// out only when SimdAvailable(). Its lanes reproduce the scalar order, so
+// it changes speed, not bits. The TU gets -mavx2 and no -mfma: a fused
+// multiply-add would round y·y·w once instead of twice, and the batched
+// twin must reproduce the per-end function bit for bit.
 //
 // Counts are converted int64 → double with the 2^52 bias trick
 // (AVX2 has no native int64 → double conversion; that arrived with
 // AVX-512DQ): for 0 <= v < 2^52, OR-ing v into the mantissa of the double
 // 2^52 and subtracting 2^52 yields exactly double(v). Substring counts are
 // bounded by the sequence length, so the precondition only excludes
-// petabyte-scale inputs (documented on X2RangeFn).
+// petabyte-scale inputs (documented on X2EndsAvx2K2).
 
 #if defined(SIGSUB_X2_AVX2)
 
@@ -30,30 +28,6 @@ inline __m256d CountsToDouble(__m256i v) {
   const __m256i kBias = _mm256_set1_epi64x(0x4330000000000000LL);  // 2^52
   return _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(v, kBias)),
                        _mm256_castsi256_pd(kBias));
-}
-
-/// One 4-lane step: acc += (double(hi − lo))² · inv.
-inline __m256d Accumulate(__m256d acc, const int64_t* lo, const int64_t* hi,
-                          const double* inv_probs) {
-  __m256i ylo =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo));
-  __m256i yhi =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi));
-  __m256d y = CountsToDouble(_mm256_sub_epi64(yhi, ylo));
-  __m256d w = _mm256_loadu_pd(inv_probs);
-  return _mm256_add_pd(acc, _mm256_mul_pd(_mm256_mul_pd(y, y), w));
-}
-
-/// Deterministic horizontal reduction: (lane0 + lane2) + (lane1 + lane3).
-/// A fixed order keeps the SIMD path itself reproducible run to run, even
-/// though it differs from the scalar left-to-right order (hence the
-/// 1e-12 relative agreement gate rather than bit-identity).
-inline double HorizontalSum(__m256d acc) {
-  __m128d low = _mm256_castpd256_pd128(acc);
-  __m128d high = _mm256_extractf128_pd(acc, 1);
-  __m128d pair = _mm_add_pd(low, high);
-  return _mm_cvtsd_f64(pair) +
-         _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
 }
 
 /// Zeroes the lanes whose length is 0 (ends[j] == start), where the
@@ -99,34 +73,6 @@ void X2EndsAvx2K2(const int64_t* base, int64_t start, const int64_t* ends,
     __m256d x2 = _mm256_sub_pd(_mm256_div_pd(sum, l), l);
     _mm256_storeu_pd(out + j, ZeroEmptyLanes(x2, lengths));
   }
-}
-
-double X2RangeAvx2(const int64_t* lo, const int64_t* hi,
-                   const double* inv_probs, int k, double l) {
-  __m256d acc = _mm256_setzero_pd();
-  int c = 0;
-  for (; c + 4 <= k; c += 4) {
-    acc = Accumulate(acc, lo + c, hi + c, inv_probs + c);
-  }
-  double sum = HorizontalSum(acc);
-  for (; c < k; ++c) {
-    double y = static_cast<double>(hi[c] - lo[c]);
-    sum += y * y * inv_probs[c];
-  }
-  return sum / l - l;
-}
-
-double X2RangeAvx2K4(const int64_t* lo, const int64_t* hi,
-                     const double* inv_probs, int /*k*/, double l) {
-  __m256d acc = Accumulate(_mm256_setzero_pd(), lo, hi, inv_probs);
-  return HorizontalSum(acc) / l - l;
-}
-
-double X2RangeAvx2K8(const int64_t* lo, const int64_t* hi,
-                     const double* inv_probs, int /*k*/, double l) {
-  __m256d acc = Accumulate(_mm256_setzero_pd(), lo, hi, inv_probs);
-  acc = Accumulate(acc, lo + 4, hi + 4, inv_probs + 4);
-  return HorizontalSum(acc) / l - l;
 }
 
 }  // namespace internal

@@ -542,8 +542,7 @@ int CheckedThreadCount(const EngineOptions& options) {
 Engine::Engine(EngineOptions options)
     : cache_(options.cache_capacity),
       pool_(CheckedThreadCount(options)),
-      shard_min_sequence_(options.shard_min_sequence),
-      x2_dispatch_(options.x2_dispatch) {}
+      shard_min_sequence_(options.shard_min_sequence) {}
 
 void Engine::ClearCache() {
   cache_.Clear();
@@ -647,7 +646,7 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
                                                         : uniform;
     auto [it, inserted] = models.try_emplace(probs);
     if (inserted) {
-      auto context = core::ChiSquareContext::Make(probs, x2_dispatch_);
+      auto context = core::ChiSquareContext::Make(probs);
       if (!context.ok()) {
         models.erase(it);
         return Status::InvalidArgument(

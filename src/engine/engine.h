@@ -13,7 +13,6 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "core/x2_dispatch.h"
 #include "engine/corpus.h"
 #include "engine/result_cache.h"
 
@@ -43,10 +42,6 @@ struct EngineOptions {
   /// kernel (the witness among tied maxima may differ; see
   /// core::FindMssParallel).
   int64_t shard_min_sequence = 1 << 20;
-  /// Fused X² kernel implementation for every context this engine builds
-  /// (CLI `--x2-dispatch`). kScalar pins the bit-reproducible scalar path
-  /// for audits; kAuto picks the fastest available kernel.
-  core::X2Dispatch x2_dispatch = core::X2Dispatch::kAuto;
 };
 
 /// InvalidArgument naming the field when `options` is out of range:
@@ -169,7 +164,6 @@ class Engine {
   ResultCache cache_;
   ThreadPool pool_;
   const int64_t shard_min_sequence_;
-  const core::X2Dispatch x2_dispatch_;
   std::atomic<int64_t> queries_executed_{0};
   std::atomic<int64_t> batches_executed_{0};
   std::atomic<int64_t> suffix_index_builds_{0};

@@ -33,7 +33,7 @@ Status StreamManager::CreateStream(const std::string& name,
     // free); a concurrent CreateStream with the same model at worst
     // builds one redundant context, and the map keeps whichever landed
     // first.
-    auto built = core::ChiSquareContext::Make(probs, options_.x2_dispatch);
+    auto built = core::ChiSquareContext::Make(probs);
     if (!built.ok()) {
       return Status::InvalidArgument(StrCat("stream \"", name,
                                             "\": invalid model: ",
@@ -42,11 +42,6 @@ Status StreamManager::CreateStream(const std::string& name,
     context = std::make_shared<const core::ChiSquareContext>(
         std::move(built).value());
   }
-  // The manager's dispatch knob governs scoring end to end: it selected
-  // the shared context above, and here it overrides the per-detector
-  // field so the detector's own kernel resolution (which reads only its
-  // options) follows the same request.
-  options.x2_dispatch = options_.x2_dispatch;
   auto detector = core::StreamingDetector::Make(context, options);
   if (!detector.ok()) {
     return Status::InvalidArgument(

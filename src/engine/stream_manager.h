@@ -14,7 +14,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "core/streaming.h"
-#include "core/x2_dispatch.h"
 
 namespace sigsub {
 namespace engine {
@@ -23,9 +22,6 @@ struct StreamManagerOptions {
   /// Alarms retained per stream (oldest evicted first); snapshots report
   /// how many were dropped. Must be >= 1.
   size_t max_alarms_per_stream = 256;
-  /// Fused X² kernel implementation for every context this manager
-  /// builds, mirroring EngineOptions::x2_dispatch (CLI `--x2-dispatch`).
-  core::X2Dispatch x2_dispatch = core::X2Dispatch::kAuto;
 };
 
 /// Monotonic counters over the manager's lifetime (thread-safe reads).
@@ -67,9 +63,8 @@ struct PersistedStream {
 /// (StreamingDetector::AppendChunk) and runs on the caller's thread. The
 /// manager starts no threads of its own. Mirroring the Engine's
 /// context-reuse design, one core::ChiSquareContext is built per distinct
-/// null model (keyed by the probability vector, under
-/// StreamManagerOptions::x2_dispatch) and shared by every stream
-/// monitored under that model.
+/// null model (keyed by the probability vector) and shared by every
+/// stream monitored under that model.
 ///
 /// Thread safety: all public methods are safe to call concurrently.
 /// Appends to one stream are serialized by a per-stream mutex, so
@@ -84,10 +79,7 @@ class StreamManager {
 
   /// Creates stream `name` monitored under the multinomial model `probs`
   /// (validated; must sum to 1). Fails with InvalidArgument if the name
-  /// is already in use or the detector options are invalid. The detector
-  /// options' x2_dispatch field is overridden by
-  /// StreamManagerOptions::x2_dispatch, which governs both the shared
-  /// context and the detector's scoring kernel.
+  /// is already in use or the detector options are invalid.
   Status CreateStream(const std::string& name, std::vector<double> probs,
                       core::StreamingDetector::Options options = {});
 

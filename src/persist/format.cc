@@ -64,6 +64,10 @@ uint32_t Crc32(std::string_view data) { return Crc32(BytesOf(data)); }
 uint64_t BuildFingerprint() {
   uint64_t hash = 14695981039346656037ull;
   hash = Fnv1a(__VERSION__, hash);
+  // Names the X² summation order (core::X2Kernel). Change it whenever
+  // computed result bits change, so caches holding the old bits load
+  // cold instead of serving them.
+  hash = Fnv1a("x2-order:scalar-left-to-right;", hash);
   // Layout-bearing sizes: a build where any of these differ cannot
   // promise bit-identical replay of another build's cached results.
   const size_t sizes[] = {sizeof(void*), sizeof(long), sizeof(double),

@@ -26,6 +26,12 @@ namespace persist {
 /// versions by name rather than misparse.
 inline constexpr uint32_t kFormatVersion = 1;
 
+/// Journal CREATE records and snapshot streams carry one byte after the
+/// detector's rearm_fraction. It once named an X² summation order; there
+/// is one order now, so writers put 0 and readers accept every value up
+/// to this one, which covers all that earlier builds wrote.
+inline constexpr uint8_t kMaxReservedOptionsByte = 2;
+
 /// Hard cap on a single frame payload. Nothing legitimate approaches
 /// this; it bounds what a corrupt length prefix can make a reader do.
 inline constexpr uint32_t kMaxFramePayload = 1u << 30;
@@ -41,7 +47,8 @@ uint32_t Crc32(std::span<const uint8_t> data);
 uint32_t Crc32(std::string_view data);
 
 /// Fingerprint of the producing build: a hash over the compiler banner,
-/// the format version, and the layout-bearing type sizes. Deliberately
+/// the X² summation order, the format version, and the layout-bearing
+/// type sizes. Deliberately
 /// excludes timestamps so identical builds agree. Same fingerprint =>
 /// cached results are bit-reproducible by this binary; the result cache
 /// discards entries from any other fingerprint, while journal and

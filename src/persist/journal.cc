@@ -48,7 +48,7 @@ std::string EncodeJournalRecord(const JournalRecord& record) {
       writer.PutDouble(record.options.alpha);
       writer.PutDouble(record.options.x2_threshold);
       writer.PutDouble(record.options.rearm_fraction);
-      writer.PutU8(static_cast<uint8_t>(record.options.x2_dispatch));
+      writer.PutU8(0);  // Reserved: see kMaxReservedOptionsByte.
       break;
     case JournalOp::kAppend:
       writer.PutBytes(record.symbols);
@@ -84,20 +84,19 @@ Result<JournalRecord> DecodeJournalRecord(std::span<const uint8_t> bytes) {
       for (uint32_t i = 0; i < probs; ++i) {
         if (!reader.GetDouble(&record.probs[i])) return Truncated("model");
       }
-      uint8_t dispatch = 0;
+      uint8_t reserved = 0;
       if (!reader.GetI64(&record.options.max_window) ||
           !reader.GetDouble(&record.options.alpha) ||
           !reader.GetDouble(&record.options.x2_threshold) ||
           !reader.GetDouble(&record.options.rearm_fraction) ||
-          !reader.GetU8(&dispatch)) {
+          !reader.GetU8(&reserved)) {
         return Truncated("detector options");
       }
-      if (dispatch > static_cast<uint8_t>(core::X2Dispatch::kSimd)) {
+      if (reserved > kMaxReservedOptionsByte) {
         return Status::FailedPrecondition(
-            StrCat("journal CREATE has unknown dispatch ",
-                   static_cast<int>(dispatch)));
+            StrCat("journal CREATE has unknown reserved options byte ",
+                   static_cast<int>(reserved)));
       }
-      record.options.x2_dispatch = static_cast<core::X2Dispatch>(dispatch);
       break;
     }
     case JournalOp::kAppend:

@@ -31,7 +31,7 @@ void EncodeStream(BinaryWriter* writer,
   writer->PutDouble(stream.options.alpha);
   writer->PutDouble(stream.options.x2_threshold);
   writer->PutDouble(stream.options.rearm_fraction);
-  writer->PutU8(static_cast<uint8_t>(stream.options.x2_dispatch));
+  writer->PutU8(0);  // Reserved: see kMaxReservedOptionsByte.
   writer->PutI64(stream.state.position);
   writer->PutI64(stream.state.alarms_raised);
   writer->PutU32(static_cast<uint32_t>(stream.state.counts.size()));
@@ -61,20 +61,19 @@ Result<engine::PersistedStream> DecodeStream(BinaryReader* reader) {
   for (uint32_t i = 0; i < probs; ++i) {
     if (!reader->GetDouble(&stream.probs[i])) return Truncated("model");
   }
-  uint8_t dispatch = 0;
+  uint8_t reserved = 0;
   if (!reader->GetI64(&stream.options.max_window) ||
       !reader->GetDouble(&stream.options.alpha) ||
       !reader->GetDouble(&stream.options.x2_threshold) ||
       !reader->GetDouble(&stream.options.rearm_fraction) ||
-      !reader->GetU8(&dispatch)) {
+      !reader->GetU8(&reserved)) {
     return Truncated("detector options");
   }
-  if (dispatch > static_cast<uint8_t>(core::X2Dispatch::kSimd)) {
+  if (reserved > kMaxReservedOptionsByte) {
     return Status::FailedPrecondition(
-        StrCat("snapshot stream has unknown dispatch ",
-               static_cast<int>(dispatch)));
+        StrCat("snapshot stream has unknown reserved options byte ",
+               static_cast<int>(reserved)));
   }
-  stream.options.x2_dispatch = static_cast<core::X2Dispatch>(dispatch);
   if (!reader->GetI64(&stream.state.position) ||
       !reader->GetI64(&stream.state.alarms_raised)) {
     return Truncated("detector position");

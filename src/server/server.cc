@@ -66,10 +66,7 @@ struct Server::Connection {
 Server::Server(engine::Corpus corpus, ServerOptions options)
     : corpus_(std::move(corpus)),
       options_(std::move(options)),
-      engine_(options_.engine),
-      streams_(engine::StreamManagerOptions{
-          .x2_dispatch = options_.engine.x2_dispatch,
-      }) {
+      engine_(options_.engine) {
   if (options_.batch_max < 1) options_.batch_max = 1;
   if (options_.max_inflight_per_client < 1) {
     options_.max_inflight_per_client = 1;

@@ -30,8 +30,7 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;
 
-  /// The shared engine's construction. Its x2_dispatch also governs the
-  /// stream manager's scoring.
+  /// The shared engine's construction.
   engine::EngineOptions engine;
 
   /// Accepted connections beyond this are greeted with `ERR EBUSY server

@@ -60,7 +60,6 @@
 #include "core/threshold.h"
 #include "core/top_disjoint.h"
 #include "core/top_t.h"
-#include "core/x2_dispatch.h"
 #include "core/x2_kernel.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"

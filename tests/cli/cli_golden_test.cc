@@ -3,9 +3,7 @@
 // cli_test checks properties of reports (a substring is present, an error
 // names its flag); this suite pins whole reports, so a change to any
 // command's execution path or rendering that alters a single byte of
-// output fails here. Every case also runs with --x2-dispatch=scalar
-// appended: the report must then be the same bytes behind the dispatch
-// banner.
+// output fails here.
 
 #include <string>
 #include <vector>
@@ -340,24 +338,6 @@ TEST_F(CliGoldenTest, TranscriptsAreByteExact) {
       EXPECT_EQ(UpToExamined(actual), UpToExamined(c.expected));
     } else {
       EXPECT_EQ(actual, c.expected);
-    }
-  }
-}
-
-TEST_F(CliGoldenTest, ScalarDispatchOnlyAddsItsBanner) {
-  for (const GoldenCase& c : kCases) {
-    SCOPED_TRACE(c.name);
-    std::vector<std::string> args = c.args;
-    args.push_back("--x2-dispatch=scalar");
-    std::string expected = c.expected;
-    if (expected.rfind("run: ", 0) != 0) {
-      expected = "x2 dispatch: scalar (bit-reproducible)\n" + expected;
-    }
-    const std::string actual = Transcript(args);
-    if (c.up_to_examined) {
-      EXPECT_EQ(UpToExamined(actual), UpToExamined(expected));
-    } else {
-      EXPECT_EQ(actual, expected);
     }
   }
 }

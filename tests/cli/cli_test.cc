@@ -218,84 +218,15 @@ TEST(ParseArgsTest, ParsesShardMin) {
                   .IsInvalidArgument());
 }
 
-TEST(ParseArgsTest, ParsesX2Dispatch) {
-  // Common flag: every command accepts it.
-  auto scalar = ParseArgs({"mss", "--string=01", "--x2-dispatch=scalar"});
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_EQ(scalar->x2_dispatch, core::X2Dispatch::kScalar);
-  auto simd =
-      ParseArgs({"batch", "--input=x", "--x2-dispatch=simd"});
-  ASSERT_TRUE(simd.ok());
-  EXPECT_EQ(simd->x2_dispatch, core::X2Dispatch::kSimd);
-  auto deflt = ParseArgs({"score", "--string=01", "--start=0", "--end=1"});
-  ASSERT_TRUE(deflt.ok());
-  EXPECT_EQ(deflt->x2_dispatch, core::X2Dispatch::kAuto);
-  // Unknown modes are loud, and name the flag.
+TEST(ParseArgsTest, RemovedKernelSelectionFlagIsUnknown) {
+  // One X² summation order runs on every host, so there is nothing left
+  // to select: the old flag is an unknown flag, named as such.
   auto status =
-      ParseArgs({"mss", "--string=01", "--x2-dispatch=avx512"}).status();
+      ParseArgs({"mss", "--string=01", "--x2-dispatch=scalar"}).status();
   ASSERT_TRUE(status.IsInvalidArgument());
-  EXPECT_NE(status.message().find("--x2-dispatch"), std::string::npos);
-}
-
-/// Drops the "x2 dispatch: ..." report line an explicit --x2-dispatch
-/// adds, so dispatch modes can be compared on their mining output alone.
-std::string StripDispatchReport(const std::string& report) {
-  if (report.rfind("x2 dispatch:", 0) != 0) return report;
-  return report.substr(report.find('\n') + 1);
-}
-
-TEST(RunTest, X2DispatchModesAgreeOnBestSubstring) {
-  // A reproducibility audit pins --x2-dispatch=scalar; the report must
-  // carry the same best substring the default (auto, possibly SIMD)
-  // dispatch finds. The dispatch-report banner names the mode, so it is
-  // stripped before comparing.
-  const char* input = "--string=001011111111101001100100";
-  auto auto_report = cli::Run(
-      ParseArgs({"mss", input, "--x2-dispatch=auto"}).value());
-  auto scalar_report = cli::Run(
-      ParseArgs({"mss", input, "--x2-dispatch=scalar"}).value());
-  auto simd_report = cli::Run(
-      ParseArgs({"mss", input, "--x2-dispatch=simd"}).value());
-  ASSERT_TRUE(auto_report.ok());
-  ASSERT_TRUE(scalar_report.ok());
-  ASSERT_TRUE(simd_report.ok());
-  EXPECT_EQ(StripDispatchReport(*auto_report),
-            StripDispatchReport(*scalar_report));
-  EXPECT_EQ(StripDispatchReport(*auto_report),
-            StripDispatchReport(*simd_report));
-}
-
-TEST(RunTest, ExplicitDispatchReportsEffectiveKernel) {
-  // --x2-dispatch=simd must never degrade silently: the report either
-  // confirms the SIMD kernel is active or carries the fallback warning,
-  // depending on what this host supports (both wordings covered; which
-  // branch runs follows core::SimdAvailable()).
-  auto simd = cli::Run(
-      ParseArgs({"mss", "--string=0101011111", "--x2-dispatch=simd"})
-          .value());
-  ASSERT_TRUE(simd.ok());
-  if (core::SimdAvailable()) {
-    EXPECT_NE(simd->find("x2 dispatch: simd (AVX2 active)"),
-              std::string::npos)
-        << *simd;
-    EXPECT_EQ(simd->find("WARNING"), std::string::npos) << *simd;
-  } else {
-    EXPECT_NE(simd->find("WARNING: simd requested but AVX2 is unavailable"),
-              std::string::npos)
-        << *simd;
-    EXPECT_NE(simd->find("x2 dispatch: scalar"), std::string::npos) << *simd;
-  }
-  auto scalar = cli::Run(
-      ParseArgs({"mss", "--string=0101011111", "--x2-dispatch=scalar"})
-          .value());
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_NE(scalar->find("x2 dispatch: scalar (bit-reproducible)"),
+  EXPECT_NE(status.message().find("unknown flag --x2-dispatch"),
             std::string::npos)
-      << *scalar;
-  // Without the explicit flag there is no dispatch banner.
-  auto silent = cli::Run(ParseArgs({"mss", "--string=0101011111"}).value());
-  ASSERT_TRUE(silent.ok());
-  EXPECT_EQ(silent->find("x2 dispatch:"), std::string::npos) << *silent;
+      << status.message();
 }
 
 TEST(RunTest, MssOnLiteralString) {
@@ -459,24 +390,6 @@ TEST(BatchTest, LinesCorpusRoundTrip) {
   EXPECT_NE(report->find("\n0 "), std::string::npos);
   EXPECT_NE(report->find("\n1 "), std::string::npos);
   EXPECT_NE(report->find("cache:"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(BatchTest, X2DispatchReachesEngine) {
-  // The knob is plumbed through EngineOptions: a scalar-pinned batch and
-  // the default batch must render identical reports on the same corpus.
-  std::string path = ::testing::TempDir() + "/sigsub_cli_dispatch.txt";
-  ASSERT_TRUE(io::WriteTextFile(
-                  path, "0101011111111110101\n0000000000111111\n")
-                  .ok());
-  std::string input = std::string("--input=") + path;
-  auto scalar = cli::Run(
-      ParseArgs({"batch", input, "--x2-dispatch=scalar"}).value());
-  auto auto_mode = cli::Run(
-      ParseArgs({"batch", input, "--x2-dispatch=auto"}).value());
-  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-  ASSERT_TRUE(auto_mode.ok()) << auto_mode.status().ToString();
-  EXPECT_EQ(StripDispatchReport(*scalar), StripDispatchReport(*auto_mode));
   std::remove(path.c_str());
 }
 
@@ -1013,10 +926,6 @@ TEST(ClientTest, ValidatesItsFlagSet) {
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(ParseArgs({"client", "--port=0", "--send=PING"})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ParseArgs({"client", "--port=9000", "--send=PING",
-                         "--x2-dispatch=simd"})
                   .status()
                   .IsInvalidArgument());
 }

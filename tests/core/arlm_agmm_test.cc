@@ -89,38 +89,35 @@ TEST(ArlmTest, ExaminesFewerPairsThanTrivial) {
 
 // ARLM evaluates its ends through the batched EvaluateEnds. Its result
 // and counters must equal a scan that scores every (boundary, later
-// boundary) pair one at a time, first strict maximum kept, under both
-// dispatches.
-TEST(ArlmTest, MatchesPerEndScanUnderBothDispatches) {
+// boundary) pair one at a time, first strict maximum kept.
+TEST(ArlmTest, MatchesPerEndScan) {
   for (int k : {2, 3, 4}) {
     seq::Rng rng(4200 + static_cast<uint64_t>(k));
     seq::Sequence s = seq::GenerateNull(k, 700, rng);
     seq::PrefixCounts counts(s);
     const std::vector<int64_t> boundaries = ArlmCandidateBoundaries(s);
-    for (X2Dispatch dispatch : {X2Dispatch::kScalar, X2Dispatch::kSimd}) {
-      ChiSquareContext context(seq::MultinomialModel::Harmonic(k), dispatch);
-      X2Kernel kernel(context);
-      Substring want{0, 0, 0.0};
-      int64_t pairs = 0;
-      for (size_t a = 0; a + 1 < boundaries.size(); ++a) {
-        for (size_t b = a + 1; b < boundaries.size(); ++b, ++pairs) {
-          const double x2 =
-              kernel.EvaluateRange(counts, boundaries[a], boundaries[b]);
-          if (pairs == 0 || x2 > want.chi_square) {
-            want = Substring{boundaries[a], boundaries[b], x2};
-          }
+    ChiSquareContext context(seq::MultinomialModel::Harmonic(k));
+    X2Kernel kernel(context);
+    Substring want{0, 0, 0.0};
+    int64_t pairs = 0;
+    for (size_t a = 0; a + 1 < boundaries.size(); ++a) {
+      for (size_t b = a + 1; b < boundaries.size(); ++b, ++pairs) {
+        const double x2 =
+            kernel.EvaluateRange(counts, boundaries[a], boundaries[b]);
+        if (pairs == 0 || x2 > want.chi_square) {
+          want = Substring{boundaries[a], boundaries[b], x2};
         }
       }
-      const MssResult got = FindMssArlm(s, counts, context);
-      EXPECT_EQ(got.best.start, want.start) << k;
-      EXPECT_EQ(got.best.end, want.end) << k;
-      EXPECT_EQ(std::bit_cast<uint64_t>(got.best.chi_square),
-                std::bit_cast<uint64_t>(want.chi_square))
-          << k;
-      EXPECT_EQ(got.stats.positions_examined, pairs);
-      EXPECT_EQ(got.stats.start_positions,
-                static_cast<int64_t>(boundaries.size()) - 1);
     }
+    const MssResult got = FindMssArlm(s, counts, context);
+    EXPECT_EQ(got.best.start, want.start) << k;
+    EXPECT_EQ(got.best.end, want.end) << k;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.best.chi_square),
+              std::bit_cast<uint64_t>(want.chi_square))
+        << k;
+    EXPECT_EQ(got.stats.positions_examined, pairs);
+    EXPECT_EQ(got.stats.start_positions,
+              static_cast<int64_t>(boundaries.size()) - 1);
   }
 }
 

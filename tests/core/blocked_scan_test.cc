@@ -127,28 +127,25 @@ MssResult PerEndBlockedScan(const seq::PrefixCounts& counts,
 }
 
 // Dense blocks go through the batched EvaluateEnds; the witness, its X²
-// bits and all four counters must equal the per-end scan under both
-// dispatches, for block sizes that leave 0–3 ends past the last vector.
-TEST(BlockedScanTest, MatchesPerEndScanUnderBothDispatches) {
+// bits and all four counters must equal the per-end scan, for block
+// sizes that leave 0–3 ends past the last vector.
+TEST(BlockedScanTest, MatchesPerEndScan) {
   for (int k : {2, 3, 4}) {
     seq::Rng rng(4300 + static_cast<uint64_t>(k));
     seq::Sequence s = seq::GenerateNull(k, 900, rng);
     seq::PrefixCounts counts(s);
-    for (X2Dispatch dispatch : {X2Dispatch::kScalar, X2Dispatch::kSimd}) {
-      ChiSquareContext context(seq::MultinomialModel::Harmonic(k), dispatch);
-      for (int64_t block_size : {2, 5, 8, 64, 300, 5000}) {
-        const MssResult want = PerEndBlockedScan(counts, context, block_size);
-        const MssResult got = FindMssBlocked(s, counts, context, block_size);
-        EXPECT_EQ(got.best.start, want.best.start) << k << " " << block_size;
-        EXPECT_EQ(got.best.end, want.best.end) << k << " " << block_size;
-        EXPECT_EQ(std::bit_cast<uint64_t>(got.best.chi_square),
-                  std::bit_cast<uint64_t>(want.best.chi_square));
-        EXPECT_EQ(got.stats.positions_examined,
-                  want.stats.positions_examined);
-        EXPECT_EQ(got.stats.start_positions, want.stats.start_positions);
-        EXPECT_EQ(got.stats.skip_events, want.stats.skip_events);
-        EXPECT_EQ(got.stats.positions_skipped, want.stats.positions_skipped);
-      }
+    ChiSquareContext context(seq::MultinomialModel::Harmonic(k));
+    for (int64_t block_size : {2, 5, 8, 64, 300, 5000}) {
+      const MssResult want = PerEndBlockedScan(counts, context, block_size);
+      const MssResult got = FindMssBlocked(s, counts, context, block_size);
+      EXPECT_EQ(got.best.start, want.best.start) << k << " " << block_size;
+      EXPECT_EQ(got.best.end, want.best.end) << k << " " << block_size;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.best.chi_square),
+                std::bit_cast<uint64_t>(want.best.chi_square));
+      EXPECT_EQ(got.stats.positions_examined, want.stats.positions_examined);
+      EXPECT_EQ(got.stats.start_positions, want.stats.start_positions);
+      EXPECT_EQ(got.stats.skip_events, want.stats.skip_events);
+      EXPECT_EQ(got.stats.positions_skipped, want.stats.positions_skipped);
     }
   }
 }

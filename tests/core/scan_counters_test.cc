@@ -95,7 +95,7 @@ std::vector<std::string> RunAll(const Config& config) {
           ? testing::GenerateFamily(config.family, config.k, config.n, rng)
           : seq::GenerateMultinomial(model, config.n, rng);
   seq::PrefixCounts counts(s);
-  ChiSquareContext context(model, X2Dispatch::kScalar);
+  ChiSquareContext context(model);
   const int64_t n = config.n;
   std::vector<std::string> lines;
 

@@ -1,14 +1,11 @@
 // Property tests for the fused X² range kernels (core/x2_kernel.h):
 //
-//   * the fused scalar path is BIT-identical to the legacy
-//     FillCounts + Evaluate scratch round-trip (same operation order);
-//   * the SIMD path (when available) agrees with scalar to <= 1e-12
-//     relative and selects the same argmax over exhaustive scans of
-//     adversarial near-tie sequences;
-//   * both agree with a naive O(l) recount of the substring;
-//   * the batched EvaluateEnds is bit-identical to the per-end function
-//     under every dispatch, and grid EvaluateRect matches its one-shot
-//     counterpart;
+//   * every entry point (EvaluateBlocks, EvaluateCounts, EvaluateRange,
+//     EvaluateEnds) is BIT-identical to ChiSquareContext::Evaluate over
+//     the FillCounts scratch round-trip (same operation order);
+//   * it agrees with a naive O(l) recount of the substring;
+//   * the batched EvaluateEnds is bit-identical to the per-end function,
+//     and grid EvaluateRect matches its one-shot counterpart;
 //   * the SkipSolver block overload reproduces the span overload.
 
 #include "core/x2_kernel.h"
@@ -73,112 +70,58 @@ double NaiveX2(const seq::Sequence& sequence, const ChiSquareContext& ctx,
 }
 
 TEST(X2KernelTest, ScalarBitIdenticalToLegacyPair) {
-  for (int k : kAlphabets) {
+  for (int k : {2, 3, 4, 5, 8, 26}) {
     seq::Rng rng(1000 + static_cast<uint64_t>(k));
     seq::Sequence s = seq::GenerateNull(k, 2048, rng);
     seq::PrefixCounts counts(s);
-    ChiSquareContext ctx(MakeModel(k, 7 * static_cast<uint64_t>(k)),
-                         X2Dispatch::kScalar);
-    X2Kernel kernel(ctx, X2Dispatch::kScalar);
-    ASSERT_FALSE(kernel.simd_active());
+    ChiSquareContext ctx(MakeModel(k, 7 * static_cast<uint64_t>(k)));
+    X2Kernel kernel(ctx);
     std::vector<int64_t> scratch(static_cast<size_t>(k));
-    for (const auto& [start, end] : MakeRanges(s.size(), 4000, 99)) {
+    const auto ranges = MakeRanges(s.size(), 4000, 99);
+    for (const auto& [start, end] : ranges) {
       counts.FillCounts(start, end, scratch);
-      double legacy = ctx.Evaluate(scratch, end - start);
-      double fused = kernel.EvaluateRange(counts, start, end);
+      const uint64_t legacy =
+          std::bit_cast<uint64_t>(ctx.Evaluate(scratch, end - start));
       // Bit identity, not a tolerance: same loads, same operation order.
-      ASSERT_EQ(legacy, fused) << "k=" << k << " [" << start << "," << end
-                               << ")";
+      ASSERT_EQ(legacy, std::bit_cast<uint64_t>(kernel.EvaluateRange(
+                            counts, start, end)))
+          << "k=" << k << " [" << start << "," << end << ")";
+      ASSERT_EQ(legacy, std::bit_cast<uint64_t>(kernel.EvaluateBlocks(
+                            counts.BlockAt(start), counts.BlockAt(end),
+                            end - start)))
+          << "k=" << k << " [" << start << "," << end << ")";
+      ASSERT_EQ(legacy, std::bit_cast<uint64_t>(
+                            kernel.EvaluateCounts(scratch.data(), end - start)))
+          << "k=" << k << " [" << start << "," << end << ")";
+    }
+    // EvaluateEnds from two pinned starts over every range end (all >= 1),
+    // so the k = 2 batched twin (four ends per vector) is covered too.
+    std::vector<int64_t> ends;
+    for (const auto& range : ranges) ends.push_back(range.second);
+    std::vector<double> out(ends.size());
+    for (int64_t start : {int64_t{0}, int64_t{1}}) {
+      kernel.EvaluateEnds(counts, start, ends, out);
+      for (size_t j = 0; j < ends.size(); ++j) {
+        counts.FillCounts(start, ends[j], scratch);
+        const double legacy = ctx.Evaluate(scratch, ends[j] - start);
+        ASSERT_EQ(std::bit_cast<uint64_t>(legacy),
+                  std::bit_cast<uint64_t>(out[j]))
+            << "k=" << k << " [" << start << "," << ends[j] << ")";
+      }
     }
   }
 }
 
-TEST(X2KernelTest, AllPathsMatchNaiveRecount) {
+TEST(X2KernelTest, MatchesNaiveRecount) {
   for (int k : kAlphabets) {
     seq::Rng rng(2000 + static_cast<uint64_t>(k));
     seq::Sequence s = seq::GenerateNull(k, 512, rng);
     seq::PrefixCounts counts(s);
     ChiSquareContext ctx(MakeModel(k, 11 * static_cast<uint64_t>(k)));
-    X2Kernel scalar(ctx, X2Dispatch::kScalar);
-    X2Kernel simd(ctx, X2Dispatch::kSimd);
+    X2Kernel kernel(ctx);
     for (const auto& [start, end] : MakeRanges(s.size(), 800, 17)) {
-      double naive = NaiveX2(s, ctx, start, end);
-      EXPECT_X2_EQ(scalar.EvaluateRange(counts, start, end), naive);
-      EXPECT_X2_EQ(simd.EvaluateRange(counts, start, end), naive);
-    }
-  }
-}
-
-TEST(X2KernelTest, SimdWithinRelativeToleranceOfScalar) {
-  if (!SimdAvailable()) {
-    GTEST_SKIP() << "SIMD kernel not available on this build/CPU";
-  }
-  for (int k : kAlphabets) {
-    seq::Rng rng(3000 + static_cast<uint64_t>(k));
-    seq::Sequence s = seq::GenerateNull(k, 2048, rng);
-    seq::PrefixCounts counts(s);
-    ChiSquareContext ctx(MakeModel(k, 13 * static_cast<uint64_t>(k)));
-    X2Kernel scalar(ctx, X2Dispatch::kScalar);
-    X2Kernel simd(ctx, X2Dispatch::kSimd);
-    ASSERT_TRUE(simd.simd_active()) << "k=" << k;
-    for (const auto& [start, end] : MakeRanges(s.size(), 4000, 23)) {
-      double a = scalar.EvaluateRange(counts, start, end);
-      double b = simd.EvaluateRange(counts, start, end);
-      EXPECT_NEAR(a, b, 1e-12 * (1.0 + std::fabs(a)))
-          << "k=" << k << " [" << start << "," << end << ")";
-    }
-  }
-}
-
-/// Adversarial near-tie inputs: periodic strings make whole equivalence
-/// classes of substrings score exactly equal, so any evaluation-order
-/// instability in a kernel would flip the (first-wins) argmax.
-seq::Sequence MakePeriodic(int k, int64_t n, int64_t period) {
-  std::vector<uint8_t> symbols(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    symbols[static_cast<size_t>(i)] =
-        static_cast<uint8_t>((i / period) % k);
-  }
-  auto s = seq::Sequence::FromSymbols(k, std::move(symbols));
-  SIGSUB_CHECK(s.ok());
-  return std::move(s).value();
-}
-
-TEST(X2KernelTest, SimdArgmaxIdentityOnNearTieSequences) {
-  if (!SimdAvailable()) {
-    GTEST_SKIP() << "SIMD kernel not available on this build/CPU";
-  }
-  for (int k : {2, 4, 8}) {
-    for (int64_t period : {1, 2, 3}) {
-      seq::Sequence s = MakePeriodic(k, 192, period);
-      seq::PrefixCounts counts(s);
-      ChiSquareContext ctx(seq::MultinomialModel::Uniform(k));
-      X2Kernel scalar(ctx, X2Dispatch::kScalar);
-      X2Kernel simd(ctx, X2Dispatch::kSimd);
-      // Exhaustive scan in a fixed order, strict-greater argmax.
-      int64_t best_start_a = 0, best_end_a = 0;
-      int64_t best_start_b = 0, best_end_b = 0;
-      double best_a = -1.0, best_b = -1.0;
-      for (int64_t i = 0; i < s.size(); ++i) {
-        for (int64_t end = i + 1; end <= s.size(); ++end) {
-          double a = scalar.EvaluateRange(counts, i, end);
-          double b = simd.EvaluateRange(counts, i, end);
-          if (a > best_a) {
-            best_a = a;
-            best_start_a = i;
-            best_end_a = end;
-          }
-          if (b > best_b) {
-            best_b = b;
-            best_start_b = i;
-            best_end_b = end;
-          }
-        }
-      }
-      EXPECT_EQ(best_start_a, best_start_b)
-          << "k=" << k << " period=" << period;
-      EXPECT_EQ(best_end_a, best_end_b) << "k=" << k << " period=" << period;
-      EXPECT_NEAR(best_a, best_b, 1e-12 * (1.0 + best_a));
+      EXPECT_X2_EQ(kernel.EvaluateRange(counts, start, end),
+                   NaiveX2(s, ctx, start, end));
     }
   }
 }
@@ -201,8 +144,8 @@ TEST(X2KernelTest, EvaluateEndsMatchesEvaluateRange) {
   }
 }
 
-// EvaluateEnds runs four ends per AVX2 vector where the resolved function
-// has a twin (k = 2) and the per-end loop elsewhere. Either way every
+// EvaluateEnds runs four ends per AVX2 vector at k = 2 on an AVX2 CPU and
+// the per-end loop elsewhere. Either way every
 // value must equal the per-end function bit for bit, the 0–3 tail ends
 // and the length-0 end included, for scattered and for consecutive ends.
 TEST(X2KernelTest, BatchedFormsAreBitIdenticalToPerEnd) {
@@ -211,31 +154,26 @@ TEST(X2KernelTest, BatchedFormsAreBitIdenticalToPerEnd) {
     seq::Sequence s = seq::GenerateNull(k, 200, rng);
     seq::PrefixCounts counts(s);
     ChiSquareContext ctx(MakeModel(k, 7 * static_cast<uint64_t>(k)));
-    for (X2Dispatch dispatch : {X2Dispatch::kScalar, X2Dispatch::kSimd}) {
-      X2Kernel kernel(ctx, dispatch);
-      std::vector<double> out(64);
-      for (int64_t start : {0, 1, 37, 150, 200}) {
-        for (int64_t count = 0; count <= 13; ++count) {
-          // Scattered ends (start itself first), and consecutive ends
-          // from start + 1 and from start + 6 as the blocked scan passes
-          // them.
-          std::vector<std::vector<int64_t>> end_sets(3);
+    X2Kernel kernel(ctx);
+    std::vector<double> out(64);
+    for (int64_t start : {0, 1, 37, 150, 200}) {
+      for (int64_t count = 0; count <= 13; ++count) {
+        // Scattered ends (start itself first), and consecutive ends from
+        // start + 1 and from start + 6 as the blocked scan passes them.
+        std::vector<std::vector<int64_t>> end_sets(3);
+        for (int64_t j = 0; j < count; ++j) {
+          end_sets[0].push_back(std::min<int64_t>(start + (j * 11) % 47, 200));
+          end_sets[1].push_back(start + 1 + j);
+          end_sets[2].push_back(start + 6 + j);
+        }
+        for (const std::vector<int64_t>& ends : end_sets) {
+          if (!ends.empty() && ends.back() > s.size()) continue;
+          kernel.EvaluateEnds(counts, start, ends, out);
           for (int64_t j = 0; j < count; ++j) {
-            end_sets[0].push_back(
-                std::min<int64_t>(start + (j * 11) % 47, 200));
-            end_sets[1].push_back(start + 1 + j);
-            end_sets[2].push_back(start + 6 + j);
-          }
-          for (const std::vector<int64_t>& ends : end_sets) {
-            if (!ends.empty() && ends.back() > s.size()) continue;
-            kernel.EvaluateEnds(counts, start, ends, out);
-            for (int64_t j = 0; j < count; ++j) {
-              EXPECT_EQ(std::bit_cast<uint64_t>(out[j]),
-                        std::bit_cast<uint64_t>(
-                            kernel.EvaluateRange(counts, start, ends[j])))
-                  << "k=" << k << " " << X2DispatchName(dispatch)
-                  << " start=" << start << " end=" << ends[j];
-            }
+            EXPECT_EQ(std::bit_cast<uint64_t>(out[j]),
+                      std::bit_cast<uint64_t>(
+                          kernel.EvaluateRange(counts, start, ends[j])))
+                << "k=" << k << " start=" << start << " end=" << ends[j];
           }
         }
       }
@@ -248,8 +186,8 @@ TEST(X2KernelTest, EvaluateRectMatchesGridLegacyPair) {
   auto model = seq::MultinomialModel::Uniform(4);
   seq::Grid grid = seq::Grid::GenerateNull(model, 12, 17, rng);
   seq::GridPrefixCounts counts(grid);
-  ChiSquareContext ctx(model, X2Dispatch::kScalar);
-  X2Kernel kernel(ctx, X2Dispatch::kScalar);
+  ChiSquareContext ctx(model);
+  X2Kernel kernel(ctx);
   std::vector<int64_t> scratch(4);
   for (int64_t r0 = 0; r0 < grid.rows(); r0 += 3) {
     for (int64_t r1 = r0 + 1; r1 <= grid.rows(); r1 += 2) {
@@ -271,7 +209,6 @@ TEST(X2KernelTest, SkipSolverBlockOverloadMatchesSpanOverload) {
     seq::PrefixCounts counts(s);
     ChiSquareContext ctx(MakeModel(k, 3 * static_cast<uint64_t>(k)));
     SkipSolver solver(ctx);
-    X2Kernel kernel(ctx, X2Dispatch::kScalar);
     std::vector<int64_t> scratch(static_cast<size_t>(k));
     for (const auto& [start, end] : MakeRanges(s.size(), 500, 31)) {
       if (end == start) continue;
@@ -288,35 +225,6 @@ TEST(X2KernelTest, SkipSolverBlockOverloadMatchesSpanOverload) {
       }
     }
   }
-}
-
-TEST(X2DispatchTest, ParseAndNameRoundTrip) {
-  X2Dispatch dispatch = X2Dispatch::kAuto;
-  EXPECT_TRUE(ParseX2Dispatch("scalar", &dispatch));
-  EXPECT_EQ(dispatch, X2Dispatch::kScalar);
-  EXPECT_TRUE(ParseX2Dispatch("simd", &dispatch));
-  EXPECT_EQ(dispatch, X2Dispatch::kSimd);
-  EXPECT_TRUE(ParseX2Dispatch("auto", &dispatch));
-  EXPECT_EQ(dispatch, X2Dispatch::kAuto);
-  EXPECT_FALSE(ParseX2Dispatch("avx512", &dispatch));
-  EXPECT_STREQ(X2DispatchName(X2Dispatch::kScalar), "scalar");
-  EXPECT_STREQ(X2DispatchName(X2Dispatch::kSimd), "simd");
-  EXPECT_STREQ(X2DispatchName(X2Dispatch::kAuto), "auto");
-}
-
-TEST(X2DispatchTest, ContextResolvesDispatchAtBuildTime) {
-  // Scalar contexts never report SIMD; SIMD contexts report it exactly
-  // when the build/CPU support it (k >= 4 under auto).
-  ChiSquareContext scalar(seq::MultinomialModel::Uniform(8),
-                          X2Dispatch::kScalar);
-  EXPECT_FALSE(scalar.x2_simd_active());
-  ChiSquareContext simd(seq::MultinomialModel::Uniform(8),
-                        X2Dispatch::kSimd);
-  EXPECT_EQ(simd.x2_simd_active(), SimdAvailable());
-  ChiSquareContext auto_small(seq::MultinomialModel::Uniform(2));
-  EXPECT_FALSE(auto_small.x2_simd_active());  // k < 4 stays scalar.
-  ChiSquareContext auto_large(seq::MultinomialModel::Uniform(8));
-  EXPECT_EQ(auto_large.x2_simd_active(), SimdAvailable());
 }
 
 }  // namespace

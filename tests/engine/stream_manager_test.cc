@@ -96,34 +96,6 @@ TEST(StreamManagerTest, ManagerMatchesStandaloneDetector) {
   EXPECT_EQ(snapshot->chi_squares, direct.CurrentChiSquares());
 }
 
-TEST(StreamManagerTest, ManagerDispatchReachesDetectorScoring) {
-  // StreamManagerOptions::x2_dispatch must govern the detectors' scoring
-  // kernels, not just the shared context build — a SIMD request that the
-  // detector silently re-resolved to scalar would contradict the CLI's
-  // dispatch report. Pin: a manager-created stream scores bit-identically
-  // to a standalone detector built with the same explicit dispatch (on
-  // hosts without AVX2 both sides fall back to scalar together).
-  StreamManagerOptions manager_options;
-  manager_options.x2_dispatch = core::X2Dispatch::kSimd;
-  StreamManager manager(manager_options);
-  auto options = SmallWindow();
-  ASSERT_OK(manager.CreateStream("s", Uniform(2), options));  // kAuto field.
-
-  auto direct_options = options;
-  direct_options.x2_dispatch = core::X2Dispatch::kSimd;
-  auto model = seq::MultinomialModel::Uniform(2);
-  auto direct =
-      core::StreamingDetector::Make(model, direct_options).value();
-
-  std::vector<uint8_t> stream = BurstStream(3, 2000, 250);
-  ASSERT_OK(manager.Append("s", stream).status());
-  direct.AppendChunk(stream);
-  auto snapshot = manager.Snapshot("s");
-  ASSERT_OK(snapshot.status());
-  EXPECT_EQ(snapshot->chi_squares, direct.CurrentChiSquares());
-  EXPECT_EQ(snapshot->alarms_total, direct.alarms_raised());
-}
-
 TEST(StreamManagerTest, ValidatesNamesAndModels) {
   StreamManager manager;
   EXPECT_TRUE(manager.CreateStream("", Uniform(2)).IsInvalidArgument());

@@ -92,6 +92,25 @@ TEST_F(JournalTest, DecodeRejectsTrailingBytes) {
   EXPECT_FALSE(DecodeJournalRecord(BytesOf(bytes)).ok());
 }
 
+TEST_F(JournalTest, CreateReservedByteAcceptsEarlierValuesOnly) {
+  // The byte that ends a CREATE record once named an X² order (0–2).
+  // This build writes 0 and reads back all three; 3 fails by name.
+  std::string bytes = EncodeJournalRecord(CreateRecord("s"));
+  EXPECT_EQ(bytes.back(), 0);
+  for (char value : {1, 2}) {
+    bytes.back() = value;
+    ASSERT_OK_AND_ASSIGN(JournalRecord decoded,
+                         DecodeJournalRecord(BytesOf(bytes)));
+    EXPECT_EQ(decoded.options.max_window, 128);
+  }
+  bytes.back() = 3;
+  Result<JournalRecord> bad = DecodeJournalRecord(BytesOf(bytes));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("reserved options byte 3"),
+            std::string::npos)
+      << bad.status().message();
+}
+
 TEST_F(JournalTest, AppendThenReopenReplaysEverything) {
   {
     JournalReplay replay;

@@ -17,6 +17,8 @@
 #include "core/streaming.h"
 #include "engine/result_cache.h"
 #include "engine/stream_manager.h"
+#include "persist/format.h"
+#include "persist/journal.h"
 #include "testing/test_util.h"
 
 // ThreadSanitizer cannot follow a fork()ed child that keeps running
@@ -230,6 +232,178 @@ TEST_F(StateStoreTest, CorruptCacheIsDiscardedQuietly) {
   EXPECT_TRUE(recovery.cache_discarded);
   EXPECT_EQ(recovery.cache_entries_loaded, 0);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+/// Writes `value` into byte `offset` of the payload of the CRC frame that
+/// starts at byte `frame` of the file at `path`, and re-seals the frame's
+/// CRC. Frame layout: [u32 payload size][u32 crc][payload].
+void PatchFramePayloadByte(const std::string& path, size_t frame,
+                           size_t offset, uint8_t value) {
+  ASSERT_OK_AND_ASSIGN(std::string bytes, ReadFileToString(path));
+  ASSERT_LT(frame + 8 + offset, bytes.size());
+  uint32_t size = 0;
+  for (int i = 3; i >= 0; --i) {
+    size = size << 8 | static_cast<uint8_t>(bytes[frame + i]);
+  }
+  bytes[frame + 8 + offset] = static_cast<char>(value);
+  const uint32_t crc = Crc32(std::string_view(bytes).substr(frame + 8, size));
+  for (int i = 0; i < 4; ++i) {
+    bytes[frame + 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+  ASSERT_OK(AtomicWriteFile(path, bytes));
+}
+
+/// Payload offset of the reserved byte of stream "s" (binary model) in a
+/// one-stream snapshot: last_lsn u64 and a stream count u32, then the
+/// name (u32 length + 1 byte), probs (u32 count + 2 doubles), max_window
+/// i64 and three doubles.
+constexpr size_t kSnapshotReservedByte =
+    8 + 4 + (4 + 1) + (4 + 2 * 8) + 8 + 3 * 8;
+
+/// Options under which a binary stream alarms often, so restored and
+/// fresh streams have alarm logs worth comparing.
+core::StreamingDetector::Options AlarmingOptions() {
+  core::StreamingDetector::Options options;
+  options.max_window = 16;
+  options.x2_threshold = 6.0;
+  return options;
+}
+
+// Journal CREATE records and snapshot streams carry a byte that earlier
+// builds set to an X² order selector (0–2). A state dir holding 2 must
+// restore, and its streams must go on exactly like fresh ones.
+TEST_F(StateStoreTest, ReservedOptionsByteFromEarlierBuildsRestores) {
+  const std::vector<double> probs = {0.5, 0.5};
+  const std::vector<uint8_t> burst(24, 1);
+  {
+    engine::StreamManager streams;
+    RecoveryStats recovery;
+    ASSERT_OK_AND_ASSIGN(
+        StateStore store,
+        StateStore::Open(dir_, {.fsync_policy = FsyncPolicy::kNone},
+                         &streams, nullptr, &recovery));
+    ASSERT_OK(store.RecordCreate("s", probs, AlarmingOptions()));
+    ASSERT_OK(streams.CreateStream("s", probs, AlarmingOptions()));
+    ASSERT_OK(store.RecordAppend("s", burst));
+    ASSERT_OK(streams.Append("s", burst).status());
+    ASSERT_OK(store.Snapshot(streams, nullptr));
+    // The snapshot reset the journal: t's CREATE is its first record.
+    ASSERT_OK(store.RecordCreate("t", probs, AlarmingOptions()));
+    ASSERT_OK(streams.CreateStream("t", probs, AlarmingOptions()));
+    ASSERT_OK(store.RecordAppend("t", Chunk(0)));
+    ASSERT_OK(streams.Append("t", Chunk(0)).status());
+  }
+  const size_t header = EncodeFileHeader(FileKind::kJournal).size();
+  // The reserved byte ends a CREATE record.
+  const JournalRecord create{.op = JournalOp::kCreate,
+                             .stream = "t",
+                             .probs = probs,
+                             .options = AlarmingOptions()};
+  PatchFramePayloadByte(StateStore::JournalPath(dir_), header,
+                        EncodeJournalRecord(create).size() - 1, 2);
+  PatchFramePayloadByte(StateStore::SnapshotPath(dir_), header,
+                        kSnapshotReservedByte, 2);
+
+  engine::StreamManager recovered;
+  RecoveryStats recovery;
+  ASSERT_OK_AND_ASSIGN(
+      StateStore store,
+      StateStore::Open(dir_, {.fsync_policy = FsyncPolicy::kNone},
+                       &recovered, nullptr, &recovery));
+  EXPECT_EQ(recovery.streams_restored, 1);
+  EXPECT_EQ(recovery.journal_records_applied, 2);
+  EXPECT_EQ(recovery.journal_records_failed, 0);
+
+  engine::StreamManager fresh;
+  ASSERT_OK(fresh.CreateStream("s", probs, AlarmingOptions()));
+  ASSERT_OK(fresh.Append("s", burst).status());
+  ASSERT_OK(fresh.CreateStream("t", probs, AlarmingOptions()));
+  ASSERT_OK(fresh.Append("t", Chunk(0)).status());
+  for (const char* name : {"s", "t"}) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_OK_AND_ASSIGN(int64_t restored_alarms,
+                           recovered.Append(name, burst));
+      ASSERT_OK_AND_ASSIGN(int64_t fresh_alarms, fresh.Append(name, burst));
+      EXPECT_EQ(restored_alarms, fresh_alarms) << name;
+      ASSERT_OK(recovered.Append(name, Chunk(i)).status());
+      ASSERT_OK(fresh.Append(name, Chunk(i)).status());
+    }
+  }
+  ExpectSameStreams(recovered, fresh);
+  ASSERT_OK_AND_ASSIGN(engine::StreamSnapshot t, recovered.Snapshot("t"));
+  EXPECT_GT(t.alarms_total, 0);
+}
+
+// A reserved byte above every value earlier builds wrote is damage, and
+// fails the restore by name instead of being ignored.
+TEST_F(StateStoreTest, UnknownReservedOptionsByteFailsOpenByName) {
+  {
+    engine::StreamManager streams;
+    RecoveryStats recovery;
+    ASSERT_OK_AND_ASSIGN(
+        StateStore store,
+        StateStore::Open(dir_, {.fsync_policy = FsyncPolicy::kNone},
+                         &streams, nullptr, &recovery));
+    ASSERT_OK(store.RecordCreate("s", {0.5, 0.5}, SmallOptions()));
+    ASSERT_OK(streams.CreateStream("s", {0.5, 0.5}, SmallOptions()));
+    ASSERT_OK(store.Snapshot(streams, nullptr));
+  }
+  PatchFramePayloadByte(StateStore::SnapshotPath(dir_),
+                        EncodeFileHeader(FileKind::kSnapshot).size(),
+                        kSnapshotReservedByte, 3);
+  engine::StreamManager streams;
+  RecoveryStats recovery;
+  Result<StateStore> reopened =
+      StateStore::Open(dir_, {.fsync_policy = FsyncPolicy::kNone}, &streams,
+                       nullptr, &recovery);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_NE(reopened.status().message().find("reserved options byte 3"),
+            std::string::npos)
+      << reopened.status().message();
+  EXPECT_TRUE(streams.StreamNames().empty());
+}
+
+// The build fingerprint names the X² summation order, so a result cache
+// written by a build with another fingerprint (say, one whose X² bits
+// differ) is discarded by name and the cache starts cold; streams still
+// restore.
+TEST_F(StateStoreTest, CacheFromAnotherBuildLoadsCold) {
+  {
+    engine::StreamManager streams;
+    engine::ResultCache cache(8);
+    cache.Insert({5, 6}, {.match_count = 2});
+    RecoveryStats recovery;
+    ASSERT_OK_AND_ASSIGN(
+        StateStore store,
+        StateStore::Open(dir_, {.fsync_policy = FsyncPolicy::kNone},
+                         &streams, &cache, &recovery));
+    ASSERT_OK(store.RecordCreate("s", {0.5, 0.5}, SmallOptions()));
+    ASSERT_OK(streams.CreateStream("s", {0.5, 0.5}, SmallOptions()));
+    ASSERT_OK(store.Snapshot(streams, &cache));
+  }
+  {
+    // Header: magic(4) version(4) kind(4) fingerprint(8) crc(4). Flip a
+    // fingerprint byte and re-seal the header CRC.
+    ASSERT_OK_AND_ASSIGN(std::string bytes,
+                         ReadFileToString(StateStore::CachePath(dir_)));
+    bytes[12] = static_cast<char>(bytes[12] ^ 0x5a);
+    const uint32_t crc = Crc32(std::string_view(bytes).substr(0, 20));
+    for (int i = 0; i < 4; ++i) {
+      bytes[20 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+    }
+    ASSERT_OK(AtomicWriteFile(StateStore::CachePath(dir_), bytes));
+  }
+  engine::StreamManager streams;
+  engine::ResultCache cache(8);
+  RecoveryStats recovery;
+  ASSERT_OK(StateStore::Open(dir_, {.fsync_policy = FsyncPolicy::kNone},
+                             &streams, &cache, &recovery)
+                .status());
+  EXPECT_TRUE(recovery.cache_discarded);
+  EXPECT_EQ(recovery.cache_entries_loaded, 0);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.Lookup({5, 6}).has_value());
+  EXPECT_EQ(recovery.streams_restored, 1);
 }
 
 TEST_F(StateStoreTest, RecordFailureSurfacesEpersistConditions) {

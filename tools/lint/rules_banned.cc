@@ -147,7 +147,7 @@ void RunAuditPathRule(Analysis* analysis) {
       "lgamma", "erf",   "erfc",  "cbrt", "hypot"};
   for (const SourceFile& file : analysis->files) {
     if (file.rel != "src/core/x2_kernel.cc" &&
-        file.rel != "src/core/x2_dispatch.h") {
+        file.rel != "src/core/x2_kernel.h") {
       continue;
     }
     const auto& tokens = file.lexed.tokens;
